@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import CheckResult
-from .spectral import Domain, PhysicalField, SpectralField, hs_seminorm
+from .spectral import (Domain, PhysicalField, SpectralField, complete_spectrum,
+                       hs_seminorm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,7 +136,11 @@ def antiderivative(w: PhysicalField) -> PhysicalField:
 
 
 class _StreamOps:
-    """Precomputed 1D spectral machinery for one (domain, regularization)."""
+    """Precomputed 1D spectral machinery for one (domain, regularization).
+
+    The slope is carried as its rfft half spectrum (n//2 + 1 modes); sums
+    over modes carry Domain.parseval_weights.
+    """
 
     def __init__(self, domain: Domain, reg: Regularization):
         if domain.dim != 1:
@@ -144,19 +149,23 @@ class _StreamOps:
         self.reg = reg
         n = domain.n[0]
         self.n = n
-        self.k = np.fft.fftfreq(n, d=1.0 / n)
-        self.kd = self.k.copy()
-        self.kd[self.kd == -n // 2] = 0.0
-        self.k2 = self.k ** 2
-        self.mask = np.abs(self.k) <= n / 3.0
+        self.weights = domain.parseval_weights
+        k = domain.half(domain.wavenumbers[0])
+        kd = domain.half(domain.deriv_wavenumbers[0])
+        self.ikd = 1j * kd
+        self.k2 = k ** 2
+        self.mask = np.abs(k) <= n / 3.0
         self.seam = n // 2
+        # antiderivative multiplier 1/(i k); the mean and Nyquist modes have none
+        self.inv_ikd = np.zeros(kd.shape, dtype=np.complex128)
+        self.inv_ikd[kd != 0] = 1.0 / self.ikd[kd != 0]
         # linear symbol handled by the integrating factor (spectral mode only)
         if reg.mode == "spectral":
             sgn = 1.0 if reg.sign == "oracle" else -1.0
-            kabs = np.abs(self.kd)
+            kabs = np.abs(kd)
             self.lam = sgn * reg.nu * np.where(kabs > 0, np.maximum(kabs, 1.0) ** reg.alpha, 0.0)
         else:
-            self.lam = np.zeros(n)
+            self.lam = np.zeros(kd.shape)
         self._props = {}
 
     def propagators(self, dt):
@@ -168,24 +177,27 @@ class _StreamOps:
             self._props[dt] = cached
         return cached
 
+    def power(self, wh):
+        """sum over all modes of |w_k|^2, so ||w||_2^2 = 2 pi * power."""
+        return float(np.sum(self.weights * np.abs(wh) ** 2))
+
+    def quasilinear_coeff(self, wh, g):
+        """nu * (||w_x||_2^2 + g^2), the quasilinear diffusion coefficient."""
+        wx_sq = TWO_PI * float(np.sum(self.weights * self.k2 * np.abs(wh) ** 2))
+        return self.reg.nu * (wx_sq + g * g)
+
     def rhs(self, wh, g):
         """Tendency (dwh, dg) excluding the integrating-factor linear part."""
-        w = np.fft.ifft(wh, norm="forward").real
-        fh = np.zeros_like(wh)
-        nz = self.kd != 0
-        fh[nz] = wh[nz] / (1j * self.kd[nz])
-        f = np.fft.ifft(fh, norm="forward").real
+        w, f, wx = np.fft.irfft(np.stack([wh, self.inv_ikd * wh, self.ikd * wh]),
+                                n=self.n, norm="forward")
         f -= f[self.seam]
-        wx = np.fft.ifft(1j * self.kd * wh, norm="forward").real
-        dg = 2.0 * float(np.sum(np.abs(wh) ** 2))  # (1/pi) * 2*pi*sum|wh|^2
-        prod_hat = np.fft.fft(w * w - f * wx, norm="forward")
-        prod_hat[~self.mask] = 0.0
+        dg = 2.0 * self.power(wh)  # (1/pi) ||w||_2^2
+        prod_hat = np.fft.rfft(w * w - f * wx, norm="forward")
+        prod_hat *= self.mask
         dwh = prod_hat + g * wh
         dwh[0] -= dg
         if self.reg.mode == "quasilinear":
-            wx_sq = TWO_PI * float(np.sum(self.k2 * np.abs(wh) ** 2))
-            coeff = self.reg.nu * (wx_sq + g * g)
-            dwh = dwh - coeff * self.k2 * wh
+            dwh = dwh - self.quasilinear_coeff(wh, g) * self.k2 * wh
         return dwh, dg, float(np.abs(w).max()), float(w.max())
 
     def advance(self, wh, g, dt):
@@ -209,11 +221,16 @@ def stream_rhs(state: StreamSlopeState, reg: Regularization):
     2/3-truncated.
     """
     _check_mean_zero(state.w)
-    ops = _StreamOps(state.w.domain, reg)
-    wh = np.fft.fft(state.w.values, norm="forward")
+    d = state.w.domain
+    ops = _StreamOps(d, reg)
+    # the Hermitian part of the complex spectrum rather than rfft(w): the
+    # quasilinear k^2 term amplifies transform rounding up to k = n/2, and
+    # this keeps it at the level of the complex transform
+    x = np.fft.fft(state.w.values, norm="forward")
+    wh = d.half(0.5 * (x + np.conj(np.roll(x[::-1], 1))))
     dwh, dg, _, _ = ops.rhs(wh, state.g)
     dwh = dwh + ops.lam * wh  # fold the linear symbol back in
-    return PhysicalField(state.w.domain, np.fft.ifft(dwh, norm="forward").real), dg
+    return PhysicalField(d, np.fft.irfft(dwh, n=ops.n, norm="forward")), dg
 
 
 def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
@@ -234,24 +251,25 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
     _check_mean_zero(w0)
     if dt <= 0 or t_end <= start_time:
         raise ValueError("dt must be positive and t_end must exceed the start time")
-    ops = _StreamOps(w0.domain, reg)
-    wh = np.fft.fft(w0.values, norm="forward")
-    wh[~ops.mask] = 0.0
+    d = w0.domain
+    ops = _StreamOps(d, reg)
+    wh = np.fft.rfft(w0.values, norm="forward")
+    wh *= ops.mask
     wh[0] = 0.0
     g = start_g
     t = start_time
     m0_inf = float(np.abs(w0.values).max())
-    kcut_sq = (w0.domain.n[0] / 3.0) ** 2
+    kcut_sq = (ops.n / 3.0) ** 2
 
     records = []
     history_t = []
     history_m = []
 
     def sample(t, wh, g):
-        w = np.fft.ifft(wh, norm="forward").real
-        sf = SpectralField(w0.domain, wh)
+        w = np.fft.irfft(wh, n=ops.n, norm="forward")
+        sf = SpectralField(d, complete_spectrum(wh, d))
         records.append(StreamRecord(
-            t=t, l2=math.sqrt(TWO_PI * float(np.sum(np.abs(wh) ** 2))),
+            t=t, l2=math.sqrt(TWO_PI * ops.power(wh)),
             linf=float(np.abs(w).max()), max_w=float(w.max()), g=g,
             h2=hs_seminorm(sf, 2.0)))
 
@@ -266,8 +284,7 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
         if adaptive:
             step_dt = dt * (1.0 + m0_inf) / (1.0 + minf)
             if reg.mode == "quasilinear":
-                wx_sq = TWO_PI * float(np.sum(ops.k2 * np.abs(wh) ** 2))
-                coeff = reg.nu * (wx_sq + g * g)
+                coeff = ops.quasilinear_coeff(wh, g)
                 if coeff > 0:
                     step_dt = min(step_dt, stability_safety * 2.5 / (coeff * kcut_sq))
         step_dt = min(step_dt, t_end - t, next_sample - t)
@@ -294,8 +311,7 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
     t_star = None
     if blew_up:
         t_star = estimate_blowup_time(history_t, history_m, threshold)
-    final = StreamSlopeState(t, PhysicalField(w0.domain,
-                                              np.fft.ifft(wh, norm="forward").real), g)
+    final = StreamSlopeState(t, PhysicalField(d, np.fft.irfft(wh, n=ops.n, norm="forward")), g)
     return StreamResult(records=records, final_state=final, blew_up=blew_up,
                         t_star_estimate=t_star)
 

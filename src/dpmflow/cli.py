@@ -57,6 +57,13 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
     p_list = cfg.get_float_list("diagnostics.p_list", default="1, 2, 4, inf")
     s_list = cfg.get_float_list("diagnostics.s_list", default="")
     sample_every = cfg.get_float("diagnostics.sample_every", default=0.1)
+    stride = sample_every / params.dt
+    if not params.adaptive and (round(stride) < 1
+                                or abs(stride - round(stride)) > 1e-9 * stride):
+        # fixed steps sample every round(stride) steps, which would move the
+        # samples; the adaptive loop shortens steps to land on them instead
+        raise ConfigError(f"diagnostics.sample_every = {sample_every} is not an "
+                          f"integer multiple of solver.dt = {params.dt}")
     slack = cfg.get_float("diagnostics.slack", default=1e-6)
     linf_refine = cfg.get_int("diagnostics.linf_refine", default=4)
     checks = [c.strip() for c in cfg.get_str("diagnostics.checks", default="").split(",")
@@ -83,7 +90,8 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         p = cfg.get_float("diagnostics.decay_p", default=2.0)
         n0 = {float(p): lp_norm(t0_field, float(p))}
         res = check_decay_torus(result.records, n0, p, params.nu, params.alpha,
-                                lambda1=domain.lambda1, slack=slack, forcing=forcing)
+                                lambda1=domain.lambda1, slack=slack, forcing=forcing,
+                                volume=domain.volume)
         all_ok &= all(r.passed for r in res)
     if "absorbing_ball" in checks:
         p = cfg.get_float("diagnostics.ball_p", default=2.0)

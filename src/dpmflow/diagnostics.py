@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import hs_seminorm, inverse_transform, lp_norm, refine
-from .velocity import velocity_coefficients
+from .velocity import max_speed
 
 
 @dataclass
@@ -44,6 +44,7 @@ class DiagnosticsRecord:
     diss_integral: float = 0.0
     inj_integral: float = 0.0
     checks: list = field(default_factory=list)
+    volume: float | None = None  # of the box, for norm comparisons across p
 
 
 def compute_record(state, nu, alpha, forcing=None, p_list=(1.0, 2.0, 4.0, math.inf),
@@ -61,12 +62,11 @@ def compute_record(state, nu, alpha, forcing=None, p_list=(1.0, 2.0, 4.0, math.i
             lp[p] = lp_norm(u, p)
     hs = {float(s): hs_seminorm(t_hat, float(s)) for s in s_list}
     dissipation = nu * hs_seminorm(t_hat, alpha / 2.0) ** 2
-    stack = np.stack(velocity_coefficients(d, t_hat.coeffs))
-    vel = np.fft.ifftn(stack, axes=tuple(range(1, d.dim + 1)), norm="forward").real
-    vmax = float(np.sqrt(np.sum(vel ** 2, axis=0)).max())
     return DiagnosticsRecord(t=state.t, lp=lp, hs=hs, dissipation=dissipation,
-                             mean=float(t_hat.mean.real), vmax=vmax,
-                             diss_integral=diss_integral, inj_integral=inj_integral)
+                             mean=float(t_hat.mean.real),
+                             vmax=max_speed(d, d.half(t_hat.coeffs)),
+                             diss_integral=diss_integral, inj_integral=inj_integral,
+                             volume=d.volume)
 
 
 def _norm_from_record(rec, p):
@@ -84,7 +84,8 @@ def check_decay_torus(records, initial_norms, p, nu, alpha, lambda1=1.0,
     record, with q = p by default.  For q < p the comparison needs the
     measure normalization relating L^q and L^p on a box of volume (2 pi)^N;
     the bound is multiplied by volume^(1/q - 1/p), which makes q = p the
-    binding case.  Forced runs are refused: the bound does not apply.
+    binding case.  The volume is the caller's, else the one the records
+    carry.  Forced runs are refused: the bound does not apply.
     """
     if forcing is not None and getattr(forcing, "f_hat", None) is not None:
         if np.abs(forcing.f_hat.coeffs).max() > 0:
@@ -95,7 +96,12 @@ def check_decay_torus(records, initial_norms, p, nu, alpha, lambda1=1.0,
         raise ValueError(f"q must lie in [1, p], got q={q}, p={p}")
     n0 = initial_norms[p] if isinstance(initial_norms, dict) else float(initial_norms)
     rate = 2.0 * nu * lambda1 ** alpha / p
-    volfac = 1.0 if q == p else (volume or (2.0 * math.pi) ** 2) ** (1.0 / q - 1.0 / p)
+    volfac = 1.0
+    if q < p and records:
+        volume = records[0].volume if volume is None else volume
+        if volume is None:
+            raise ValueError("q < p needs the box volume; pass volume=")
+        volfac = volume ** (1.0 / q - 1.0 / p)
     t_ref = records[0].t if records else 0.0
     results = []
     for rec in records:

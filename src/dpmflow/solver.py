@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Domain, PhysicalField, SpectralField, forward_transform
-from .velocity import velocity_coefficients
+from .spectral import Domain, PhysicalField, SpectralField, complete_spectrum
+from .velocity import max_speed, velocity_coefficients
 
 SCHEMES = ("ifrk4", "ifeuler")
 
@@ -95,20 +95,29 @@ class RunResult:
 
 
 class _Integrator:
-    """Precomputed multipliers and propagators for one (domain, params, forcing)."""
+    """Precomputed multipliers and propagators for one (domain, params, forcing).
+
+    Coefficient arrays here are rfftn half spectra (Domain.half): every
+    multiplier is sliced to that layout and every sum over modes carries
+    Domain.parseval_weights.
+    """
 
     def __init__(self, domain: Domain, params: SolverParams, forcing: ForcingSpec):
         self.domain = domain
         self.params = params
         self.axes = tuple(range(1, domain.dim + 1))
-        nz = domain.k_squared > 0
-        self.k_alpha = np.where(nz, np.maximum(domain.k_abs, 1.0) ** params.alpha, 0.0)
+        half = domain.half
+        nz = half(domain.k_squared) > 0
+        self.k_alpha = np.where(nz, np.maximum(half(domain.k_abs), 1.0) ** params.alpha, 0.0)
         self.lam = -params.nu * self.k_alpha
+        self.weights = domain.parseval_weights
+        self.mask = half(domain.dealias_mask)
+        self.deriv = [1j * half(k) for k in domain.deriv_wavenumbers]
         self.f_hat = None
         if forcing is not None and forcing.f_hat is not None:
-            fh = np.asarray(forcing.f_hat.coeffs)
+            fh = half(np.asarray(forcing.f_hat.coeffs))
             if params.dealias:
-                fh = np.where(domain.dealias_mask, fh, 0.0)
+                fh = np.where(self.mask, fh, 0.0)
             self.f_hat = fh
         self._props = {}
         self.last_vmax = 0.0
@@ -128,15 +137,15 @@ class _Integrator:
         # overflow on the way to blow-up is expected; detection is explicit
         with np.errstate(over="ignore", invalid="ignore"):
             stack = np.stack([c] + velocity_coefficients(d, c))
-            phys = np.fft.ifftn(stack, axes=self.axes, norm="forward").real
+            phys = np.fft.irfftn(stack, s=d.n, axes=self.axes, norm="forward")
             t_phys = phys[0]
             self.last_vmax = float(np.sqrt(np.sum(phys[1:] ** 2, axis=0)).max())
-            prod_hat = np.fft.fftn(phys[1:] * t_phys, axes=self.axes, norm="forward")
+            prod_hat = np.fft.rfftn(phys[1:] * t_phys, axes=self.axes, norm="forward")
         if self.params.dealias:
-            prod_hat *= d.dealias_mask
+            prod_hat *= self.mask
         out = np.zeros_like(c)
         for j in range(d.dim):
-            out -= 1j * d.deriv_wavenumbers[j] * prod_hat[j]
+            out -= self.deriv[j] * prod_hat[j]
         if self.f_hat is not None:
             out = out + self.f_hat
         return out
@@ -152,26 +161,25 @@ class _Integrator:
             dd = self.nonlinear(e_full * c + dt * (e_half * cc))
             return e_full * c + (dt / 6.0) * (e_full * nl_a + 2.0 * e_half * (b + cc) + dd)
 
-    # scalar functionals for the energy budget
-    def dissipation(self, c):
-        """nu * ||Lambda^(alpha/2) T||_2^2."""
-        return self.params.nu * self.domain.volume * float(
-            np.sum(self.k_alpha * np.abs(c) ** 2))
+    def _sum(self, x):
+        """Full-spectrum sum of an even-in-k quantity given on the half."""
+        return float(np.sum(self.weights * x))
 
-    def injection(self, c):
-        """integral of f T over the box."""
+    def budget(self, c, rhs):
+        """Energy-budget integrands and their rates at state c with tendency rhs.
+
+        (nu ||Lambda^(alpha/2) T||_2^2, integral of f T, and the time
+        derivatives of both.)
+        """
+        vol = self.domain.volume
+        nu = self.params.nu
+        diss = nu * vol * self._sum(self.k_alpha * np.abs(c) ** 2)
+        diss_rate = 2.0 * nu * vol * self._sum(self.k_alpha * (np.conj(c) * rhs).real)
         if self.f_hat is None:
-            return 0.0
-        return self.domain.volume * float(np.sum(self.f_hat * np.conj(c)).real)
-
-    def dissipation_rate(self, c, rhs):
-        return 2.0 * self.params.nu * self.domain.volume * float(
-            np.sum(self.k_alpha * (np.conj(c) * rhs).real))
-
-    def injection_rate(self, rhs):
-        if self.f_hat is None:
-            return 0.0
-        return self.domain.volume * float(np.sum(self.f_hat * np.conj(rhs)).real)
+            return diss, 0.0, diss_rate, 0.0
+        inj = vol * self._sum((self.f_hat * np.conj(c)).real)
+        inj_rate = vol * self._sum((self.f_hat * np.conj(rhs)).real)
+        return diss, inj, diss_rate, inj_rate
 
 
 def nonlinear_term(t_hat: SpectralField, dealias_products: bool = True,
@@ -182,17 +190,16 @@ def nonlinear_term(t_hat: SpectralField, dealias_products: bool = True,
     the divergence is taken spectrally; the product is 2/3-truncated unless
     dealias_products is False.  A forcing term, when given, is added.
     """
+    d = t_hat.domain
     params = SolverParams(nu=0.0, alpha=1.0, dt=1.0, t_end=1.0, dealias=dealias_products)
-    integ = _Integrator(t_hat.domain, params, forcing or ForcingSpec())
-    return SpectralField(t_hat.domain, integ.nonlinear(t_hat.coeffs.copy()))
+    integ = _Integrator(d, params, forcing or ForcingSpec())
+    return SpectralField(d, complete_spectrum(integ.nonlinear(d.half(t_hat.coeffs)), d))
 
 
 def cfl_dt(state: SimulationState, params: SolverParams) -> float:
     """Advective step bound: cfl_safety * dx / max(|v|_inf, 1e-8)."""
     d = state.t_hat.domain
-    stack = np.stack(velocity_coefficients(d, state.t_hat.coeffs))
-    phys = np.fft.ifftn(stack, axes=tuple(range(1, d.dim + 1)), norm="forward").real
-    vmax = float(np.sqrt(np.sum(phys ** 2, axis=0)).max())
+    vmax = max_speed(d, d.half(state.t_hat.coeffs))
     dx = 2.0 * math.pi / max(d.n)
     return params.cfl_safety * dx / max(vmax, 1e-8)
 
@@ -200,13 +207,14 @@ def cfl_dt(state: SimulationState, params: SolverParams) -> float:
 def step(state: SimulationState, params: SolverParams,
          forcing: ForcingSpec | None = None) -> SimulationState:
     """Advance one step of size params.dt; raises BlowUpError on non-finite output."""
-    integ = _Integrator(state.t_hat.domain, params, forcing or ForcingSpec())
-    c = state.t_hat.coeffs
+    d = state.t_hat.domain
+    integ = _Integrator(d, params, forcing or ForcingSpec())
+    c = d.half(state.t_hat.coeffs)
     c_new = integ.advance(c, integ.nonlinear(c), params.dt)
     if not np.isfinite(np.abs(c_new).sum()):
         raise BlowUpError(f"non-finite coefficients after step at t={state.t}",
                           state=state)
-    return SimulationState(state.t + params.dt, SpectralField(state.t_hat.domain, c_new))
+    return SimulationState(state.t + params.dt, SpectralField(d, complete_spectrum(c_new, d)))
 
 
 def enforce_mean(state: SimulationState, forcing: ForcingSpec,
@@ -249,14 +257,14 @@ def run(t0_field: PhysicalField, params: SolverParams,
             "theory applies and finite-time blow-up has not been ruled out",
             stacklevel=2)
 
-    c = forward_transform(t0_field).coeffs
-    tail = resolution_tail(SpectralField(domain, c))
+    c = np.fft.rfftn(t0_field.values, norm="forward")
+    tail = resolution_tail(SpectralField(domain, complete_spectrum(c, domain)))
     if tail > 1e-10:
         warnings.warn(
             f"initial data is marginally resolved: spectral tail {tail:.2e} "
             "of peak beyond the 2/3 cutoff", stacklevel=2)
     if params.dealias:
-        c = np.where(domain.dealias_mask, c, 0.0)
+        c = np.where(domain.half(domain.dealias_mask), c, 0.0)
 
     integ = _Integrator(domain, params, forcing)
     idx0 = (0,) * domain.dim
@@ -268,7 +276,7 @@ def run(t0_field: PhysicalField, params: SolverParams,
         raise ValueError("t_end must exceed the start time")
 
     def make_state(t, coeffs):
-        return SimulationState(t, SpectralField(domain, coeffs))
+        return SimulationState(t, SpectralField(domain, complete_spectrum(coeffs, domain)))
 
     records = []
     states = [] if keep_states else None
@@ -276,40 +284,42 @@ def run(t0_field: PhysicalField, params: SolverParams,
     inj_int = 0.0
 
     def sample(t, coeffs):
-        rec = compute_record(make_state(t, coeffs), params.nu, params.alpha,
-                             forcing=forcing, p_list=p_list, s_list=s_list,
-                             linf_refine=linf_refine,
-                             diss_integral=diss_int, inj_integral=inj_int)
-        records.append(rec)
+        state = make_state(t, coeffs)
+        records.append(compute_record(state, params.nu, params.alpha,
+                                      forcing=forcing, p_list=p_list, s_list=s_list,
+                                      linf_refine=linf_refine,
+                                      diss_integral=diss_int, inj_integral=inj_int))
         if keep_states:
-            states.append(make_state(t, coeffs.copy()))
+            states.append(state)
 
     sample(start_time, c)
     nl = integ.nonlinear(c)
-    rhs = integ.lam * c + nl
-    blew_up = False
+    budget = integ.budget(c, integ.lam * c + nl)
     t = start_time
 
+    def step_to(dt, t_new):
+        """Advance by dt to t_new and accumulate the budget; False on blow-up."""
+        nonlocal c, nl, budget, t, diss_int, inj_int
+        c_new = integ.advance(c, nl, dt)
+        c_new[idx0] = mean0 + (t_new - start_time) * f0
+        if not np.isfinite(np.abs(c_new).sum()):
+            return False
+        nl = integ.nonlinear(c_new)
+        new = integ.budget(c_new, integ.lam * c_new + nl)
+        diss_int += _corrected_trapezoid(dt, budget[0], new[0], budget[2], new[2])
+        inj_int += _corrected_trapezoid(dt, budget[1], new[1], budget[3], new[3])
+        c, budget, t = c_new, new, t_new
+        return True
+
+    blew_up = False
     if not params.adaptive:
         n_steps = max(1, math.ceil(span / params.dt - 1e-9))
         stride = max(1, round(sample_every / params.dt))
         for i in range(1, n_steps + 1):
             t_next = start_time + (i * params.dt if i < n_steps else span)
-            dt = t_next - t
-            c_new = integ.advance(c, nl, dt)
-            c_new[idx0] = mean0 + (t_next - start_time) * f0
-            if not np.isfinite(np.abs(c_new).sum()):
+            if not step_to(t_next - t, t_next):
                 blew_up = True
                 break
-            nl_new = integ.nonlinear(c_new)
-            rhs_new = integ.lam * c_new + nl_new
-            diss_int += _corrected_trapezoid(
-                dt, integ.dissipation(c), integ.dissipation(c_new),
-                integ.dissipation_rate(c, rhs), integ.dissipation_rate(c_new, rhs_new))
-            inj_int += _corrected_trapezoid(
-                dt, integ.injection(c), integ.injection(c_new),
-                integ.injection_rate(rhs), integ.injection_rate(rhs_new))
-            c, nl, rhs, t = c_new, nl_new, rhs_new, t_next
             if i % stride == 0 or i == n_steps:
                 sample(t, c)
     else:
@@ -319,21 +329,9 @@ def run(t0_field: PhysicalField, params: SolverParams,
             dt = min(params.dt, params.cfl_safety * (2.0 * math.pi / max(domain.n))
                      / max(integ.last_vmax, 1e-8))
             dt = min(dt, params.t_end - t, next_sample - t)
-            c_new = integ.advance(c, nl, dt)
-            c_new[idx0] = mean0 + (t + dt - start_time) * f0
-            if not np.isfinite(np.abs(c_new).sum()):
+            if not step_to(dt, t + dt):
                 blew_up = True
                 break
-            nl_new = integ.nonlinear(c_new)
-            rhs_new = integ.lam * c_new + nl_new
-            diss_int += _corrected_trapezoid(
-                dt, integ.dissipation(c), integ.dissipation(c_new),
-                integ.dissipation_rate(c, rhs), integ.dissipation_rate(c_new, rhs_new))
-            inj_int += _corrected_trapezoid(
-                dt, integ.injection(c), integ.injection(c_new),
-                integ.injection_rate(rhs), integ.injection_rate(rhs_new))
-            c, nl, rhs = c_new, nl_new, rhs_new
-            t = t + dt
             if t >= next_sample - eps:
                 sample(t, c)
                 next_sample += sample_every

@@ -12,6 +12,12 @@ annihilated by the half-Laplacian powers, the Riesz transforms and the Riesz
 potentials, which are defined on mean-zero fields.  Odd (imaginary)
 multipliers also annihilate the unpaired Nyquist mode so that real fields
 stay real.
+
+The public fields use the full fftn layout.  The solver's hot paths carry
+the rfftn half spectrum instead (last axis n//2 + 1, see Domain.half):
+multipliers are sliced to it, sums over it are weighted by
+Domain.parseval_weights, and complete_spectrum mirrors it back to the full
+layout without a transform.
 """
 
 from __future__ import annotations
@@ -63,6 +69,22 @@ class Domain:
     @property
     def volume(self):
         return TWO_PI ** self.dim
+
+    def half(self, a):
+        """The rfftn half of a full-layout (or sparse open-mesh) array, as a view."""
+        return a[..., :self.n[-1] // 2 + 1]
+
+    @cached_property
+    def parseval_weights(self):
+        """Half-spectrum weights: sum(w * x) over the half equals the full sum.
+
+        1 on the k_last = 0 and n/2 planes, which have no mirror in the
+        half, and 2 elsewhere, where a mode stands for its conjugate pair.
+        Exact for x even in k, such as |c|^2 of a real field's spectrum.
+        """
+        w = np.full(self.n[-1] // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return w
 
     @cached_property
     def grid(self):
@@ -121,6 +143,17 @@ class Domain:
         return tuple(mults)
 
     @cached_property
+    def half_velocity_multipliers(self):
+        """velocity_multipliers on the half spectrum, symmetrized to be even in k.
+
+        On a leading-axis Nyquist slab the fftfreq sign makes k_j k_N odd;
+        its even part, which the slicing keeps everywhere else, is what the
+        real inverse transform of the full layout applies there.
+        """
+        return tuple(np.ascontiguousarray(self.half(0.5 * (m + _reflect(m, range(self.dim)))))
+                     for m in self.velocity_multipliers)
+
+    @cached_property
     def pressure_multiplier(self):
         """p_hat(k) = i k_N T_hat(k) / |k|^2, zero at k = 0."""
         kN = self.wavenumbers[self.buoyancy_axis]
@@ -166,6 +199,23 @@ class SpectralField:
     @property
     def mean(self):
         return self.coeffs[(0,) * self.domain.dim]
+
+
+def _reflect(a, axes):
+    """a(-k) in fftfreq layout along the given axes."""
+    for ax in axes:
+        a = np.roll(np.flip(a, axis=ax), 1, axis=ax)
+    return a
+
+
+def complete_spectrum(half: np.ndarray, domain: Domain) -> np.ndarray:
+    """Full fftn-layout coefficients of a real field from its rfftn half.
+
+    Exact: the missing modes are the conjugate mirror c(-k) = conj c(k),
+    so no transform is involved.
+    """
+    tail = np.conj(half[..., domain.n[-1] // 2 - 1:0:-1])
+    return np.concatenate([half, _reflect(tail, range(domain.dim - 1))], axis=-1)
 
 
 def forward_transform(u: PhysicalField) -> SpectralField:
@@ -268,9 +318,12 @@ def hs_seminorm(u_hat: SpectralField, s: float) -> float:
 def refine(u_hat: SpectralField, factor: int) -> PhysicalField:
     """Evaluate the trigonometric interpolant on a factor-times finer grid.
 
-    Zero-pads the spectrum; used by the diagnostics to sample sup norms
-    between collocation points.  Assumes no energy on unpaired Nyquist
-    modes (always true for dealiased fields).
+    Zero-pads the half spectrum of a Hermitian coefficient array and takes
+    one real inverse transform; used by the diagnostics to sample sup norms
+    between collocation points.  The last-axis Nyquist plane is halved,
+    because the real inverse adds its mirror at -n/2.  Assumes no energy on
+    the unpaired Nyquist modes of the other axes (always true for dealiased
+    fields).
     """
     if factor < 1 or int(factor) != factor:
         raise ValueError("refinement factor must be a positive integer")
@@ -278,10 +331,12 @@ def refine(u_hat: SpectralField, factor: int) -> PhysicalField:
         return inverse_transform(u_hat)
     d = u_hat.domain
     nbig = tuple(int(factor) * m for m in d.n)
-    big = np.zeros(nbig, dtype=np.complex128)
-    idx = [np.fft.fftfreq(m, d=1.0 / m).astype(int) % mb for m, mb in zip(d.n, nbig)]
-    big[np.ix_(*idx)] = u_hat.coeffs
-    vals = np.fft.ifftn(big, norm="forward").real
+    big = np.zeros(nbig[:-1] + (nbig[-1] // 2 + 1,), dtype=np.complex128)
+    idx = [np.fft.fftfreq(m, d=1.0 / m).astype(int) % mb for m, mb in zip(d.n[:-1], nbig)]
+    nyq = d.n[-1] // 2
+    big[np.ix_(*idx, np.arange(nyq + 1))] = d.half(u_hat.coeffs)
+    big[..., nyq] *= 0.5
+    vals = np.fft.irfftn(big, s=nbig, axes=range(d.dim), norm="forward")
     return PhysicalField(Domain(nbig, d.buoyancy_axis), vals)
 
 
@@ -296,10 +351,7 @@ def random_field(domain: Domain, spectrum_decay: float = 3.0, cutoff: float = 5.
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-math.pi, math.pi, size=domain.n)
     # antisymmetrize under k -> -k so the coefficients are Hermitian
-    rev = theta
-    for ax in range(domain.dim):
-        rev = np.roll(np.flip(rev, axis=ax), 1, axis=ax)
-    theta = 0.5 * (theta - rev)
+    theta = 0.5 * (theta - _reflect(theta, range(domain.dim)))
     safe = np.maximum(domain.k_abs, 1.0)
     amp = np.where(domain.k_squared > 0,
                    safe ** (-spectrum_decay) * np.exp(-domain.k_squared / cutoff ** 2),

@@ -98,6 +98,16 @@ output.checkpoint = final.dpmf
         assert main(["run", cfg]) == 4
         assert "config error" in capsys.readouterr().err
 
+    def test_inexact_sample_cadence_exits_4(self, tmp_path, capsys):
+        # fixed steps of 0.1 cannot land samples every 0.25
+        text = DECAY_RUN.format(t_end=1.0, outdir=tmp_path / "o")
+        text = text.replace("solver.dt = 0.002", "solver.dt = 0.1")
+        cfg = write_config(tmp_path / "cadence.cfg",
+                           text.replace("sample_every = 0.1", "sample_every = 0.25"))
+        assert main(["run", cfg]) == 4
+        assert "sample_every" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_check_exits_4(self, tmp_path):
         text = DECAY_RUN.format(t_end=0.5, outdir=tmp_path / "o")
         cfg = write_config(tmp_path / "bad.cfg",

@@ -52,6 +52,18 @@ class TestDecayCheck:
         checks = check_decay_torus(res.records, n0, 2.0, 0.05, 1.5, q=1.0)
         assert all(c.passed for c in checks)
 
+    def test_lower_q_in_3d_uses_the_3d_volume(self):
+        # ||cos x1||_1 / ||cos x1||_2 = 8 sqrt(pi) = 14.2 on the 3D torus: above
+        # the 2D volume factor (2 pi)^(2/2) = 6.3, below the 3D one (2 pi)^(3/2) = 15.7
+        d3 = Domain((8, 8, 8))
+        params = SolverParams(nu=0.05, alpha=1.5, dt=0.01, t_end=0.1)
+        res = run(phys(d3, np.cos(d3.grid[0])), params, sample_every=0.05,
+                  p_list=(1.0, 2.0), linf_refine=1)
+        n0 = {2.0: lp_norm(res.initial, 2)}
+        checks = check_decay_torus(res.records, n0, 2.0, 0.05, 1.5, q=1.0)
+        assert all(c.passed for c in checks)
+        assert checks[0].bound == pytest.approx((2 * math.pi) ** 1.5 * n0[2.0], rel=1e-12)
+
     def test_refuses_forced_runs(self, d2, single_mode_run):
         x = d2.grid
         forcing = ForcingSpec(forward_transform(phys(d2, 0.1 * np.sin(x[0]))))
