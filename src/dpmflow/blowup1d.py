@@ -187,7 +187,11 @@ class _StreamOps:
         return self.reg.nu * (wx_sq + g * g)
 
     def rhs(self, wh, g):
-        """Tendency (dwh, dg) excluding the integrating-factor linear part."""
+        """Tendency (dwh, dg) excluding the integrating-factor linear part.
+
+        Also returns the slope w on the grid, from which advance takes the
+        sup norm of the first stage.
+        """
         w, f, wx = np.fft.irfft(np.stack([wh, self.inv_ikd * wh, self.ikd * wh]),
                                 n=self.n, norm="forward")
         f -= f[self.seam]
@@ -198,15 +202,16 @@ class _StreamOps:
         dwh[0] -= dg
         if self.reg.mode == "quasilinear":
             dwh = dwh - self.quasilinear_coeff(wh, g) * self.k2 * wh
-        return dwh, dg, float(np.abs(w).max()), float(w.max())
+        return dwh, dg, w
 
     def advance(self, wh, g, dt):
         """One IF-RK4 step of the joint (wh, g) state."""
         e_half, e_full = self.propagators(dt)
-        aw, ag, minf, _ = self.rhs(wh, g)
-        bw, bg, _, _ = self.rhs(e_half * (wh + (0.5 * dt) * aw), g + 0.5 * dt * ag)
-        cw, cg, _, _ = self.rhs(e_half * wh + (0.5 * dt) * bw, g + 0.5 * dt * bg)
-        dw, dg_, _, _ = self.rhs(e_full * wh + dt * (e_half * cw), g + dt * cg)
+        aw, ag, w = self.rhs(wh, g)
+        minf = float(np.abs(w).max())
+        bw, bg, _ = self.rhs(e_half * (wh + (0.5 * dt) * aw), g + 0.5 * dt * ag)
+        cw, cg, _ = self.rhs(e_half * wh + (0.5 * dt) * bw, g + 0.5 * dt * bg)
+        dw, dg_, _ = self.rhs(e_full * wh + dt * (e_half * cw), g + dt * cg)
         wh_new = e_full * wh + (dt / 6.0) * (e_full * aw + 2.0 * e_half * (bw + cw) + dw)
         g_new = g + (dt / 6.0) * (ag + 2.0 * (bg + cg) + dg_)
         wh_new[0] = 0.0  # mean-zero data stays mean zero
@@ -228,7 +233,7 @@ def stream_rhs(state: StreamSlopeState, reg: Regularization):
     # this keeps it at the level of the complex transform
     x = np.fft.fft(state.w.values, norm="forward")
     wh = d.half(0.5 * (x + np.conj(np.roll(x[::-1], 1))))
-    dwh, dg, _, _ = ops.rhs(wh, state.g)
+    dwh, dg, _ = ops.rhs(wh, state.g)
     dwh = dwh + ops.lam * wh  # fold the linear symbol back in
     return PhysicalField(d, np.fft.irfft(dwh, n=ops.n, norm="forward")), dg
 

@@ -1,17 +1,20 @@
 """Command-line surface: run, blowup1d, sweep, verify.
 
-Exit codes: 0 all enabled checks pass, 2 a bound or tolerance check failed,
-3 blow-up detected where not expected, 4 malformed configuration.
+Exit codes: 0 all enabled checks pass, 1 a sweep point failed with an
+unexpected error, 2 a bound or tolerance check failed, 3 blow-up detected
+where not expected, 4 malformed configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import itertools
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .solver import run as run_dpm
 from .spectral import inverse_transform, lp_norm
 
 EXIT_OK = 0
+EXIT_POINT_FAILED = 1
 EXIT_CHECK_FAILED = 2
 EXIT_UNEXPECTED_BLOWUP = 3
 EXIT_CONFIG_ERROR = 4
@@ -78,6 +82,9 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
     if "decay" in checks and forcing.f_hat is not None:
         raise ConfigError("diagnostics.checks: the decay bound applies to "
                           "unforced runs only")
+    decay_p = cfg.get_float("diagnostics.decay_p", default=2.0)
+    if "decay" in checks and decay_p not in p_list:
+        raise ConfigError(f"diagnostics.decay_p = {decay_p:g} is not in diagnostics.p_list")
     if "absorbing_ball" in checks and params.nu <= 0:
         raise ConfigError("diagnostics.checks: the absorbing ball needs nu > 0")
 
@@ -87,9 +94,11 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
 
     all_ok = True
     if "decay" in checks:
-        p = cfg.get_float("diagnostics.decay_p", default=2.0)
-        n0 = {float(p): lp_norm(t0_field, float(p))}
-        res = check_decay_torus(result.records, n0, p, params.nu, params.alpha,
+        # the linf column is the sup of the refined interpolant, never below
+        # the grid maximum, so the initial sup norm is taken the same way
+        n0 = (result.records[0].lp[decay_p] if decay_p == math.inf
+              else lp_norm(t0_field, decay_p))
+        res = check_decay_torus(result.records, n0, decay_p, params.nu, params.alpha,
                                 lambda1=domain.lambda1, slack=slack, forcing=forcing,
                                 volume=domain.volume)
         all_ok &= all(r.passed for r in res)
@@ -148,6 +157,10 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
         w0 = build_stream_initial(cfg)
     dt = cfg.get_float("blowup.dt", default=1e-4)
     t_end = cfg.get_float("blowup.t_end")
+    if not dt > 0:
+        raise ConfigError(f"blowup.dt = {dt} must be positive")
+    if not t_end > start_time:
+        raise ConfigError(f"blowup.t_end = {t_end} must exceed the start time {start_time}")
     sample_every = cfg.get_float("blowup.sample_every", default=0.01)
     threshold = cfg.get_float("blowup.threshold", default=1e8)
     adaptive = cfg.get_bool("blowup.adaptive", default=True)
@@ -253,6 +266,11 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     return (EXIT_OK if all_ok else EXIT_CHECK_FAILED), metrics
 
 
+def _error_line(exc):
+    """The last line of the traceback exc would print."""
+    return traceback.format_exception_only(exc)[-1].strip()
+
+
 def _sweep_worker(args):
     idx, command, text, outdir = args
     try:
@@ -264,6 +282,8 @@ def _sweep_worker(args):
             code, metrics = cmd_blowup(cfg)
     except ConfigError as exc:
         return idx, EXIT_CONFIG_ERROR, {"error": str(exc)}
+    except Exception as exc:  # one failing point must not lose the others
+        return idx, EXIT_POINT_FAILED, {"error": _error_line(exc)}
     return idx, code, metrics
 
 
@@ -305,23 +325,29 @@ def cmd_sweep(cfg: RunConfig) -> int:
         jobs.append((idx, command, text, subdir))
         labels.append((label, dict(zip((t for t, _ in axes), combo))))
 
-    results = {}
+    results = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
-        for idx, code, metrics in pool.map(_sweep_worker, jobs):
-            results[idx] = (code, metrics)
+        for fut in [pool.submit(_sweep_worker, job) for job in jobs]:
+            try:
+                _, code, metrics = fut.result()
+            except concurrent.futures.BrokenExecutor as exc:  # a worker process died
+                code, metrics = EXIT_POINT_FAILED, {"error": _error_line(exc)}
+            results.append((code, metrics))
 
     keys = [t for t, _ in axes]
     with open(os.path.join(outdir, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["point"] + keys + ["exit_code", "metrics"]) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["point"] + keys + ["exit_code", "metrics"])
         for idx in range(len(jobs)):
             code, metrics = results[idx]
             _, combo = labels[idx]
             metric_text = ";".join(f"{k}={v}" for k, v in sorted(metrics.items()))
-            fh.write(",".join([f"pt{idx:04d}"] + [combo[k] for k in keys]
-                              + [str(code), metric_text]) + "\n")
+            writer.writerow([f"pt{idx:04d}"] + [combo[k] for k in keys]
+                            + [str(code), metric_text])
 
-    codes = [results[i][0] for i in range(len(jobs))]
-    for severity in (EXIT_CONFIG_ERROR, EXIT_UNEXPECTED_BLOWUP, EXIT_CHECK_FAILED):
+    codes = [code for code, _ in results]
+    for severity in (EXIT_POINT_FAILED, EXIT_CONFIG_ERROR, EXIT_UNEXPECTED_BLOWUP,
+                     EXIT_CHECK_FAILED):
         if severity in codes:
             return severity
     return EXIT_OK

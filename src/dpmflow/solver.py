@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .spectral import Domain, PhysicalField, SpectralField, complete_spectrum
-from .velocity import max_speed, velocity_coefficients
+from .velocity import max_speed
 
 SCHEMES = ("ifrk4", "ifeuler")
 
@@ -94,12 +95,30 @@ class RunResult:
     params: SolverParams | None = None
 
 
+class _Work(NamedTuple):
+    """Work arrays of one _Integrator."""
+
+    spec: np.ndarray     # complex (dim+1)-stack on the half spectrum: T, v, then (v T)^
+    phys: np.ndarray     # its real image on the grid
+    scratch: np.ndarray  # spec rows 0 and 1 seen as two contiguous real grids
+    stages: np.ndarray   # two half-spectrum arrays for the RK4 stages
+
+
 class _Integrator:
     """Precomputed multipliers and propagators for one (domain, params, forcing).
 
     Coefficient arrays here are rfftn half spectra (Domain.half): every
     multiplier is sliced to that layout and every sum over modes carries
     Domain.parseval_weights.
+
+    The integrator owns its work arrays, allocated on first use, so that the
+    steps of run allocate nothing of grid size: at 256^2 each array is about
+    half a megabyte, and allocating a dozen of them per nonlinear evaluation
+    made the allocator map and trim memory, paging it back in every time.  An
+    array handed to a caller is never one of them: nonlinear and advance
+    write into `out` when given one and into a new array otherwise.  Every
+    operation is the same ufunc on the same operands in the same order as
+    the plain expressions it replaces, so results are bit for bit the same.
     """
 
     def __init__(self, domain: Domain, params: SolverParams, forcing: ForcingSpec):
@@ -120,46 +139,111 @@ class _Integrator:
                 fh = np.where(self.mask, fh, 0.0)
             self.f_hat = fh
         self._props = {}
+        self._work = None
         self.last_vmax = 0.0
 
     def propagators(self, dt):
+        """exp(lam dt/2), exp(lam dt) and 2 exp(lam dt/2), cached per dt."""
         cached = self._props.get(dt)
         if cached is None:
-            cached = (np.exp(self.lam * (0.5 * dt)), np.exp(self.lam * dt))
+            e_half = np.exp(self.lam * (0.5 * dt))
+            cached = (e_half, np.exp(self.lam * dt), 2.0 * e_half)
             if len(self._props) > 8:
                 self._props.clear()
             self._props[dt] = cached
         return cached
 
-    def nonlinear(self, c):
-        """-div(v T) in spectral form (dealiased product), plus forcing."""
+    def work(self):
+        """The work arrays (a _Work), allocated on the first call."""
+        if self._work is None:
+            d = self.domain
+            shape = d.n[:-1] + (d.n[-1] // 2 + 1,)
+            spec = np.empty((d.dim + 1,) + shape, dtype=np.complex128)
+            scratch = spec[:2].reshape(2, -1).view(np.float64)[:, :d.num_points]
+            self._work = _Work(spec, np.empty((d.dim + 1,) + d.n),
+                               scratch.reshape((2,) + d.n),
+                               np.empty((2,) + shape, dtype=np.complex128))
+        return self._work
+
+    def drop_work(self):
+        """Free the work arrays; the next call that needs them allocates them."""
+        self._work = None
+
+    def nonlinear(self, c, out=None):
+        """-div(v T) in spectral form (dealiased product), plus forcing.
+
+        Written into out (which may be c) when given, else into a new
+        array.  Sets last_vmax, the grid maximum of |v| at c.
+        """
         d = self.domain
+        spec, phys, (sq, vj), _ = self.work()
+        if out is None:
+            out = np.empty_like(c)
         # overflow on the way to blow-up is expected; detection is explicit
         with np.errstate(over="ignore", invalid="ignore"):
-            stack = np.stack([c] + velocity_coefficients(d, c))
-            phys = np.fft.irfftn(stack, s=d.n, axes=self.axes, norm="forward")
-            t_phys = phys[0]
-            self.last_vmax = float(np.sqrt(np.sum(phys[1:] ** 2, axis=0)).max())
-            prod_hat = np.fft.rfftn(phys[1:] * t_phys, axes=self.axes, norm="forward")
-        if self.params.dealias:
-            prod_hat *= self.mask
-        out = np.zeros_like(c)
+            spec[0] = c
+            for j, m in enumerate(d.half_velocity_multipliers):
+                np.multiply(m, c, out=spec[j + 1])
+            # irfftn's passes, done in place: irfftn allocates a copy per axis
+            for ax in self.axes[:-1]:
+                np.fft.ifft(spec, axis=ax, norm="forward", out=spec)
+            np.fft.irfft(spec, n=d.n[-1], axis=-1, norm="forward", out=phys)
+            # |v|^2 = v_0^2 + v_1^2 (+ v_2^2), in spectrum rows that are free
+            # until the product spectrum lands
+            np.multiply(phys[1], phys[1], out=sq)
+            for j in range(2, d.dim + 1):
+                np.multiply(phys[j], phys[j], out=vj)
+                np.add(sq, vj, out=sq)
+            self.last_vmax = float(np.sqrt(sq, out=sq).max())
+            # row by row: numpy copies an operand that overlaps the output
+            # whole, and buffers a cast or broadcast operand up to its size
+            for j in range(1, d.dim + 1):
+                np.multiply(phys[j], phys[0], out=phys[j])
+            prod_hat = np.fft.rfftn(phys[1:], axes=self.axes, norm="forward", out=spec[1:])
+        out[...] = 0.0
         for j in range(d.dim):
-            out -= self.deriv[j] * prod_hat[j]
+            if self.params.dealias:
+                prod_hat[j] *= self.mask
+            out -= np.multiply(self.deriv[j], prod_hat[j], out=prod_hat[j])
         if self.f_hat is not None:
-            out = out + self.f_hat
+            out += self.f_hat
         return out
 
-    def advance(self, c, nl_a, dt):
-        """One step from coefficients c, reusing nl_a = nonlinear(c)."""
-        e_half, e_full = self.propagators(dt)
+    def advance(self, c, nl_a, dt, out=None):
+        """One step from coefficients c, reusing nl_a = nonlinear(c).
+
+        Written into out (which must not be c or nl_a, and serves as scratch
+        until then) when given, else into a new array.  Evaluates e_full c +
+        (dt/6) (e_full a + 2 e_half (b + c') + d) with the IF-RK4 stage
+        tendencies a = nl_a, b, c', d.
+        """
+        e_half, e_full, two_e_half = self.propagators(dt)
+        p, q = self.work().stages
+        if out is None:
+            out = np.empty_like(c)
+        mul, add = np.multiply, np.add
         with np.errstate(over="ignore", invalid="ignore"):
             if self.params.scheme == "ifeuler":
-                return e_full * (c + dt * nl_a)
-            b = self.nonlinear(e_half * (c + (0.5 * dt) * nl_a))
-            cc = self.nonlinear(e_half * c + (0.5 * dt) * b)
-            dd = self.nonlinear(e_full * c + dt * (e_half * cc))
-            return e_full * c + (dt / 6.0) * (e_full * nl_a + 2.0 * e_half * (b + cc) + dd)
+                return mul(e_full, add(c, mul(dt, nl_a, out=out), out=out), out=out)
+            # b = N(e_half (c + (dt/2) a)), in p
+            self.nonlinear(mul(e_half, add(c, mul(0.5 * dt, nl_a, out=p), out=p), out=p),
+                           out=p)
+            # c' = N(e_half c + (dt/2) b), in q
+            self.nonlinear(add(mul(e_half, c, out=q), mul(0.5 * dt, p, out=out), out=q),
+                           out=q)
+            add(p, q, out=p)  # b + c'
+            # d = N(e_full c + dt (e_half c')), in q
+            mul(dt, mul(e_half, q, out=out), out=out)
+            self.nonlinear(add(mul(e_full, c, out=q), out, out=q), out=q)
+            mul(two_e_half, p, out=p)
+            add(add(mul(e_full, nl_a, out=out), p, out=out), q, out=out)
+            mul(dt / 6.0, out, out=out)
+            return add(mul(e_full, c, out=p), out, out=out)
+
+    def tendency(self, c, nl):
+        """lam * c + nl, in a work array that the next advance overwrites."""
+        p = self.work().stages[0]
+        return np.add(np.multiply(self.lam, c, out=p), nl, out=p)
 
     def _sum(self, x):
         """Full-spectrum sum of an even-in-k quantity given on the half."""
@@ -280,10 +364,17 @@ def run(t0_field: PhysicalField, params: SolverParams,
 
     records = []
     states = [] if keep_states else None
+    # the next state goes into the array of the state before the last, and
+    # the nonlinear term into its own, so stepping allocates nothing of grid
+    # size; records drop both spare and work arrays, which they outweigh
+    spare = None
     diss_int = 0.0
     inj_int = 0.0
 
     def sample(t, coeffs):
+        nonlocal spare
+        integ.drop_work()
+        spare = None
         state = make_state(t, coeffs)
         records.append(compute_record(state, params.nu, params.alpha,
                                       forcing=forcing, p_list=p_list, s_list=s_list,
@@ -294,21 +385,20 @@ def run(t0_field: PhysicalField, params: SolverParams,
 
     sample(start_time, c)
     nl = integ.nonlinear(c)
-    budget = integ.budget(c, integ.lam * c + nl)
+    budget = integ.budget(c, integ.tendency(c, nl))
     t = start_time
 
     def step_to(dt, t_new):
         """Advance by dt to t_new and accumulate the budget; False on blow-up."""
-        nonlocal c, nl, budget, t, diss_int, inj_int
-        c_new = integ.advance(c, nl, dt)
+        nonlocal c, spare, budget, t, diss_int, inj_int
+        c_new = integ.advance(c, nl, dt, out=spare)
         c_new[idx0] = mean0 + (t_new - start_time) * f0
         if not np.isfinite(np.abs(c_new).sum()):
-            return False
-        nl = integ.nonlinear(c_new)
-        new = integ.budget(c_new, integ.lam * c_new + nl)
+            return False  # c stays the last finite state
+        new = integ.budget(c_new, integ.tendency(c_new, integ.nonlinear(c_new, out=nl)))
         diss_int += _corrected_trapezoid(dt, budget[0], new[0], budget[2], new[2])
         inj_int += _corrected_trapezoid(dt, budget[1], new[1], budget[3], new[3])
-        c, budget, t = c_new, new, t_new
+        c, spare, budget, t = c_new, c, new, t_new
         return True
 
     blew_up = False

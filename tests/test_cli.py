@@ -1,12 +1,13 @@
 """Command-line surface: exit codes, determinism, restart, sweep."""
 
+import csv
 import math
 import os
 
 import numpy as np
 import pytest
 
-from dpmflow import read_snapshot
+from dpmflow import cli, read_snapshot
 from dpmflow.cli import main
 
 DECAY_RUN = """\
@@ -30,6 +31,40 @@ output.checkpoint = final.dpmf
 def write_config(path, text):
     path.write_text(text)
     return str(path)
+
+
+BLOWUP_SWEEP = """\
+sweep.command = blowup1d
+sweep.workers = {workers}
+sweep.blowup.dt = {dts}
+blowup.n = 32
+blowup.t_end = 0.1
+blowup.sample_every = 0.05
+output.dir = {outdir}
+"""
+
+
+def csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+_run_blowup = cli.cmd_blowup
+_run_point = cli._sweep_worker
+
+
+def _blowup_failing_on_dt_2e_3(cfg):
+    """cmd_blowup, except that it raises on blowup.dt = 2e-3."""
+    if cfg.get_float("blowup.dt") == 2e-3:
+        raise RuntimeError("unexpected, at one point")
+    return _run_blowup(cfg)
+
+
+def _worker_dying_on_point_1(args):
+    """The sweep worker, except that point 1 kills its process."""
+    if args[0] == 1:
+        os._exit(9)
+    return _run_point(args)
 
 
 class TestVerify:
@@ -107,6 +142,33 @@ output.checkpoint = final.dpmf
         assert main(["run", cfg]) == 4
         assert "sample_every" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_sup_norm_decay_starts_from_the_refined_sup(self, tmp_path):
+        # the linf column samples the interpolant on a refined grid, which
+        # peaks above the grid maximum of generic data; a bound started from
+        # the grid maximum fails at t = 0
+        text = """\
+domain.dim = 2
+domain.n = 32, 32
+solver.nu = 0.05
+solver.alpha = 1.5
+solver.dt = 0.01
+solver.t_end = 0.2
+initial.kind = random
+initial.seed = 3
+diagnostics.p_list = 2, inf
+diagnostics.sample_every = 0.1
+diagnostics.checks = decay
+diagnostics.decay_p = inf
+output.dir = {outdir}
+"""
+        cfg = write_config(tmp_path / "linf.cfg", text.format(outdir=tmp_path / "o"))
+        assert main(["run", cfg]) == 0
+        rows = csv_rows(tmp_path / "o" / "diagnostics.csv")
+        assert rows[0]["decay_bound"] == rows[0]["linf"]
+        cfg = write_config(tmp_path / "l2.cfg", text.format(outdir=tmp_path / "o")
+                           .replace("decay_p = inf", "decay_p = 4"))
+        assert main(["run", cfg]) == 4  # not among the sampled norms
 
     def test_unknown_check_exits_4(self, tmp_path):
         text = DECAY_RUN.format(t_end=0.5, outdir=tmp_path / "o")
@@ -257,6 +319,34 @@ class TestSweep:
         assert summary[0].split(",")[:3] == ["point", "solver.alpha", "solver.nu"]
         assert len(summary) == 5
         assert all(line.split(",")[3] == "0" for line in summary[1:])
+
+    def test_bad_point_is_reported_and_the_rest_kept(self, tmp_path):
+        cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
+            workers=2, dts="1e-3 | -1", outdir=tmp_path / "o"))
+        assert main(["sweep", cfg]) == 4
+        rows = csv_rows(tmp_path / "o" / "summary.csv")
+        assert [r["exit_code"] for r in rows] == ["0", "4"]
+        assert "blowup.dt" in rows[1]["metrics"]
+
+    def test_unexpected_error_in_a_point_exits_1(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_blowup", _blowup_failing_on_dt_2e_3)
+        cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
+            workers=2, dts="1e-3 | 2e-3 | 3e-3", outdir=tmp_path / "o"))
+        assert main(["sweep", cfg]) == 1
+        rows = csv_rows(tmp_path / "o" / "summary.csv")
+        assert [r["exit_code"] for r in rows] == ["0", "1", "0"]
+        assert rows[1]["metrics"] == "error=RuntimeError: unexpected, at one point"
+
+    def test_points_lost_with_a_worker_exit_1(self, tmp_path, monkeypatch):
+        # one worker runs the points in order: point 0 finishes, point 1
+        # kills the process, and point 2 is lost with the pool
+        monkeypatch.setattr(cli, "_sweep_worker", _worker_dying_on_point_1)
+        cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
+            workers=1, dts="1e-3 | 2e-3 | 3e-3", outdir=tmp_path / "o"))
+        assert main(["sweep", cfg]) == 1
+        rows = csv_rows(tmp_path / "o" / "summary.csv")
+        assert [r["exit_code"] for r in rows] == ["0", "1", "1"]
+        assert all("BrokenProcessPool" in r["metrics"] for r in rows[1:])
 
     def test_sweep_without_axes_exits_4(self, tmp_path):
         cfg = write_config(tmp_path / "s.cfg",
