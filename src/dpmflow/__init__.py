@@ -16,10 +16,10 @@ from .config import ConfigError, RunConfig
 from .diagnostics import (CheckResult, DiagnosticsRecord, check_absorbing_ball,
                           check_decay_torus, check_dissipation_budget,
                           compute_record, records_to_csv)
-from .snapshots import read_snapshot, write_checkpoint, write_snapshot
+from .snapshots import read_snapshot, write_snapshot
 from .solver import (BlowUpError, ForcingSpec, RunResult, SimulationState,
-                     SolverParams, cfl_dt, enforce_mean, nonlinear_term,
-                     resolution_tail, run, step)
+                     SolverParams, cfl_dt, nonlinear_term, resolution_tail,
+                     run, step)
 from .spectral import (Domain, PhysicalField, SpectralField, dealias,
                        forward_transform, fractional_laplacian, hs_seminorm,
                        inverse_transform, lp_norm, partial_derivative,

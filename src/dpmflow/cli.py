@@ -22,8 +22,8 @@ from . import blowup1d
 from .config import (ConfigError, RunConfig, build_domain, build_forcing,
                      build_initial, build_regularization, build_solver_params,
                      build_stream_initial)
-from .diagnostics import (check_absorbing_ball, check_decay_torus,
-                          check_dissipation_budget, records_to_csv)
+from .diagnostics import (_fmt, check_absorbing_ball, check_cells, check_decay_torus,
+                          check_dissipation_budget, check_header, records_to_csv)
 from .snapshots import read_snapshot, write_snapshot
 from .solver import run as run_dpm
 from .spectral import inverse_transform, lp_norm
@@ -35,12 +35,6 @@ EXIT_UNEXPECTED_BLOWUP = 3
 EXIT_CONFIG_ERROR = 4
 
 KNOWN_CHECKS = ("decay", "absorbing_ball", "dissipation_budget")
-
-
-def _fmt(x):
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return "nan"
-    return f"{x:.17g}"
 
 
 def _outdir(cfg):
@@ -60,12 +54,17 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
 
     p_list = cfg.get_float_list("diagnostics.p_list", default="1, 2, 4, inf")
     s_list = cfg.get_float_list("diagnostics.s_list", default="")
+    for p in p_list:
+        if not p >= 1:
+            raise ConfigError(f"diagnostics.p_list: {p:g} is not an L^p exponent (p >= 1)")
     sample_every = cfg.get_float("diagnostics.sample_every", default=0.1)
+    if not sample_every > 0:
+        raise ConfigError(f"diagnostics.sample_every = {sample_every} must be positive")
     stride = sample_every / params.dt
     if not params.adaptive and (round(stride) < 1
                                 or abs(stride - round(stride)) > 1e-9 * stride):
-        # fixed steps sample every round(stride) steps, which would move the
-        # samples; the adaptive loop shortens steps to land on them instead
+        # a fixed step shortened to land on each sample would be a step of
+        # another size: keep every step at solver.dt
         raise ConfigError(f"diagnostics.sample_every = {sample_every} is not an "
                           f"integer multiple of solver.dt = {params.dt}")
     slack = cfg.get_float("diagnostics.slack", default=1e-6)
@@ -87,6 +86,9 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         raise ConfigError(f"diagnostics.decay_p = {decay_p:g} is not in diagnostics.p_list")
     if "absorbing_ball" in checks and params.nu <= 0:
         raise ConfigError("diagnostics.checks: the absorbing ball needs nu > 0")
+    ball_p = cfg.get_float("diagnostics.ball_p", default=2.0)
+    if "absorbing_ball" in checks and ball_p not in p_list:
+        raise ConfigError(f"diagnostics.ball_p = {ball_p:g} is not in diagnostics.p_list")
 
     result = run_dpm(t0_field, params, forcing, sample_every=sample_every,
                      p_list=p_list, s_list=s_list, linf_refine=linf_refine,
@@ -103,9 +105,8 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
                                 volume=domain.volume)
         all_ok &= all(r.passed for r in res)
     if "absorbing_ball" in checks:
-        p = cfg.get_float("diagnostics.ball_p", default=2.0)
         f_field = None if forcing.f_hat is None else inverse_transform(forcing.f_hat)
-        res = check_absorbing_ball(result.records, t0_field, f_field, p,
+        res = check_absorbing_ball(result.records, t0_field, f_field, ball_p,
                                    params.nu, params.alpha,
                                    lambda1=domain.lambda1, slack=slack)
         all_ok &= all(r.passed for r in res)
@@ -162,6 +163,8 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     if not t_end > start_time:
         raise ConfigError(f"blowup.t_end = {t_end} must exceed the start time {start_time}")
     sample_every = cfg.get_float("blowup.sample_every", default=0.01)
+    if not sample_every > 0:
+        raise ConfigError(f"blowup.sample_every = {sample_every} must be positive")
     threshold = cfg.get_float("blowup.threshold", default=1e8)
     adaptive = cfg.get_bool("blowup.adaptive", default=True)
     oracle_mode = cfg.get_str("blowup.oracle", default="auto",
@@ -229,10 +232,9 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     outdir = _outdir(cfg)
     csv_name = cfg.get_str("output.csv", default="trajectory.csv")
     with open(os.path.join(outdir, csv_name), "w", encoding="utf-8", newline="") as fh:
+        checks = ["max_bound"] if bound_check else []
         header = ["t", "l2", "linf", "max", "g", "h2", "oracle_beta", "oracle_r"]
-        if bound_check:
-            header += ["max_bound_bound", "max_bound_value", "max_bound_pass"]
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(header + check_header(checks)) + "\n")
         for rec in result.records:
             beta = r_oracle = math.nan
             if params is not None and rec.t < t_star_analytic * (1 - 1e-12):
@@ -240,20 +242,14 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
                 r_oracle = blowup1d.oracle_r(rec.t, params)
             row = [_fmt(rec.t), _fmt(rec.l2), _fmt(rec.linf), _fmt(rec.max_w),
                    _fmt(rec.g), _fmt(rec.h2), _fmt(beta), _fmt(r_oracle)]
-            if bound_check:
-                chk = next((c for c in rec.checks if c.name == "max_bound"), None)
-                if chk is None:
-                    row += ["nan", "nan", "1"]
-                else:
-                    row += [_fmt(chk.bound), _fmt(chk.value), "1" if chk.passed else "0"]
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(row + check_cells(rec.checks, checks)) + "\n")
     with open(os.path.join(outdir, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("blew_up,t_final,t_star_est,t_star_analytic,t_star_rel_err,"
                  "g_oracle_max_rel_err,checks_passed\n")
         fh.write(",".join([
             "1" if result.blew_up else "0",
             _fmt(result.final_state.t),
-            _fmt(result.t_star_estimate if result.t_star_estimate is not None else math.nan),
+            _fmt(result.t_star_estimate),
             _fmt(t_star_analytic), _fmt(tstar_err), _fmt(g_err),
             "1" if all_ok else "0"]) + "\n")
     ckpt = cfg.values.get("output.checkpoint")

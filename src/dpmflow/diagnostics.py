@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import hs_seminorm, inverse_transform, lp_norm, refine
-from .velocity import max_speed
 
 
 @dataclass
@@ -47,9 +46,9 @@ class DiagnosticsRecord:
     volume: float | None = None  # of the box, for norm comparisons across p
 
 
-def compute_record(state, nu, alpha, forcing=None, p_list=(1.0, 2.0, 4.0, math.inf),
+def compute_record(state, nu, alpha, vmax, forcing=None, p_list=(1.0, 2.0, 4.0, math.inf),
                    s_list=(), linf_refine=4, diss_integral=0.0, inj_integral=0.0):
-    """Reduce a simulation state to a DiagnosticsRecord."""
+    """Reduce a simulation state, with its grid maximum vmax of |v|, to a DiagnosticsRecord."""
     t_hat = state.t_hat
     d = t_hat.domain
     u = inverse_transform(t_hat)
@@ -64,7 +63,7 @@ def compute_record(state, nu, alpha, forcing=None, p_list=(1.0, 2.0, 4.0, math.i
     dissipation = nu * hs_seminorm(t_hat, alpha / 2.0) ** 2
     return DiagnosticsRecord(t=state.t, lp=lp, hs=hs, dissipation=dissipation,
                              mean=float(t_hat.mean.real),
-                             vmax=max_speed(d, d.half(t_hat.coeffs)),
+                             vmax=vmax,
                              diss_integral=diss_integral, inj_integral=inj_integral,
                              volume=d.volume)
 
@@ -142,31 +141,22 @@ def check_absorbing_ball(records, t0_field, f_field, p, nu, alpha,
     return results
 
 
-def check_dissipation_budget(records, slack=1e-6, method="accumulated"):
+def check_dissipation_budget(records, slack=1e-6):
     """Discrete energy budget between consecutive samples.
 
     Verifies the normalized residual of
       ||T(t2)||_2^2 + 2 nu int ||Lambda^(alpha/2) T||_2^2 ds
         <= ||T(t1)||_2^2 + 2 int (f, T) ds
-    for every consecutive record pair.  With method="accumulated" the
-    integrals come from the solver's own step-resolution accumulation (the
-    diss_integral / inj_integral columns); method="trapezoid" falls back to
-    trapezoid quadrature of the sampled dissipation for unforced runs, which
-    requires the sample spacing to be fine enough that its quadrature error
-    stays below the slack (roughly (rate * spacing)^2 / 12 per pair).
+    for every consecutive record pair, with the integrals from the solver's
+    own step-resolution accumulation (the diss_integral / inj_integral
+    columns).
     """
-    if method not in ("accumulated", "trapezoid"):
-        raise ValueError(f"unknown budget method {method!r}")
     results = []
     for prev, rec in zip(records, records[1:]):
         e0 = _norm_from_record(prev, 2.0) ** 2
         e1 = _norm_from_record(rec, 2.0) ** 2
-        if method == "accumulated":
-            diss = 2.0 * (rec.diss_integral - prev.diss_integral)
-            inj = 2.0 * (rec.inj_integral - prev.inj_integral)
-        else:
-            diss = (rec.t - prev.t) * (prev.dissipation + rec.dissipation)
-            inj = 0.0
+        diss = 2.0 * (rec.diss_integral - prev.diss_integral)
+        inj = 2.0 * (rec.inj_integral - prev.inj_integral)
         residual = (e1 - e0 + diss - inj) / max(1.0, e0)
         ok = residual <= slack
         res = CheckResult("dissipation_budget", slack, residual, ok)
@@ -194,8 +184,7 @@ def records_to_csv(records, stream):
         for c in rec.checks:
             if c.name not in check_names:
                 check_names.append(c.name)
-    for name in check_names:
-        header += [f"{name}_bound", f"{name}_value", f"{name}_pass"]
+    header += check_header(check_names)
     stream.write(",".join(header) + "\n")
     for rec in records:
         row = [_fmt(rec.t)]
@@ -203,15 +192,27 @@ def records_to_csv(records, stream):
         row += [_fmt(rec.hs[s]) for s in s_cols]
         row += [_fmt(rec.dissipation), _fmt(rec.mean), _fmt(rec.vmax),
                 _fmt(rec.diss_integral), _fmt(rec.inj_integral)]
-        by_name = {c.name: c for c in rec.checks}
-        for name in check_names:
-            c = by_name.get(name)
-            if c is None:
-                row += ["nan", "nan", "1"]
-            else:
-                row += [_fmt(c.bound), _fmt(c.value), "1" if c.passed else "0"]
+        row += check_cells(rec.checks, check_names)
         stream.write(",".join(row) + "\n")
 
 
+def check_header(names):
+    return [f"{name}_{col}" for name in names for col in ("bound", "value", "pass")]
+
+
+def check_cells(checks, names):
+    """The bound, value and pass cells of each named check; nan,nan,1 where absent."""
+    by_name = {c.name: c for c in checks}
+    row = []
+    for name in names:
+        c = by_name.get(name)
+        if c is None:
+            row += ["nan", "nan", "1"]
+        else:
+            row += [_fmt(c.bound), _fmt(c.value), "1" if c.passed else "0"]
+    return row
+
+
 def _fmt(x):
-    return f"{x:.17g}"
+    """17 significant digits; None and NaN print as nan."""
+    return "nan" if x is None else f"{x:.17g}"

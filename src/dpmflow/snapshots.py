@@ -30,10 +30,6 @@ def write_snapshot(path, time: float, field: PhysicalField, g: float | None = No
             fh.write(struct.pack("<d", float(g)))
 
 
-def write_checkpoint(path, time: float, field: PhysicalField, g: float):
-    write_snapshot(path, time, field, g=g)
-
-
 def read_snapshot(path):
     """Read a snapshot or checkpoint; returns (time, field, g_or_None)."""
     with open(path, "rb") as fh:

@@ -26,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral import Domain, PhysicalField, SpectralField, complete_spectrum
-from .velocity import max_speed
 
 SCHEMES = ("ifrk4", "ifeuler")
 
@@ -104,8 +103,60 @@ class _Work(NamedTuple):
     stages: np.ndarray   # two half-spectrum arrays for the RK4 stages
 
 
-class _Integrator:
-    """Precomputed multipliers and propagators for one (domain, params, forcing).
+class IFRK4:
+    """Integrating-factor RK4 for dc/dt = lam c + N(c) with a diagonal symbol lam.
+
+    The linear part is propagated exactly by exp(lam dt) (Kassam & Trefethen,
+    "Fourth-order time-stepping for stiff PDEs", SIAM J. Sci. Comput. 2005).
+    A subclass supplies nonlinear(c, out), which must read c fully before it
+    writes out (the stages pass out=c), and stages(), two scratch arrays
+    shaped like c.
+    """
+
+    def __init__(self, lam):
+        self.lam = lam
+        self._props = {}
+
+    def propagators(self, dt):
+        """exp(lam dt/2), exp(lam dt) and 2 exp(lam dt/2), cached per dt."""
+        cached = self._props.get(dt)
+        if cached is None:
+            e_half = np.exp(self.lam * (0.5 * dt))
+            cached = (e_half, np.exp(self.lam * dt), 2.0 * e_half)
+            if len(self._props) > 8:
+                self._props.clear()
+            self._props[dt] = cached
+        return cached
+
+    def rk4(self, c, nl_a, dt, out=None):
+        """One step from c, reusing nl_a = nonlinear(c).
+
+        Written into out (which must not be c or nl_a, and serves as scratch
+        until then) when given, else into a new array.  Evaluates e_full c +
+        (dt/6) (e_full a + 2 e_half (b + c') + d) with the stage tendencies
+        a = nl_a, b, c', d.
+        """
+        e_half, e_full, two_e_half = self.propagators(dt)
+        p, q = self.stages()
+        if out is None:
+            out = np.empty_like(c)
+        mul, add = np.multiply, np.add
+        # b = N(e_half (c + (dt/2) a)), in p
+        self.nonlinear(mul(e_half, add(c, mul(0.5 * dt, nl_a, out=p), out=p), out=p), out=p)
+        # c' = N(e_half c + (dt/2) b), in q
+        self.nonlinear(add(mul(e_half, c, out=q), mul(0.5 * dt, p, out=out), out=q), out=q)
+        add(p, q, out=p)  # b + c'
+        # d = N(e_full c + dt (e_half c')), in q
+        mul(dt, mul(e_half, q, out=out), out=out)
+        self.nonlinear(add(mul(e_full, c, out=q), out, out=q), out=q)
+        mul(two_e_half, p, out=p)
+        add(add(mul(e_full, nl_a, out=out), p, out=out), q, out=out)
+        mul(dt / 6.0, out, out=out)
+        return add(mul(e_full, c, out=p), out, out=out)
+
+
+class _Integrator(IFRK4):
+    """The DPM instance of IFRK4 for one (domain, params, forcing).
 
     Coefficient arrays here are rfftn half spectra (Domain.half): every
     multiplier is sliced to that layout and every sum over modes carries
@@ -128,7 +179,7 @@ class _Integrator:
         half = domain.half
         nz = half(domain.k_squared) > 0
         self.k_alpha = np.where(nz, np.maximum(half(domain.k_abs), 1.0) ** params.alpha, 0.0)
-        self.lam = -params.nu * self.k_alpha
+        super().__init__(-params.nu * self.k_alpha)
         self.weights = domain.parseval_weights
         self.mask = half(domain.dealias_mask)
         self.deriv = [1j * half(k) for k in domain.deriv_wavenumbers]
@@ -138,20 +189,8 @@ class _Integrator:
             if params.dealias:
                 fh = np.where(self.mask, fh, 0.0)
             self.f_hat = fh
-        self._props = {}
         self._work = None
         self.last_vmax = 0.0
-
-    def propagators(self, dt):
-        """exp(lam dt/2), exp(lam dt) and 2 exp(lam dt/2), cached per dt."""
-        cached = self._props.get(dt)
-        if cached is None:
-            e_half = np.exp(self.lam * (0.5 * dt))
-            cached = (e_half, np.exp(self.lam * dt), 2.0 * e_half)
-            if len(self._props) > 8:
-                self._props.clear()
-            self._props[dt] = cached
-        return cached
 
     def work(self):
         """The work arrays (a _Work), allocated on the first call."""
@@ -209,36 +248,25 @@ class _Integrator:
             out += self.f_hat
         return out
 
-    def advance(self, c, nl_a, dt, out=None):
-        """One step from coefficients c, reusing nl_a = nonlinear(c).
+    def stages(self):
+        return self.work().stages
 
-        Written into out (which must not be c or nl_a, and serves as scratch
-        until then) when given, else into a new array.  Evaluates e_full c +
-        (dt/6) (e_full a + 2 e_half (b + c') + d) with the IF-RK4 stage
-        tendencies a = nl_a, b, c', d.
-        """
-        e_half, e_full, two_e_half = self.propagators(dt)
-        p, q = self.work().stages
-        if out is None:
-            out = np.empty_like(c)
-        mul, add = np.multiply, np.add
+    def advance(self, c, nl_a, dt, out=None):
+        """One step of params.scheme from c, reusing nl_a = nonlinear(c); see rk4."""
+        # overflow on the way to blow-up is expected; detection is explicit
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.params.scheme == "ifeuler":
-                return mul(e_full, add(c, mul(dt, nl_a, out=out), out=out), out=out)
-            # b = N(e_half (c + (dt/2) a)), in p
-            self.nonlinear(mul(e_half, add(c, mul(0.5 * dt, nl_a, out=p), out=p), out=p),
-                           out=p)
-            # c' = N(e_half c + (dt/2) b), in q
-            self.nonlinear(add(mul(e_half, c, out=q), mul(0.5 * dt, p, out=out), out=q),
-                           out=q)
-            add(p, q, out=p)  # b + c'
-            # d = N(e_full c + dt (e_half c')), in q
-            mul(dt, mul(e_half, q, out=out), out=out)
-            self.nonlinear(add(mul(e_full, c, out=q), out, out=q), out=q)
-            mul(two_e_half, p, out=p)
-            add(add(mul(e_full, nl_a, out=out), p, out=out), q, out=out)
-            mul(dt / 6.0, out, out=out)
-            return add(mul(e_full, c, out=p), out, out=out)
+            if self.params.scheme == "ifrk4":
+                return self.rk4(c, nl_a, dt, out)
+            _, e_full, _ = self.propagators(dt)
+            if out is None:
+                out = np.empty_like(c)
+            mul, add = np.multiply, np.add
+            return mul(e_full, add(c, mul(dt, nl_a, out=out), out=out), out=out)
+
+    def cfl_dt(self):
+        """Advective step bound at the state of the last nonlinear evaluation."""
+        return (self.params.cfl_safety * (2.0 * math.pi / max(self.domain.n))
+                / max(self.last_vmax, 1e-8))
 
     def tendency(self, c, nl):
         """lam * c + nl, in a work array that the next advance overwrites."""
@@ -283,9 +311,9 @@ def nonlinear_term(t_hat: SpectralField, dealias_products: bool = True,
 def cfl_dt(state: SimulationState, params: SolverParams) -> float:
     """Advective step bound: cfl_safety * dx / max(|v|_inf, 1e-8)."""
     d = state.t_hat.domain
-    vmax = max_speed(d, d.half(state.t_hat.coeffs))
-    dx = 2.0 * math.pi / max(d.n)
-    return params.cfl_safety * dx / max(vmax, 1e-8)
+    integ = _Integrator(d, params, ForcingSpec())
+    integ.nonlinear(d.half(state.t_hat.coeffs))
+    return integ.cfl_dt()
 
 
 def step(state: SimulationState, params: SolverParams,
@@ -299,15 +327,6 @@ def step(state: SimulationState, params: SolverParams,
         raise BlowUpError(f"non-finite coefficients after step at t={state.t}",
                           state=state)
     return SimulationState(state.t + params.dt, SpectralField(d, complete_spectrum(c_new, d)))
-
-
-def enforce_mean(state: SimulationState, forcing: ForcingSpec,
-                 initial_mean: complex, initial_time: float = 0.0) -> SimulationState:
-    """Pin the mean mode to its exact law T_hat(0)(t) = T_hat(0)(t0) + (t-t0) f_hat(0)."""
-    c = state.t_hat.coeffs.copy()
-    idx = (0,) * state.t_hat.domain.dim
-    c[idx] = initial_mean + (state.t - initial_time) * forcing.mean
-    return SimulationState(state.t, SpectralField(state.t_hat.domain, c))
 
 
 def resolution_tail(t_hat: SpectralField) -> float:
@@ -355,9 +374,10 @@ def run(t0_field: PhysicalField, params: SolverParams,
     mean0 = complex(c[idx0])
     f0 = forcing.mean
 
-    span = params.t_end - start_time
-    if span <= 0:
+    if params.t_end <= start_time:
         raise ValueError("t_end must exceed the start time")
+    if not sample_every > 0:
+        raise ValueError(f"sample_every must be positive, got {sample_every}")
 
     def make_state(t, coeffs):
         return SimulationState(t, SpectralField(domain, complete_spectrum(coeffs, domain)))
@@ -372,61 +392,48 @@ def run(t0_field: PhysicalField, params: SolverParams,
     inj_int = 0.0
 
     def sample(t, coeffs):
+        """Record the state of the last nonlinear evaluation, whose vmax it takes."""
         nonlocal spare
         integ.drop_work()
         spare = None
         state = make_state(t, coeffs)
-        records.append(compute_record(state, params.nu, params.alpha,
+        records.append(compute_record(state, params.nu, params.alpha, integ.last_vmax,
                                       forcing=forcing, p_list=p_list, s_list=s_list,
                                       linf_refine=linf_refine,
                                       diss_integral=diss_int, inj_integral=inj_int))
         if keep_states:
             states.append(state)
 
-    sample(start_time, c)
     nl = integ.nonlinear(c)
     budget = integ.budget(c, integ.tendency(c, nl))
     t = start_time
+    sample(t, c)
 
-    def step_to(dt, t_new):
-        """Advance by dt to t_new and accumulate the budget; False on blow-up."""
-        nonlocal c, spare, budget, t, diss_int, inj_int
+    # fixed steps are the adaptive loop without the CFL bound: both shorten
+    # a step to land on a sample or on t_end
+    blew_up = False
+    next_sample = start_time + sample_every
+    eps = 1e-12 * max(1.0, abs(params.t_end))
+    while t < params.t_end - eps:
+        dt = params.dt
+        if params.adaptive:
+            dt = min(dt, integ.cfl_dt())
+        dt = min(dt, params.t_end - t, next_sample - t)
+        t_new = t + dt
         c_new = integ.advance(c, nl, dt, out=spare)
         c_new[idx0] = mean0 + (t_new - start_time) * f0
         if not np.isfinite(np.abs(c_new).sum()):
-            return False  # c stays the last finite state
+            blew_up = True  # c stays the last finite state
+            break
         new = integ.budget(c_new, integ.tendency(c_new, integ.nonlinear(c_new, out=nl)))
         diss_int += _corrected_trapezoid(dt, budget[0], new[0], budget[2], new[2])
         inj_int += _corrected_trapezoid(dt, budget[1], new[1], budget[3], new[3])
         c, spare, budget, t = c_new, c, new, t_new
-        return True
-
-    blew_up = False
-    if not params.adaptive:
-        n_steps = max(1, math.ceil(span / params.dt - 1e-9))
-        stride = max(1, round(sample_every / params.dt))
-        for i in range(1, n_steps + 1):
-            t_next = start_time + (i * params.dt if i < n_steps else span)
-            if not step_to(t_next - t, t_next):
-                blew_up = True
-                break
-            if i % stride == 0 or i == n_steps:
-                sample(t, c)
-    else:
-        next_sample = start_time + sample_every
-        eps = 1e-12 * max(1.0, abs(params.t_end))
-        while t < params.t_end - eps:
-            dt = min(params.dt, params.cfl_safety * (2.0 * math.pi / max(domain.n))
-                     / max(integ.last_vmax, 1e-8))
-            dt = min(dt, params.t_end - t, next_sample - t)
-            if not step_to(dt, t + dt):
-                blew_up = True
-                break
-            if t >= next_sample - eps:
-                sample(t, c)
-                next_sample += sample_every
-        if not blew_up and (not records or records[-1].t < params.t_end - eps):
+        if t >= next_sample - eps:
             sample(t, c)
+            next_sample += sample_every
+    if not blew_up and records[-1].t < params.t_end - eps:
+        sample(t, c)
 
     final = make_state(t, c)
     return RunResult(records=records, final_state=final, blew_up=blew_up,

@@ -41,24 +41,8 @@ class VelocityField:
 
 
 def velocity_coefficients(domain: Domain, t_coeffs: np.ndarray) -> list:
-    """Multiplier application on a raw coefficient array (solver hot path).
-
-    Takes the full fftn layout or the rfftn half spectrum, told apart by the
-    length of the last axis.
-    """
-    if t_coeffs.shape[-1] == domain.n[-1]:
-        mults = domain.velocity_multipliers
-    else:
-        mults = domain.half_velocity_multipliers
-    return [m * t_coeffs for m in mults]
-
-
-def max_speed(domain: Domain, half_coeffs: np.ndarray) -> float:
-    """max |v| over the grid, from the rfftn half spectrum of the temperature."""
-    stack = np.stack(velocity_coefficients(domain, half_coeffs))
-    vel = np.fft.irfftn(stack, s=domain.n, axes=tuple(range(1, domain.dim + 1)),
-                        norm="forward")
-    return float(np.sqrt(np.sum(vel ** 2, axis=0)).max())
+    """Multiplier application on a raw fftn coefficient array."""
+    return [m * t_coeffs for m in domain.velocity_multipliers]
 
 
 def velocity_from_temperature(t_hat: SpectralField) -> VelocityField:

@@ -212,6 +212,12 @@ class TestTrajectories:
         for rec, quad in zip(res.records, integral):
             assert rec.l2 <= l2_0 * math.exp(quad) * (1 + 1e-5)
 
+    @pytest.mark.parametrize("sample_every", [0.0, -0.01, math.nan])
+    def test_rejects_a_non_positive_cadence(self, d1, sample_every, deadline):
+        with pytest.raises(ValueError, match="sample_every"):
+            run_stream_slope(cos_field(d1), Regularization(), dt=1e-3, t_end=0.1,
+                             sample_every=sample_every)
+
 
 class TestMaxBound:
     def test_bound_on_quasilinear_run(self, d1):

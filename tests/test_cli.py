@@ -3,6 +3,8 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +49,15 @@ output.dir = {outdir}
 def csv_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def run_cli(*argv):
+    """dpmflow in a process of its own, so that a hang fails the test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "dpmflow.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
 
 
 _run_blowup = cli.cmd_blowup
@@ -141,6 +152,44 @@ output.checkpoint = final.dpmf
                            text.replace("sample_every = 0.1", "sample_every = 0.25"))
         assert main(["run", cfg]) == 4
         assert "sample_every" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cadence", ["0", "-0.01"])
+    def test_non_positive_cadence_exits_4(self, tmp_path, cadence):
+        text = """\
+domain.dim = 2
+domain.n = 16, 16
+solver.nu = 0.05
+solver.alpha = 1.5
+solver.dt = 0.01
+solver.t_end = 0.1
+solver.adaptive = true
+initial.kind = random
+initial.seed = 1
+diagnostics.p_list = 2
+diagnostics.sample_every = {cadence}
+output.dir = {outdir}
+"""
+        cfg = write_config(tmp_path / "c.cfg",
+                           text.format(cadence=cadence, outdir=tmp_path / "o"))
+        proc = run_cli("run", cfg)
+        assert proc.returncode == 4
+        assert "sample_every" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_ball_exponent_missing_from_p_list_exits_4(self, tmp_path):
+        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
+        text = text.replace("decay, dissipation_budget", "absorbing_ball")
+        text = text.replace("p_list = 1, 2, 4, inf", "p_list = 2, 4")
+        cfg = write_config(tmp_path / "ball.cfg", text + "diagnostics.ball_p = 3\n")
+        assert main(["run", cfg]) == 4
+        assert not (tmp_path / "o").exists()
+
+    def test_p_below_one_exits_4(self, tmp_path):
+        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
+        cfg = write_config(tmp_path / "p.cfg",
+                           text.replace("p_list = 1, 2, 4, inf", "p_list = 0.5, 2"))
+        assert main(["run", cfg]) == 4
         assert not (tmp_path / "o").exists()
 
     def test_sup_norm_decay_starts_from_the_refined_sup(self, tmp_path):
@@ -290,6 +339,17 @@ output.dir = {outdir}
                             "blowup.oracle_rtol = 1e-18")
         cfg = write_config(tmp_path / "b.cfg", text)
         assert main(["blowup1d", cfg]) == 2
+
+    @pytest.mark.parametrize("cadence", ["0", "-0.01"])
+    def test_non_positive_cadence_exits_4(self, tmp_path, cadence):
+        text = BLOWUP_CFG.format(t_end=0.4, outdir=tmp_path / "o")
+        text = text.replace("blowup.n = 128", "blowup.n = 64")
+        cfg = write_config(tmp_path / "c.cfg",
+                           text.replace("sample_every = 0.05", f"sample_every = {cadence}"))
+        proc = run_cli("blowup1d", cfg)
+        assert proc.returncode == 4
+        assert "sample_every" in proc.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_oracle_on_with_incompatible_mode_exits_4(self, tmp_path):
         text = BLOWUP_CFG.format(t_end=0.4, outdir=tmp_path / "o")

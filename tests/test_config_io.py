@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dpmflow import (ConfigError, Domain, PhysicalField, RunConfig,
-                     read_snapshot, write_checkpoint, write_snapshot)
+                     read_snapshot, write_snapshot)
 from dpmflow.config import (build_domain, build_forcing, build_initial,
                             build_regularization, build_solver_params,
                             build_stream_initial)
@@ -174,7 +174,7 @@ class TestSnapshots:
     def test_checkpoint_carries_g(self, tmp_path):
         domain = Domain((16,))
         path = tmp_path / "c.dpmf"
-        write_checkpoint(path, 1.0, PhysicalField(domain, np.sin(domain.grid[0])), g=0.75)
+        write_snapshot(path, 1.0, PhysicalField(domain, np.sin(domain.grid[0])), g=0.75)
         t, _, g = read_snapshot(path)
         assert t == 1.0 and g == 0.75
 

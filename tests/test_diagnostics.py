@@ -136,18 +136,6 @@ class TestDissipationBudget:
         checks = check_dissipation_budget(res.records)
         assert max(abs(c.value) for c in checks) <= 1e-10
 
-    def test_trapezoid_fallback_on_slow_mode(self, single_mode_run):
-        # sample-grid trapezoid carries O((rate*spacing)^2/12) quadrature error,
-        # so the fallback needs a looser slack at this sampling cadence
-        checks = check_dissipation_budget(single_mode_run.records, slack=1e-4,
-                                          method="trapezoid")
-        assert all(c.passed for c in checks)
-        assert max(abs(c.value) for c in checks) > 1e-7  # genuinely cruder
-
-    def test_rejects_unknown_method(self, single_mode_run):
-        with pytest.raises(ValueError):
-            check_dissipation_budget(single_mode_run.records, method="simpson")
-
 
 class TestCsv:
     def test_layout_and_format(self, d2):

@@ -1,7 +1,7 @@
 """Property tests: the rfftn half-spectrum hot paths against fftn references.
 
-The solver, the refined sup norm and the 1D stream-slope RHS carry the
-rfftn half spectrum.  Each is compared here with a straightforward
+The solver, the refined sup norm and the 1D stream-slope RHS and step
+carry the rfftn half spectrum.  Each is compared here with a straightforward
 complex-to-complex implementation on the full fftn layout, over random
 dimensions, grid sizes, orders and Hermitian data, dealiased except where a
 case needs energy on the Nyquist planes.  The examples are derandomized so
@@ -14,6 +14,7 @@ properties check that no array handed to a caller is one of them.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -225,8 +226,46 @@ def test_stream_slope_rhs_matches_fft(d, seed, g, nu_ql):
     ops = _StreamOps(d, reg)
     wh = hermitian(d, seed)
     wh[0] = 0.0
-    got = ops.rhs(d.half(wh), g)
+    x = np.append(d.half(wh), g)
+    got = ops.nonlinear(x)
     ref = ref_stream_rhs(ops, wh, g, nu_ql)
-    assert_close(got[0], d.half(ref[0]))
-    assert abs(got[1] - ref[1]) <= RTOL * max(abs(ref[1]), 1.0)
-    assert_close(got[2], ref[2], scale=max(np.abs(ref[2]).max(), 1.0))
+    assert_close(got[:-1], d.half(ref[0]))
+    assert abs(got[-1] - ref[1]) <= RTOL * max(abs(ref[1]), 1.0)
+    assert_close(ops.w, ref[2], scale=max(np.abs(ref[2]).max(), 1.0))
+    # written over its own input, the same numbers
+    assert np.array_equal(ops.nonlinear(x.copy(), out=x), got)
+
+
+def ref_stream_advance(ops, wh, g, dt, nu_ql, lam):
+    """Reference 1D IF-RK4 step of (wh, g) on the full fft layout, plain expressions."""
+    e_half, e_full = np.exp(lam * (0.5 * dt)), np.exp(lam * dt)
+    aw, ag, _ = ref_stream_rhs(ops, wh, g, nu_ql)
+    bw, bg, _ = ref_stream_rhs(ops, e_half * (wh + (0.5 * dt) * aw), g + 0.5 * dt * ag, nu_ql)
+    cw, cg, _ = ref_stream_rhs(ops, e_half * wh + (0.5 * dt) * bw, g + 0.5 * dt * bg, nu_ql)
+    dw, dg, _ = ref_stream_rhs(ops, e_full * wh + dt * (e_half * cw), g + dt * cg, nu_ql)
+    wh_new = e_full * wh + (dt / 6.0) * (e_full * aw + 2.0 * e_half * (bw + cw) + dw)
+    wh_new[0] = 0.0
+    return wh_new, g + (dt / 6.0) * (ag + 2.0 * (bg + cg) + dg)
+
+
+@pytest.mark.parametrize("mode", ["none", "spectral", "quasilinear"])
+@PROPERTY
+@given(d=grids(dims=(1,)), seed=seeds, g=st.floats(-2.0, 2.0), dt=st.floats(1e-3, 0.05),
+       nu=st.floats(0.0, 0.5), alpha=st.sampled_from([1.0, 2.0]),
+       sign=st.sampled_from(["oracle", "dissipative"]))
+def test_stream_slope_advance_matches_fft(d, seed, g, dt, mode, nu, alpha, sign):
+    reg = Regularization(mode, nu=nu, alpha=alpha, sign=sign)
+    ops = _StreamOps(d, reg)
+    wh = hermitian(d, seed)
+    wh[0] = 0.0
+    x = np.append(d.half(wh), g)
+    got = ops.advance(x, ops.nonlinear(x), dt)
+    lam = np.zeros(d.n)
+    if mode == "spectral":
+        kabs = np.abs(np.where(d.wavenumbers[0] == -d.n[0] // 2, 0.0, d.wavenumbers[0]))
+        lam = (1.0 if sign == "oracle" else -1.0) * nu * np.where(
+            kabs > 0, np.maximum(kabs, 1.0) ** alpha, 0.0)
+    ref_w, ref_g = ref_stream_advance(ops, wh, g, dt, nu if mode == "quasilinear" else None,
+                                      lam)
+    assert_close(got[:-1], d.half(ref_w))
+    assert abs(got[-1] - ref_g) <= RTOL * max(abs(ref_g), 1.0)

@@ -147,20 +147,6 @@ class TestCfl:
         assert cfl_dt(state, params) == pytest.approx((2 * math.pi / 32) / 1e-8)
 
 
-class TestEnforceMean:
-    def test_pins_exact_linear_law(self, d2):
-        from dpmflow import SpectralField, enforce_mean
-        x = d2.grid
-        forcing = ForcingSpec(forward_transform(phys(d2, 0.3 + 0.1 * np.sin(x[0]))))
-        drifted = forward_transform(phys(d2, 1.0 + np.cos(x[0]))).coeffs
-        drifted[0, 0] = 1.0 + 0.1234  # pretend the mean accumulated error
-        state = SimulationState(2.0, SpectralField(d2, drifted))
-        fixed = enforce_mean(state, forcing, initial_mean=1.0, initial_time=0.0)
-        assert fixed.t_hat.coeffs[0, 0] == pytest.approx(1.0 + 0.3 * 2.0, abs=1e-15)
-        # other coefficients untouched
-        assert np.array_equal(fixed.t_hat.coeffs[1:], drifted[1:])
-
-
 class TestRun:
     def test_mean_evolves_linearly(self, d2):
         x = d2.grid
@@ -200,6 +186,21 @@ class TestRun:
         err = np.abs(resumed.final_state.t_hat.coeffs
                      - full.final_state.t_hat.coeffs).max()
         assert err <= 1e-12
+
+    def test_fixed_steps_land_on_an_inexact_cadence(self, d2):
+        # steps of 0.1 are shortened to land on every multiple of 0.25
+        params = SolverParams(nu=0.1, alpha=1.5, dt=0.1, t_end=1.0)
+        res = run(random_field(d2, seed=4), params, sample_every=0.25, p_list=(2.0,))
+        assert [rec.t for rec in res.records] == pytest.approx([0.25 * k for k in range(5)],
+                                                               abs=1e-12)
+        assert res.final_state.t == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("sample_every", [0.0, -0.01, math.nan])
+    def test_rejects_a_non_positive_cadence(self, d2, sample_every, deadline):
+        for adaptive in (False, True):
+            params = SolverParams(nu=0.1, alpha=1.5, dt=0.1, t_end=1.0, adaptive=adaptive)
+            with pytest.raises(ValueError, match="sample_every"):
+                run(random_field(d2, seed=4), params, sample_every=sample_every)
 
     def test_adaptive_run_reaches_t_end(self, d2):
         t0 = random_field(d2, seed=14)
