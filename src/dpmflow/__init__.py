@@ -23,7 +23,8 @@ from .solver import (BlowUpError, ForcingSpec, RunResult, SimulationState,
 from .spectral import (Domain, PhysicalField, SpectralField, dealias,
                        forward_transform, fractional_laplacian, hs_seminorm,
                        inverse_transform, lp_norm, partial_derivative,
-                       random_field, refine, riesz_potential, riesz_transform)
+                       random_field, refine, riesz_potential, riesz_transform,
+                       sup_norm)
 from .velocity import (VelocityField, pressure_from_temperature,
                        velocity_from_temperature)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import CheckResult
-from .solver import IFRK4
+from .solver import IFRK4, SampleClock
 from .spectral import (Domain, PhysicalField, SpectralField, complete_spectrum,
                        hs_seminorm)
 
@@ -288,12 +288,11 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
     sample(t, x)
     minf = m0_inf
     blew_up = False
-    next_sample = start_time + sample_every
-    eps = 1e-12 * max(1.0, abs(t_end))
+    clock = SampleClock(start_time, sample_every, t_end)
     # the next state goes into the array of the state before the last
     nl = spare = None
 
-    while t < t_end - eps:
+    while t < t_end - clock.eps:
         step_dt = dt
         if adaptive:
             step_dt = dt * (1.0 + m0_inf) / (1.0 + minf)
@@ -301,7 +300,7 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
                 coeff = ops.quasilinear_coeff(x[:-1], x[-1].real)
                 if coeff > 0:
                     step_dt = min(step_dt, stability_safety * 2.5 / (coeff * kcut_sq))
-        step_dt = min(step_dt, t_end - t, next_sample - t)
+        step_dt, t_new = clock.step(t, step_dt)
         # the sup norm of this first stage sizes the next step
         nl = ops.nonlinear(x, out=nl)
         minf = float(np.abs(ops.w).max())
@@ -309,19 +308,17 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
         if not np.isfinite(float(np.abs(x_new).sum())):
             blew_up = True
             break
-        x, spare = x_new, x
-        t = t + step_dt
+        x, spare, t = x_new, x, t_new
         history_t.append(t)
         history_m.append(minf)
         if minf > threshold:
             blew_up = True
             sample(t, x)
             break
-        if t >= next_sample - eps:
+        if clock.due(t):
             sample(t, x)
-            next_sample += sample_every
     else:
-        if not records or records[-1].t < t_end - eps:
+        if not records or records[-1].t < t_end - clock.eps:
             sample(t, x)
 
     t_star = None

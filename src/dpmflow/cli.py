@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import traceback
+import warnings
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .config import (ConfigError, RunConfig, build_domain, build_forcing,
                      build_stream_initial)
 from .diagnostics import (_fmt, check_absorbing_ball, check_cells, check_decay_torus,
                           check_dissipation_budget, check_header, records_to_csv)
-from .snapshots import read_snapshot, write_snapshot
+from .snapshots import atomic_open, read_snapshot, write_snapshot
 from .solver import run as run_dpm
 from .spectral import inverse_transform, lp_norm
 
@@ -68,7 +69,9 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         raise ConfigError(f"diagnostics.sample_every = {sample_every} is not an "
                           f"integer multiple of solver.dt = {params.dt}")
     slack = cfg.get_float("diagnostics.slack", default=1e-6)
-    linf_refine = cfg.get_int("diagnostics.linf_refine", default=4)
+    if "diagnostics.linf_refine" in cfg.values:
+        warnings.warn("diagnostics.linf_refine is ignored: the linf column is the sup "
+                      "of the trigonometric interpolant", stacklevel=2)
     checks = [c.strip() for c in cfg.get_str("diagnostics.checks", default="").split(",")
               if c.strip()]
     for name in checks:
@@ -91,13 +94,13 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         raise ConfigError(f"diagnostics.ball_p = {ball_p:g} is not in diagnostics.p_list")
 
     result = run_dpm(t0_field, params, forcing, sample_every=sample_every,
-                     p_list=p_list, s_list=s_list, linf_refine=linf_refine,
+                     p_list=p_list, s_list=s_list,
                      keep_states=snapshots, start_time=start_time)
 
     all_ok = True
     if "decay" in checks:
-        # the linf column is the sup of the refined interpolant, never below
-        # the grid maximum, so the initial sup norm is taken the same way
+        # the linf column is the sup of the interpolant, never below the grid
+        # maximum, so the initial sup norm is taken the same way
         n0 = (result.records[0].lp[decay_p] if decay_p == math.inf
               else lp_norm(t0_field, decay_p))
         res = check_decay_torus(result.records, n0, decay_p, params.nu, params.alpha,
@@ -116,7 +119,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
 
     outdir = _outdir(cfg)
     csv_name = cfg.get_str("output.csv", default="diagnostics.csv")
-    with open(os.path.join(outdir, csv_name), "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(os.path.join(outdir, csv_name), encoding="utf-8", newline="") as fh:
         records_to_csv(result.records, fh)
     if snapshots and result.states:
         for i, st in enumerate(result.states):
@@ -231,7 +234,7 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
 
     outdir = _outdir(cfg)
     csv_name = cfg.get_str("output.csv", default="trajectory.csv")
-    with open(os.path.join(outdir, csv_name), "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(os.path.join(outdir, csv_name), encoding="utf-8", newline="") as fh:
         checks = ["max_bound"] if bound_check else []
         header = ["t", "l2", "linf", "max", "g", "h2", "oracle_beta", "oracle_r"]
         fh.write(",".join(header + check_header(checks)) + "\n")
@@ -243,7 +246,7 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
             row = [_fmt(rec.t), _fmt(rec.l2), _fmt(rec.linf), _fmt(rec.max_w),
                    _fmt(rec.g), _fmt(rec.h2), _fmt(beta), _fmt(r_oracle)]
             fh.write(",".join(row + check_cells(rec.checks, checks)) + "\n")
-    with open(os.path.join(outdir, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8", newline="") as fh:
         fh.write("blew_up,t_final,t_star_est,t_star_analytic,t_star_rel_err,"
                  "g_oracle_max_rel_err,checks_passed\n")
         fh.write(",".join([
@@ -316,7 +319,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         os.makedirs(subdir, exist_ok=True)
         point = RunConfig(values)
         text = point.serialize()
-        with open(os.path.join(subdir, "config.txt"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(subdir, "config.txt"), encoding="utf-8") as fh:
             fh.write(text)
         jobs.append((idx, command, text, subdir))
         labels.append((label, dict(zip((t for t, _ in axes), combo))))
@@ -331,7 +334,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             results.append((code, metrics))
 
     keys = [t for t, _ in axes]
-    with open(os.path.join(outdir, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["point"] + keys + ["exit_code", "metrics"])
         for idx in range(len(jobs)):

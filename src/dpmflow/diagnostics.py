@@ -7,9 +7,10 @@ record and attach pass/fail results; all of them are pure functions of the
 record list, so re-running checks on a stored trajectory is deterministic.
 
 Every inequality carries a single relative slack (default 1e-6) that covers
-resolution and quadrature error.  The sup norm is sampled on a spectrally
-refined grid (default 4x) so that an extremum translating between
-collocation points does not masquerade as growth at that slack.
+resolution and quadrature error.  The sup norm is that of the trigonometric
+interpolant, its grid maxima polished by Newton steps (spectral.sup_norm), so
+that an extremum translating between collocation points does not masquerade
+as growth at that slack.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import hs_seminorm, inverse_transform, lp_norm, refine
+from .spectral import PhysicalField, hs_seminorm, lp_norm, sup_norm
 
 
 @dataclass
@@ -46,21 +47,22 @@ class DiagnosticsRecord:
     volume: float | None = None  # of the box, for norm comparisons across p
 
 
-def compute_record(state, nu, alpha, vmax, forcing=None, p_list=(1.0, 2.0, 4.0, math.inf),
-                   s_list=(), linf_refine=4, diss_integral=0.0, inj_integral=0.0):
-    """Reduce a simulation state, with its grid maximum vmax of |v|, to a DiagnosticsRecord."""
+def compute_record(state, nu, alpha, vmax, p_list=(1.0, 2.0, 4.0, math.inf), s_list=(),
+                   diss_integral=0.0, inj_integral=0.0):
+    """Reduce a simulation state, with its grid maximum vmax of |v|, to a DiagnosticsRecord.
+
+    Works from the half spectrum: one real inverse transform gives the grid
+    values behind every norm, and the seminorms are sums over the half.
+    """
     t_hat = state.t_hat
     d = t_hat.domain
-    u = inverse_transform(t_hat)
-    lp = {}
-    for p in p_list:
-        p = float(p)
-        if p == math.inf and linf_refine > 1:
-            lp[p] = lp_norm(refine(t_hat, linf_refine), math.inf)
-        else:
-            lp[p] = lp_norm(u, p)
     hs = {float(s): hs_seminorm(t_hat, float(s)) for s in s_list}
     dissipation = nu * hs_seminorm(t_hat, alpha / 2.0) ** 2
+    c = d.half(t_hat.coeffs)
+    u = PhysicalField(d, np.fft.irfftn(c, s=d.n, axes=range(d.dim), norm="forward"))
+    lp = {}
+    for p in map(float, p_list):
+        lp[p] = sup_norm(c, d, u.values) if p == math.inf else lp_norm(u, p)
     return DiagnosticsRecord(t=state.t, lp=lp, hs=hs, dissipation=dissipation,
                              mean=float(t_hat.mean.real),
                              vmax=vmax,

@@ -9,6 +9,8 @@ module's accumulator g; readers tell the two apart by file length.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -19,9 +21,28 @@ MAGIC = b"DPMF"
 VERSION = 1
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """A file for writing that replaces path only when the block exits cleanly.
+
+    The data go to a temporary file in the same directory, which os.replace
+    then moves over path; a block that raises leaves path as it was and the
+    temporary file removed.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_snapshot(path, time: float, field: PhysicalField, g: float | None = None):
     d = field.domain
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(struct.pack("<4sIBB", MAGIC, VERSION, d.dim, d.buoyancy_axis))
         fh.write(struct.pack(f"<{d.dim}Q", *d.n))
         fh.write(struct.pack("<d", float(time)))

@@ -340,10 +340,44 @@ def resolution_tail(t_hat: SpectralField) -> float:
     return float(tail.max() / peak) if tail.size else 0.0
 
 
+class SampleClock:
+    """Sample times start + k * sample_every, k = 1, 2, ..., of a run ending at t_end.
+
+    Each sample time is computed from k, not accumulated, so the times do
+    not drift, and a step that ends within eps of the next sample or of
+    t_end ends there exactly.
+    """
+
+    def __init__(self, start, every, t_end):
+        self.start, self.every, self.t_end = start, every, t_end
+        self.eps = 1e-12 * max(1.0, abs(t_end))
+        self.k = 1
+        self.next = start + every
+
+    def step(self, t, dt):
+        """(step size, end time) of a step from t of at most dt.
+
+        A step that would pass the next sample or t_end is shortened to end
+        there; one that ends within eps of it keeps its size.
+        """
+        target = self.t_end if self.next >= self.t_end - self.eps else self.next
+        if t + dt < target - self.eps:
+            return dt, t + dt
+        return (target - t if t + dt > target + self.eps else dt), target
+
+    def due(self, t):
+        """True once t reaches the next sample, which then moves on."""
+        if t < self.next - self.eps:
+            return False
+        self.k += 1
+        self.next = self.start + self.k * self.every
+        return True
+
+
 def run(t0_field: PhysicalField, params: SolverParams,
         forcing: ForcingSpec | None = None, sample_every: float = 0.1,
-        p_list=(1.0, 2.0, 4.0, math.inf), s_list=(), linf_refine: int = 4,
-        keep_states: bool = False, start_time: float = 0.0) -> RunResult:
+        p_list=(1.0, 2.0, 4.0, math.inf), s_list=(), keep_states: bool = False,
+        start_time: float = 0.0) -> RunResult:
     """Integrate to params.t_end, sampling diagnostics on schedule.
 
     Deterministic given its inputs.  The mean mode is pinned to its exact
@@ -398,8 +432,7 @@ def run(t0_field: PhysicalField, params: SolverParams,
         spare = None
         state = make_state(t, coeffs)
         records.append(compute_record(state, params.nu, params.alpha, integ.last_vmax,
-                                      forcing=forcing, p_list=p_list, s_list=s_list,
-                                      linf_refine=linf_refine,
+                                      p_list=p_list, s_list=s_list,
                                       diss_integral=diss_int, inj_integral=inj_int))
         if keep_states:
             states.append(state)
@@ -412,14 +445,12 @@ def run(t0_field: PhysicalField, params: SolverParams,
     # fixed steps are the adaptive loop without the CFL bound: both shorten
     # a step to land on a sample or on t_end
     blew_up = False
-    next_sample = start_time + sample_every
-    eps = 1e-12 * max(1.0, abs(params.t_end))
-    while t < params.t_end - eps:
+    clock = SampleClock(start_time, sample_every, params.t_end)
+    while t < params.t_end - clock.eps:
         dt = params.dt
         if params.adaptive:
             dt = min(dt, integ.cfl_dt())
-        dt = min(dt, params.t_end - t, next_sample - t)
-        t_new = t + dt
+        dt, t_new = clock.step(t, dt)
         c_new = integ.advance(c, nl, dt, out=spare)
         c_new[idx0] = mean0 + (t_new - start_time) * f0
         if not np.isfinite(np.abs(c_new).sum()):
@@ -429,10 +460,9 @@ def run(t0_field: PhysicalField, params: SolverParams,
         diss_int += _corrected_trapezoid(dt, budget[0], new[0], budget[2], new[2])
         inj_int += _corrected_trapezoid(dt, budget[1], new[1], budget[3], new[3])
         c, spare, budget, t = c_new, c, new, t_new
-        if t >= next_sample - eps:
+        if clock.due(t):
             sample(t, c)
-            next_sample += sample_every
-    if not blew_up and records[-1].t < params.t_end - eps:
+    if not blew_up and records[-1].t < params.t_end - clock.eps:
         sample(t, c)
 
     final = make_state(t, c)

@@ -22,6 +22,7 @@ layout without a transform.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,6 +86,19 @@ class Domain:
         w = np.full(self.n[-1] // 2 + 1, 2.0)
         w[0] = w[-1] = 1.0
         return w
+
+    @cached_property
+    def interpolant_reach(self):
+        """Half-spectrum weights w (sum_j |k_j| pi/n_j)^2, w = parseval_weights.
+
+        For the interpolant p of a real field with half spectrum c,
+        1/2 sum(this * |c|) bounds how far p rises above its nearest grid
+        sample: at a peak of p the gradient vanishes, and each coordinate of
+        the nearest sample is within pi/n_j.
+        """
+        reach = sum(np.abs(k) * (math.pi / m) for k, m in zip(self.wavenumbers, self.n))
+        return np.ascontiguousarray(np.broadcast_to(self.half(reach ** 2) * self.parseval_weights,
+                                                    self.n[:-1] + (self.n[-1] // 2 + 1,)))
 
     @cached_property
     def grid(self):
@@ -306,12 +320,13 @@ def hs_seminorm(u_hat: SpectralField, s: float) -> float:
     """Homogeneous Sobolev seminorm: (2*pi)^(N/2) * (sum_{k!=0} |k|^(2s) |c_k|^2)^(1/2).
 
     Equals the L^2 norm of the s-th half-Laplacian power of the field;
-    s may be negative (mean mode excluded).
+    s may be negative (mean mode excluded).  Summed over the half spectrum
+    with Domain.parseval_weights, which is exact for a real field.
     """
     d = u_hat.domain
-    nz = d.k_squared > 0
-    w = np.where(nz, np.maximum(d.k_abs, 1.0) ** (2.0 * s), 0.0)
-    total = float(np.sum(w * np.abs(u_hat.coeffs) ** 2))
+    nz = d.half(d.k_squared) > 0
+    w = np.where(nz, np.maximum(d.half(d.k_abs), 1.0) ** (2.0 * s), 0.0) * d.parseval_weights
+    total = float(np.sum(w * np.abs(d.half(u_hat.coeffs)) ** 2))
     return math.sqrt(d.volume * total)
 
 
@@ -338,6 +353,126 @@ def refine(u_hat: SpectralField, factor: int) -> PhysicalField:
     big[..., nyq] *= 0.5
     vals = np.fft.irfftn(big, s=nbig, axes=range(d.dim), norm="forward")
     return PhysicalField(Domain(nbig, d.buoyancy_axis), vals)
+
+
+_NEWTON_STEPS = 40   # iteration cap of sup_norm's polishing
+_NEWTON_BATCH = 16   # start points polished together
+_NEIGHBOUR_BATCH = 4096  # candidates whose 3^dim neighbours are gathered together
+
+
+def sup_norm(c: np.ndarray, domain: Domain, values: np.ndarray | None = None) -> float:
+    """Sup over the torus of |p|, p the trigonometric interpolant of a real field.
+
+    c is the field's rfftn half spectrum, normalized like forward_transform
+    and read as refine reads it; values are its grid samples, computed when
+    not given.  With G the grid maximum of |u| and B the bound of
+    Domain.interpolant_reach on how far p rises above its nearest grid
+    sample, the start points are the grid points with |u| >= G - B that are
+    local maxima of |u| over their periodic 3^dim neighbourhood, each moved
+    to the vertex of the parabola through it and its two neighbours along
+    every axis.  From there batched steps climb s p, s the sign of u at the
+    grid point: Newton's step where the Hessian is negative definite, else
+    a step along the gradient to the peak of the quadratic model.  Each
+    step is clipped to one cell per axis and halved while it lowers s p; a
+    point is done when its step is below 1e-12 of a cell or gains less than
+    rounding, or after _NEWTON_STEPS.
+    Value, gradient and Hessian of p are separable direct sums over the half
+    spectrum, O(N) per point.  Returns max(G, every value met): never below
+    the grid maximum, and never above the sup but by rounding.
+    """
+    d = domain
+    if values is None:
+        values = np.fft.irfftn(c, s=d.n, axes=range(d.dim), norm="forward")
+    a = np.abs(values)
+    top = float(a.max())
+    # einsum, not vdot: a BLAS dot this long wakes OpenBLAS threads that then spin
+    reach = 0.5 * float(np.einsum("i,i->", np.abs(c).ravel(), d.interpolant_reach.ravel()))
+    if reach == 0.0:  # a constant
+        return top
+    idx = np.flatnonzero(a >= top - reach)
+    coords = np.array(np.unravel_index(idx, d.n))
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d.dim))).T
+    centre = offsets.shape[1] // 2  # offset 0; +-1 along axis j is centre +- 3^(dim-1-j)
+    axis_step = 3 ** np.arange(d.dim - 1, -1, -1)
+    flat = a.ravel()
+    starts, signs = [], []
+    for first in range(0, idx.size, _NEIGHBOUR_BATCH):
+        rows = slice(first, first + _NEIGHBOUR_BATCH)
+        at = coords[:, rows]
+        near = flat[np.ravel_multi_index(at[:, None] + offsets[:, :, None], d.n, mode="wrap")]
+        peak = np.all(near[centre] >= near, axis=0)
+        # each axis' three samples: the start is the vertex of their parabola
+        before, mid, after = (near[centre + o * axis_step][:, peak] for o in (-1, 0, 1))
+        bend = np.minimum(before - 2.0 * mid + after, -1e-300)
+        starts.append((at[:, peak] + np.clip(0.5 * (before - after) / bend, -0.5, 0.5)).T)
+        signs.append(np.sign(values.ravel()[idx[rows][peak]]))
+    del a, flat
+    cell = np.array([TWO_PI / m for m in d.n])
+    starts = np.concatenate(starts) * cell
+    signs = np.concatenate(signs)
+    best = top
+    for first in range(0, len(starts), _NEWTON_BATCH):
+        x = starts[first:first + _NEWTON_BATCH]
+        s = signs[first:first + _NEWTON_BATCH]
+        x_prev, f_prev, step = x, np.full(len(x), -np.inf), np.zeros_like(x)
+        for _ in range(_NEWTON_STEPS):
+            val, grad, hess = _interpolant_derivatives(c, d, x)
+            best = max(best, float(np.abs(val).max()))
+            f, grad, hess = s * val, s[:, None] * grad, s[:, None, None] * hess
+            up = f >= f_prev - 1e-13 * top  # a drop by rounding is no drop
+            x_prev = np.where(up[:, None], x, x_prev)
+            f_prev = np.where(up, f, f_prev)
+            # along the gradient: to the peak of the quadratic model, or up to
+            # the clip where the model does not curve down
+            ghg = np.einsum("ij,ijk,ik->i", grad, hess, grad)
+            length = np.where(ghg < 0, -np.einsum("ij,ij->i", grad, grad)
+                              / np.minimum(ghg, -1e-300), 1e300)
+            step = np.where(up[:, None], length[:, None] * grad, 0.5 * step)
+            eig = np.linalg.eigvalsh(hess)
+            newton = up & (eig[:, -1] < -1e-8 * np.abs(eig).max(axis=-1))
+            if newton.any():
+                step[newton] = -np.linalg.solve(hess[newton], grad[newton][..., None])[..., 0]
+            step = np.clip(step, -cell, cell)
+            # done: a step below 1e-12 of a cell, or one from an accepted point
+            # whose first-order gain is below rounding
+            done = np.all(np.abs(step) < 1e-12 * cell, axis=-1)
+            done |= up & (np.einsum("ij,ij->i", grad, step) <= 1e-15 * top)
+            if done.all():
+                break
+            x = x_prev + step
+    return best
+
+
+def _interpolant_derivatives(c, d, x):
+    """Value, gradient and Hessian of the interpolant of half spectrum c at points x (m, dim).
+
+    The sums separate: the last axis is contracted first, for the whole
+    spectrum at once, then one axis at a time per point, each against the
+    factors exp(i k_j x_j) times 1, i k_j and -k_j^2 (derivative orders 0-2).
+    """
+    dim, m = d.dim, len(x)
+    for j in reversed(range(dim)):
+        if j < dim - 1:
+            k = d.wavenumbers[j].ravel()
+            e = np.exp(1j * np.outer(k, x[:, j]))
+        else:  # the half axis, Nyquist read at +n/2
+            k = np.arange(d.n[j] // 2 + 1.0)
+            e = d.parseval_weights[:, None] * np.exp(1j * np.outer(k, x[:, j]))
+        f = np.stack([e, 1j * k[:, None] * e, -(k * k)[:, None] * e], axis=1)
+        if j == dim - 1:  # s: (m, n_0, ..., n_dim-2, 3)
+            s = np.moveaxis((c @ f.reshape(len(k), 3 * m)).reshape(c.shape[:-1] + (3, m)), -1, 0)
+        else:  # s: (m, n_0, ..., n_j-1, 3 * 3^(dim-1-j)), the new order axis first
+            s = np.matmul(f.transpose(2, 1, 0).reshape((m,) + (1,) * j + (3, len(k))), s)
+            s = s.reshape(s.shape[:-2] + (-1,))
+    s = s.real.reshape((m,) + (3,) * dim)  # s[:, o_0, ..., o_dim-1]: derivative of those orders
+    unit = np.eye(dim, dtype=int)
+    grad = np.empty((m, dim))
+    hess = np.empty((m, dim, dim))
+    for j in range(dim):
+        grad[:, j] = s[(slice(None),) + tuple(unit[j])]
+        for l in range(j, dim):
+            hess[:, j, l] = hess[:, l, j] = s[(slice(None),) + tuple(unit[j] + unit[l])]
+    return s[(slice(None),) + (0,) * dim], grad, hess
 
 
 def random_field(domain: Domain, spectrum_decay: float = 3.0, cutoff: float = 5.0,

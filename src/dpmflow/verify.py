@@ -170,6 +170,14 @@ def _cases():
         err = abs(spectral.lp_norm(phys(d1, np.sin(x1)), math.inf) - 1.0)
         return err < 1e-15, f"err={err:.2e}"
 
+    for domain, k in ((d1, (3,)), (d2, (2, 3)), (d3, (1, 2, 3))):
+        @case(f"sup norm of cos(k.x - phi) with an off-grid peak is 1 ({domain.dim}D)")
+        def _(domain=domain, k=k):
+            u = np.cos(sum(kj * xj for kj, xj in zip(k, domain.grid)) - 0.3)
+            c = np.fft.rfftn(np.broadcast_to(u, domain.n), norm="forward")
+            err = abs(spectral.sup_norm(c, domain) - 1.0)
+            return err < 1e-13 and np.abs(u).max() < 1.0 - 1e-6, f"err={err:.2e}"
+
     @case("Sobolev seminorm of sin(x) is sqrt(pi) for any order")
     def _():
         c = fwd(phys(d1, np.sin(x1)))

@@ -1,8 +1,16 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and the hypothesis profile shared by the test modules."""
 
 import signal
 
 import pytest
+from hypothesis import settings
+
+# every property test draws the same examples on every run, with no
+# example database and no per-example deadline (the first example pays
+# for numpy's and the domain's caches)
+settings.register_profile("dpmflow", deadline=None, max_examples=12, derandomize=True,
+                          database=None)
+settings.load_profile("dpmflow")
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from dpmflow import (Domain, OracleParams, PhysicalField, Regularization,
                      check_max_bound, estimate_blowup_time,
                      integrate_amplitude_ode, oracle_beta, oracle_r,
                      run_stream_slope, stream_rhs)
+from dpmflow.blowup1d import _StreamOps
 
 # values frozen from an independent RK4 integration (dt = 1e-6) of
 # beta' = beta^2 + 2 nu beta + r0^2 run before the closed forms were written;
@@ -211,6 +212,19 @@ class TestTrajectories:
         l2_0 = res.records[0].l2
         for rec, quad in zip(res.records, integral):
             assert rec.l2 <= l2_0 * math.exp(quad) * (1 + 1e-5)
+
+    @pytest.mark.parametrize("start", [0.0, 0.25])
+    def test_sample_clock_does_not_drift(self, start, monkeypatch):
+        calls = []
+        advance = _StreamOps.advance
+        monkeypatch.setattr(_StreamOps, "advance",
+                            lambda self, *a, **kw: calls.append(1) or advance(self, *a, **kw))
+        res = run_stream_slope(cos_field(Domain((16,)), 0.2), Regularization(), dt=1e-3,
+                               t_end=start + 1.0, sample_every=0.1, adaptive=False,
+                               start_time=start)
+        assert [rec.t for rec in res.records] == [start + k * 0.1 for k in range(11)]
+        assert res.final_state.t == start + 1.0
+        assert len(calls) == 1000
 
     @pytest.mark.parametrize("sample_every", [0.0, -0.01, math.nan])
     def test_rejects_a_non_positive_cadence(self, d1, sample_every, deadline):

@@ -193,9 +193,9 @@ output.dir = {outdir}
         assert not (tmp_path / "o").exists()
 
     def test_sup_norm_decay_starts_from_the_refined_sup(self, tmp_path):
-        # the linf column samples the interpolant on a refined grid, which
-        # peaks above the grid maximum of generic data; a bound started from
-        # the grid maximum fails at t = 0
+        # the linf column is the sup of the interpolant, which peaks above
+        # the grid maximum of generic data; a bound started from the grid
+        # maximum fails at t = 0
         text = """\
 domain.dim = 2
 domain.n = 32, 32
@@ -218,6 +218,16 @@ output.dir = {outdir}
         cfg = write_config(tmp_path / "l2.cfg", text.format(outdir=tmp_path / "o")
                            .replace("decay_p = inf", "decay_p = 4"))
         assert main(["run", cfg]) == 4  # not among the sampled norms
+
+    def test_linf_refine_is_ignored_with_a_warning(self, tmp_path):
+        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "plain")
+        assert main(["run", write_config(tmp_path / "plain.cfg", text)]) == 0
+        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "refine")
+        cfg = write_config(tmp_path / "refine.cfg", text + "diagnostics.linf_refine = 4\n")
+        with pytest.warns(UserWarning, match="linf_refine is ignored"):
+            assert main(["run", cfg]) == 0
+        assert ((tmp_path / "refine" / "diagnostics.csv").read_bytes()
+                == (tmp_path / "plain" / "diagnostics.csv").read_bytes())
 
     def test_unknown_check_exits_4(self, tmp_path):
         text = DECAY_RUN.format(t_end=0.5, outdir=tmp_path / "o")

@@ -1,6 +1,7 @@
 """Config parsing, typed extraction, and the DPMF snapshot format."""
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from dpmflow import (ConfigError, Domain, PhysicalField, RunConfig,
 from dpmflow.config import (build_domain, build_forcing, build_initial,
                             build_regularization, build_solver_params,
                             build_stream_initial)
+from dpmflow.snapshots import atomic_open
 
 GOOD = """\
 # single-mode decay study
@@ -177,6 +179,39 @@ class TestSnapshots:
         write_snapshot(path, 1.0, PhysicalField(domain, np.sin(domain.grid[0])), g=0.75)
         t, _, g = read_snapshot(path)
         assert t == 1.0 and g == 0.75
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        domain = Domain((16,))
+        path = tmp_path / "s.dpmf"
+        write_snapshot(path, 0.5, PhysicalField(domain, np.sin(domain.grid[0])))
+        old = path.read_bytes()
+
+        class Broken:  # the header is written, then the values raise
+            def __init__(self):
+                self.domain = domain
+
+            @property
+            def values(self):
+                raise RuntimeError("disk gone")
+
+        with pytest.raises(RuntimeError, match="disk gone"):
+            write_snapshot(path, 1.0, Broken())
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["s.dpmf"]
+
+    def test_atomic_open_replaces_only_on_success(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with pytest.raises(ValueError):
+            with atomic_open(path, encoding="utf-8") as fh:
+                fh.write("half a ")
+                raise ValueError("midway")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+        with atomic_open(path, encoding="utf-8") as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
 
     def test_read_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.dpmf"

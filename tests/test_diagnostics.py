@@ -58,7 +58,7 @@ class TestDecayCheck:
         d3 = Domain((8, 8, 8))
         params = SolverParams(nu=0.05, alpha=1.5, dt=0.01, t_end=0.1)
         res = run(phys(d3, np.cos(d3.grid[0])), params, sample_every=0.05,
-                  p_list=(1.0, 2.0), linf_refine=1)
+                  p_list=(1.0, 2.0))
         n0 = {2.0: lp_norm(res.initial, 2)}
         checks = check_decay_torus(res.records, n0, 2.0, 0.05, 1.5, q=1.0)
         assert all(c.passed for c in checks)

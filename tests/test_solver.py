@@ -195,6 +195,22 @@ class TestRun:
                                                                abs=1e-12)
         assert res.final_state.t == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("start", [0.0, 0.25])
+    def test_sample_clock_does_not_drift(self, start, monkeypatch):
+        # 1000 steps of 1e-3: accumulating the sample clock would leave the
+        # samples and the end off start + k/10 and t_end by rounding
+        d = Domain((8, 8))
+        calls = []
+        advance = _Integrator.advance
+        monkeypatch.setattr(_Integrator, "advance",
+                            lambda self, *a, **kw: calls.append(1) or advance(self, *a, **kw))
+        params = SolverParams(nu=0.1, alpha=1.5, dt=1e-3, t_end=start + 1.0)
+        res = run(random_field(d, seed=4), params, sample_every=0.1, p_list=(2.0,),
+                  start_time=start)
+        assert [rec.t for rec in res.records] == [start + k * 0.1 for k in range(11)]
+        assert res.final_state.t == params.t_end
+        assert len(calls) == 1000
+
     @pytest.mark.parametrize("sample_every", [0.0, -0.01, math.nan])
     def test_rejects_a_non_positive_cadence(self, d2, sample_every, deadline):
         for adaptive in (False, True):
