@@ -108,24 +108,40 @@ class IFRK4:
 
     The linear part is propagated exactly by exp(lam dt) (Kassam & Trefethen,
     "Fourth-order time-stepping for stiff PDEs", SIAM J. Sci. Comput. 2005).
-    A subclass supplies nonlinear(c, out), which must read c fully before it
-    writes out (the stages pass out=c), and stages(), two scratch arrays
-    shaped like c.
+    A subclass supplies nonlinear(c, out, _stage), which must read c fully
+    before it writes out (the stages pass out=c), and stages(), two scratch
+    arrays shaped like c.  The three evaluations inside a step pass
+    _stage=True: what only the caller of the first evaluation reads, such
+    as the DPM velocity maximum, is skipped there.
     """
 
-    def __init__(self, lam):
+    def __init__(self, lam, prop_dtype=np.float64):
+        self.prop_dtype = prop_dtype
+        self.set_symbol(lam)
+
+    def set_symbol(self, lam):
+        """Take lam (which may be the array already held, changed) as the symbol."""
         self.lam = lam
+        # a zero symbol propagates by 1 whatever the step, so that adaptive
+        # steps, each of its own size, share one cache entry
+        self._dt_free = not lam.any()
         self._props = {}
 
     def propagators(self, dt):
-        """exp(lam dt/2), exp(lam dt) and 2 exp(lam dt/2), cached per dt."""
-        cached = self._props.get(dt)
+        """exp(lam dt/2), exp(lam dt) and 2 exp(lam dt/2), cached per dt.
+
+        Of dtype prop_dtype: complex propagators spare the multiplies of a
+        complex state a cast buffer of its size, with the same results.
+        """
+        key = 0.0 if self._dt_free else dt
+        cached = self._props.get(key)
         if cached is None:
-            e_half = np.exp(self.lam * (0.5 * dt))
-            cached = (e_half, np.exp(self.lam * dt), 2.0 * e_half)
+            e_half, e_full = (np.exp(self.lam * h).astype(self.prop_dtype, copy=False)
+                              for h in (0.5 * dt, dt))
+            cached = (e_half, e_full, 2.0 * e_half)
             if len(self._props) > 8:
                 self._props.clear()
-            self._props[dt] = cached
+            self._props[key] = cached
         return cached
 
     def rk4(self, c, nl_a, dt, out=None):
@@ -142,13 +158,15 @@ class IFRK4:
             out = np.empty_like(c)
         mul, add = np.multiply, np.add
         # b = N(e_half (c + (dt/2) a)), in p
-        self.nonlinear(mul(e_half, add(c, mul(0.5 * dt, nl_a, out=p), out=p), out=p), out=p)
+        self.nonlinear(mul(e_half, add(c, mul(0.5 * dt, nl_a, out=p), out=p), out=p), out=p,
+                       _stage=True)
         # c' = N(e_half c + (dt/2) b), in q
-        self.nonlinear(add(mul(e_half, c, out=q), mul(0.5 * dt, p, out=out), out=q), out=q)
+        self.nonlinear(add(mul(e_half, c, out=q), mul(0.5 * dt, p, out=out), out=q), out=q,
+                       _stage=True)
         add(p, q, out=p)  # b + c'
         # d = N(e_full c + dt (e_half c')), in q
         mul(dt, mul(e_half, q, out=out), out=out)
-        self.nonlinear(add(mul(e_full, c, out=q), out, out=q), out=q)
+        self.nonlinear(add(mul(e_full, c, out=q), out, out=q), out=q, _stage=True)
         mul(two_e_half, p, out=p)
         add(add(mul(e_full, nl_a, out=out), p, out=out), q, out=out)
         mul(dt / 6.0, out, out=out)
@@ -169,7 +187,9 @@ class _Integrator(IFRK4):
     array handed to a caller is never one of them: nonlinear and advance
     write into `out` when given one and into a new array otherwise.  Every
     operation is the same ufunc on the same operands in the same order as
-    the plain expressions it replaces, so results are bit for bit the same.
+    the plain expressions it replaces, so results are bit for bit the same;
+    the minus sign of the divergence, folded into its multipliers, and the
+    2/3 rule, applied to the sum as zeroed slices, are exact.
     """
 
     def __init__(self, domain: Domain, params: SolverParams, forcing: ForcingSpec):
@@ -181,13 +201,19 @@ class _Integrator(IFRK4):
         self.k_alpha = np.where(nz, np.maximum(half(domain.k_abs), 1.0) ** params.alpha, 0.0)
         super().__init__(-params.nu * self.k_alpha)
         self.weights = domain.parseval_weights
-        self.mask = half(domain.dealias_mask)
-        self.deriv = [1j * half(k) for k in domain.deriv_wavenumbers]
+        self.neg_deriv = [-1j * half(k) for k in domain.deriv_wavenumbers]
+        # the modes the 2/3 rule cuts form one run of indices along each
+        # axis: zeroing those slices is cheaper than a boolean multiply, and
+        # full-size masked multipliers would cost their memory
+        self.cut = []
+        for j, k in enumerate(domain.wavenumbers if params.dealias else ()):
+            run = np.flatnonzero(np.abs(half(k).ravel()) > domain.n[j] / 3.0)
+            self.cut.append((slice(None),) * j + (slice(run[0], run[-1] + 1),))
         self.f_hat = None
         if forcing is not None and forcing.f_hat is not None:
             fh = half(np.asarray(forcing.f_hat.coeffs))
             if params.dealias:
-                fh = np.where(self.mask, fh, 0.0)
+                fh = np.where(half(domain.dealias_mask), fh, 0.0)
             self.f_hat = fh
         self._work = None
         self.last_vmax = 0.0
@@ -208,11 +234,12 @@ class _Integrator(IFRK4):
         """Free the work arrays; the next call that needs them allocates them."""
         self._work = None
 
-    def nonlinear(self, c, out=None):
+    def nonlinear(self, c, out=None, _stage=False):
         """-div(v T) in spectral form (dealiased product), plus forcing.
 
         Written into out (which may be c) when given, else into a new
-        array.  Sets last_vmax, the grid maximum of |v| at c.
+        array.  Sets last_vmax, the grid maximum of |v| at c, unless
+        _stage: the stages inside a step skip it, since nothing reads it.
         """
         d = self.domain
         spec, phys, (sq, vj), _ = self.work()
@@ -227,23 +254,25 @@ class _Integrator(IFRK4):
             for ax in self.axes[:-1]:
                 np.fft.ifft(spec, axis=ax, norm="forward", out=spec)
             np.fft.irfft(spec, n=d.n[-1], axis=-1, norm="forward", out=phys)
-            # |v|^2 = v_0^2 + v_1^2 (+ v_2^2), in spectrum rows that are free
-            # until the product spectrum lands
-            np.multiply(phys[1], phys[1], out=sq)
-            for j in range(2, d.dim + 1):
-                np.multiply(phys[j], phys[j], out=vj)
-                np.add(sq, vj, out=sq)
-            self.last_vmax = float(np.sqrt(sq, out=sq).max())
+            if not _stage:
+                # |v|^2 = v_0^2 + v_1^2 (+ v_2^2), in spectrum rows that are
+                # free until the product spectrum lands; sqrt is monotone,
+                # so the sqrt of the max is the max of the sqrt
+                np.multiply(phys[1], phys[1], out=sq)
+                for j in range(2, d.dim + 1):
+                    np.multiply(phys[j], phys[j], out=vj)
+                    np.add(sq, vj, out=sq)
+                self.last_vmax = math.sqrt(sq.max())
             # row by row: numpy copies an operand that overlaps the output
             # whole, and buffers a cast or broadcast operand up to its size
             for j in range(1, d.dim + 1):
                 np.multiply(phys[j], phys[0], out=phys[j])
             prod_hat = np.fft.rfftn(phys[1:], axes=self.axes, norm="forward", out=spec[1:])
-        out[...] = 0.0
-        for j in range(d.dim):
-            if self.params.dealias:
-                prod_hat[j] *= self.mask
-            out -= np.multiply(self.deriv[j], prod_hat[j], out=prod_hat[j])
+        np.multiply(self.neg_deriv[0], prod_hat[0], out=out)
+        for j in range(1, d.dim):
+            out += np.multiply(self.neg_deriv[j], prod_hat[j], out=prod_hat[j])
+        for cut in self.cut:
+            out[cut] = 0.0
         if self.f_hat is not None:
             out += self.f_hat
         return out

@@ -1,6 +1,7 @@
 """Stream-slope dynamics, closed-form oracles and blow-up detection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,11 +227,54 @@ class TestTrajectories:
         assert res.final_state.t == start + 1.0
         assert len(calls) == 1000
 
+    def test_quasilinear_converges_at_the_base_step(self, d1, monkeypatch):
+        # the frozen-coefficient integrating factor takes the diffusion
+        # exactly, so the steps need no stability cap: criterion 8 data at
+        # dt = 1e-3 agree with a ten times finer run
+        calls = []
+        advance = _StreamOps.advance
+        monkeypatch.setattr(_StreamOps, "advance",
+                            lambda self, *a, **kw: calls.append(1) or advance(self, *a, **kw))
+        w0 = cos_field(d1, 5.0)
+        reg = Regularization(mode="quasilinear", nu=0.1)
+        coarse = run_stream_slope(w0, reg, dt=1e-3, t_end=0.5, sample_every=0.05)
+        assert len(calls) <= 500  # t_end / dt: the steps grow as the maximum decays
+        fine = run_stream_slope(w0, reg, dt=1e-4, t_end=0.5, sample_every=0.05)
+        assert len(coarse.records) == len(fine.records) == 11
+        for a, b in zip(coarse.records, fine.records):
+            assert a.t == b.t
+            assert abs(a.l2 - b.l2) <= 1e-6 * b.l2
+            assert abs(a.g - b.g) <= 1e-6 * abs(b.g)
+
     @pytest.mark.parametrize("sample_every", [0.0, -0.01, math.nan])
     def test_rejects_a_non_positive_cadence(self, d1, sample_every, deadline):
         with pytest.raises(ValueError, match="sample_every"):
             run_stream_slope(cos_field(d1), Regularization(), dt=1e-3, t_end=0.1,
                              sample_every=sample_every)
+
+
+@pytest.mark.parametrize("reg", [Regularization(), Regularization("spectral", nu=0.1)])
+def test_step_allocates_nothing_of_state_size(reg):
+    # a step at these sizes costs numpy's per-call overhead; the operator
+    # computes in arrays of its own and steps into the ones it is handed.
+    # (Quasilinear steps rebuild their propagators, so they allocate.)
+    d = Domain((1024,))
+    x = np.append(np.fft.rfft(0.5 * np.cos(d.grid[0]) + 0.3 * np.sin(3 * d.grid[0]),
+                              norm="forward"), 0.2)
+    ops = _StreamOps(d, reg)
+    nl, spare = np.empty_like(x), np.empty_like(x)
+
+    def step(x, spare):
+        return ops.advance(x, ops.nonlinear(x, out=nl), 1e-3, out=spare), x
+
+    x, spare = step(x, spare)  # caches the propagators
+    tracemalloc.start()
+    try:
+        step(x, spare)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
 
 
 class TestMaxBound:

@@ -191,8 +191,8 @@ def test_refine_matches_fftn(d, seed, factor, nyquist):
     assert_close(got, ref)
 
 
-def ref_stream_rhs(ops, wh, g, nu_ql):
-    """Reference 1D stream-slope RHS on the full fft layout."""
+def ref_stream_rhs(ops, wh, g, nu_ql, c0=0.0):
+    """Reference 1D stream-slope RHS on the full fft layout, less the symbol -c0 k^2."""
     n = ops.n
     k = np.fft.fftfreq(n, d=1.0 / n)
     kd = np.where(k == -n // 2, 0.0, k)
@@ -208,7 +208,7 @@ def ref_stream_rhs(ops, wh, g, nu_ql):
     dwh[0] -= dg
     if nu_ql is not None:
         coeff = nu_ql * (2.0 * math.pi * float(np.sum(k ** 2 * np.abs(wh) ** 2)) + g * g)
-        dwh = dwh - coeff * k ** 2 * wh
+        dwh = dwh - (coeff - c0) * k ** 2 * wh
     return dwh, dg, w
 
 
@@ -229,13 +229,13 @@ def test_stream_slope_rhs_matches_fft(d, seed, g, nu_ql):
     assert np.array_equal(ops.nonlinear(x.copy(), out=x), got)
 
 
-def ref_stream_advance(ops, wh, g, dt, nu_ql, lam):
+def ref_stream_advance(ops, wh, g, dt, nu_ql, lam, c0=0.0):
     """Reference 1D IF-RK4 step of (wh, g) on the full fft layout, plain expressions."""
     e_half, e_full = np.exp(lam * (0.5 * dt)), np.exp(lam * dt)
-    aw, ag, _ = ref_stream_rhs(ops, wh, g, nu_ql)
-    bw, bg, _ = ref_stream_rhs(ops, e_half * (wh + (0.5 * dt) * aw), g + 0.5 * dt * ag, nu_ql)
-    cw, cg, _ = ref_stream_rhs(ops, e_half * wh + (0.5 * dt) * bw, g + 0.5 * dt * bg, nu_ql)
-    dw, dg, _ = ref_stream_rhs(ops, e_full * wh + dt * (e_half * cw), g + dt * cg, nu_ql)
+    aw, ag, _ = ref_stream_rhs(ops, wh, g, nu_ql, c0)
+    bw, bg, _ = ref_stream_rhs(ops, e_half * (wh + (0.5 * dt) * aw), g + 0.5 * dt * ag, nu_ql, c0)
+    cw, cg, _ = ref_stream_rhs(ops, e_half * wh + (0.5 * dt) * bw, g + 0.5 * dt * bg, nu_ql, c0)
+    dw, dg, _ = ref_stream_rhs(ops, e_full * wh + dt * (e_half * cw), g + dt * cg, nu_ql, c0)
     wh_new = e_full * wh + (dt / 6.0) * (e_full * aw + 2.0 * e_half * (bw + cw) + dw)
     wh_new[0] = 0.0
     return wh_new, g + (dt / 6.0) * (ag + 2.0 * (bg + cg) + dg)
@@ -259,5 +259,26 @@ def test_stream_slope_advance_matches_fft(d, seed, g, dt, mode, nu, alpha, sign)
             kabs > 0, np.maximum(kabs, 1.0) ** alpha, 0.0)
     ref_w, ref_g = ref_stream_advance(ops, wh, g, dt, nu if mode == "quasilinear" else None,
                                       lam)
+    assert_close(got[:-1], d.half(ref_w))
+    assert abs(got[-1] - ref_g) <= RTOL * max(abs(ref_g), 1.0)
+
+
+@given(d=grids(dims=(1,)), seed=seeds, g=st.floats(-2.0, 2.0), dt=st.floats(1e-3, 0.05),
+       nu=st.floats(0.01, 0.5))
+def test_stream_slope_frozen_coefficient_advance_matches_fft(d, seed, g, dt, nu):
+    # the coefficient is frozen at other data, so the explicit remainder
+    # -(coeff - c0) k^2 wh is non-zero from the first stage on
+    ops = _StreamOps(d, Regularization("quasilinear", nu=nu))
+    k = d.wavenumbers[0]
+    other = hermitian(d, seed + 1)
+    other[0] = 0.0
+    c0 = nu * (2.0 * math.pi * float(np.sum(k ** 2 * np.abs(other) ** 2)) + 0.25 * g * g)
+    ops.freeze(np.append(d.half(other), 0.5 * g))
+    assert abs(ops.c0 - c0) <= RTOL * c0
+    wh = hermitian(d, seed)
+    wh[0] = 0.0
+    x = np.append(d.half(wh), g)
+    got = ops.advance(x, ops.nonlinear(x), dt)
+    ref_w, ref_g = ref_stream_advance(ops, wh, g, dt, nu, -c0 * k ** 2, c0)
     assert_close(got[:-1], d.half(ref_w))
     assert abs(got[-1] - ref_g) <= RTOL * max(abs(ref_g), 1.0)
