@@ -38,8 +38,7 @@ import numpy as np
 
 from .diagnostics import CheckResult
 from .solver import IFRK4, SampleClock
-from .spectral import (Domain, PhysicalField, SpectralField, complete_spectrum,
-                       hs_seminorm)
+from .spectral import Domain, PhysicalField, SpectralField, hs_seminorm
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,12 +127,12 @@ def antiderivative(w: PhysicalField) -> PhysicalField:
         raise ValueError("antiderivative is defined on the circle")
     _check_mean_zero(w)
     n = w.domain.n[0]
-    wh = np.fft.fft(w.values, norm="forward")
+    wh = np.fft.rfft(w.values, norm="forward")
     k = w.domain.deriv_wavenumbers[0]
     fh = np.zeros_like(wh)
     nz = k != 0
     fh[nz] = wh[nz] / (1j * k[nz])
-    f = np.fft.ifft(fh, norm="forward").real
+    f = np.fft.irfft(fh, n=n, norm="forward")
     return PhysicalField(w.domain, f - f[n // 2])
 
 
@@ -165,8 +164,8 @@ class _StreamOps(IFRK4):
         n = domain.n[0]
         self.n = n
         self.weights = domain.parseval_weights
-        k = domain.half(domain.wavenumbers[0])
-        kd = domain.half(domain.deriv_wavenumbers[0])
+        k = domain.wavenumbers[0]
+        kd = domain.deriv_wavenumbers[0]
         self.k2 = k ** 2
         self.k2w = TWO_PI * self.weights * self.k2
         self.kcut = n // 3 + 1  # the first mode past the 2/3 rule |k| <= n/3
@@ -265,7 +264,7 @@ def stream_rhs(state: StreamSlopeState, reg: Regularization):
     # quasilinear k^2 term amplifies transform rounding up to k = n/2, and
     # this keeps it at the level of the complex transform
     c = np.fft.fft(state.w.values, norm="forward")
-    x = np.append(d.half(0.5 * (c + np.conj(np.roll(c[::-1], 1)))), state.g)
+    x = np.append((0.5 * (c + np.conj(np.roll(c[::-1], 1))))[:ops.n // 2 + 1], state.g)
     rhs = ops.nonlinear(x) + ops.lam * x  # fold the linear symbol back in
     return (PhysicalField(d, np.fft.irfft(rhs[:-1], n=ops.n, norm="forward")),
             float(rhs[-1].real))
@@ -308,11 +307,10 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
     def sample(t, x):
         wh = x[:-1]
         w = np.fft.irfft(wh, n=ops.n, norm="forward")
-        sf = SpectralField(d, complete_spectrum(wh, d))
         records.append(StreamRecord(
             t=t, l2=math.sqrt(TWO_PI * ops.power(wh)),
             linf=float(np.abs(w).max()), max_w=float(w.max()), g=float(x[-1].real),
-            h2=hs_seminorm(sf, 2.0)))
+            h2=hs_seminorm(SpectralField(d, wh), 2.0)))
 
     sample(t, x)
     minf = m0_inf

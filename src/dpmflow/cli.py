@@ -59,8 +59,9 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         if not p >= 1:
             raise ConfigError(f"diagnostics.p_list: {p:g} is not an L^p exponent (p >= 1)")
     sample_every = cfg.get_float("diagnostics.sample_every", default=0.1)
-    if not sample_every > 0:
-        raise ConfigError(f"diagnostics.sample_every = {sample_every} must be positive")
+    if not 0 < sample_every < math.inf:
+        raise ConfigError(f"diagnostics.sample_every = {sample_every} must be positive "
+                          "and finite")
     stride = sample_every / params.dt
     if not params.adaptive and (round(stride) < 1
                                 or abs(stride - round(stride)) > 1e-9 * stride):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import PhysicalField, hs_seminorm, lp_norm, sup_norm
+from .spectral import hs_seminorm, inverse_transform, lp_norm, sup_norm
 
 
 @dataclass
@@ -58,11 +58,10 @@ def compute_record(state, nu, alpha, vmax, p_list=(1.0, 2.0, 4.0, math.inf), s_l
     d = t_hat.domain
     hs = {float(s): hs_seminorm(t_hat, float(s)) for s in s_list}
     dissipation = nu * hs_seminorm(t_hat, alpha / 2.0) ** 2
-    c = d.half(t_hat.coeffs)
-    u = PhysicalField(d, np.fft.irfftn(c, s=d.n, axes=range(d.dim), norm="forward"))
+    u = inverse_transform(t_hat)
     lp = {}
     for p in map(float, p_list):
-        lp[p] = sup_norm(c, d, u.values) if p == math.inf else lp_norm(u, p)
+        lp[p] = sup_norm(t_hat.coeffs, d, u.values) if p == math.inf else lp_norm(u, p)
     return DiagnosticsRecord(t=state.t, lp=lp, hs=hs, dissipation=dissipation,
                              mean=float(t_hat.mean.real),
                              vmax=vmax,

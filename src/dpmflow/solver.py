@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import Domain, PhysicalField, SpectralField, complete_spectrum
+from .spectral import Domain, PhysicalField, SpectralField, forward_transform
 
 SCHEMES = ("ifrk4", "ifeuler")
 
@@ -52,6 +52,9 @@ class SolverParams:
     cfl_safety: float = 0.9
 
     def __post_init__(self):
+        for name in ("nu", "dt", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.nu < 0:
             raise ValueError(f"nu must be >= 0, got {self.nu}")
         if not 0.0 <= self.alpha <= 2.0:
@@ -176,9 +179,8 @@ class IFRK4:
 class _Integrator(IFRK4):
     """The DPM instance of IFRK4 for one (domain, params, forcing).
 
-    Coefficient arrays here are rfftn half spectra (Domain.half): every
-    multiplier is sliced to that layout and every sum over modes carries
-    Domain.parseval_weights.
+    Coefficient arrays here are half spectra, like SpectralField.coeffs, and
+    every sum over modes carries Domain.parseval_weights.
 
     The integrator owns its work arrays, allocated on first use, so that the
     steps of run allocate nothing of grid size: at 256^2 each array is about
@@ -196,24 +198,23 @@ class _Integrator(IFRK4):
         self.domain = domain
         self.params = params
         self.axes = tuple(range(1, domain.dim + 1))
-        half = domain.half
-        nz = half(domain.k_squared) > 0
-        self.k_alpha = np.where(nz, np.maximum(half(domain.k_abs), 1.0) ** params.alpha, 0.0)
+        self.k_alpha = np.where(domain.k_squared > 0,
+                                np.maximum(domain.k_abs, 1.0) ** params.alpha, 0.0)
         super().__init__(-params.nu * self.k_alpha)
         self.weights = domain.parseval_weights
-        self.neg_deriv = [-1j * half(k) for k in domain.deriv_wavenumbers]
+        self.neg_deriv = [-1j * k for k in domain.deriv_wavenumbers]
         # the modes the 2/3 rule cuts form one run of indices along each
         # axis: zeroing those slices is cheaper than a boolean multiply, and
         # full-size masked multipliers would cost their memory
         self.cut = []
         for j, k in enumerate(domain.wavenumbers if params.dealias else ()):
-            run = np.flatnonzero(np.abs(half(k).ravel()) > domain.n[j] / 3.0)
+            run = np.flatnonzero(np.abs(k.ravel()) > domain.n[j] / 3.0)
             self.cut.append((slice(None),) * j + (slice(run[0], run[-1] + 1),))
         self.f_hat = None
         if forcing is not None and forcing.f_hat is not None:
-            fh = half(np.asarray(forcing.f_hat.coeffs))
+            fh = forcing.f_hat.coeffs
             if params.dealias:
-                fh = np.where(half(domain.dealias_mask), fh, 0.0)
+                fh = np.where(domain.dealias_mask, fh, 0.0)
             self.f_hat = fh
         self._work = None
         self.last_vmax = 0.0
@@ -222,7 +223,7 @@ class _Integrator(IFRK4):
         """The work arrays (a _Work), allocated on the first call."""
         if self._work is None:
             d = self.domain
-            shape = d.n[:-1] + (d.n[-1] // 2 + 1,)
+            shape = d.spectral_shape
             spec = np.empty((d.dim + 1,) + shape, dtype=np.complex128)
             scratch = spec[:2].reshape(2, -1).view(np.float64)[:, :d.num_points]
             self._work = _Work(spec, np.empty((d.dim + 1,) + d.n),
@@ -248,7 +249,7 @@ class _Integrator(IFRK4):
         # overflow on the way to blow-up is expected; detection is explicit
         with np.errstate(over="ignore", invalid="ignore"):
             spec[0] = c
-            for j, m in enumerate(d.half_velocity_multipliers):
+            for j, m in enumerate(d.velocity_multipliers):
                 np.multiply(m, c, out=spec[j + 1])
             # irfftn's passes, done in place: irfftn allocates a copy per axis
             for ax in self.axes[:-1]:
@@ -334,14 +335,14 @@ def nonlinear_term(t_hat: SpectralField, dealias_products: bool = True,
     d = t_hat.domain
     params = SolverParams(nu=0.0, alpha=1.0, dt=1.0, t_end=1.0, dealias=dealias_products)
     integ = _Integrator(d, params, forcing or ForcingSpec())
-    return SpectralField(d, complete_spectrum(integ.nonlinear(d.half(t_hat.coeffs)), d))
+    return SpectralField(d, integ.nonlinear(t_hat.coeffs))
 
 
 def cfl_dt(state: SimulationState, params: SolverParams) -> float:
     """Advective step bound: cfl_safety * dx / max(|v|_inf, 1e-8)."""
     d = state.t_hat.domain
     integ = _Integrator(d, params, ForcingSpec())
-    integ.nonlinear(d.half(state.t_hat.coeffs))
+    integ.nonlinear(state.t_hat.coeffs)
     return integ.cfl_dt()
 
 
@@ -350,12 +351,12 @@ def step(state: SimulationState, params: SolverParams,
     """Advance one step of size params.dt; raises BlowUpError on non-finite output."""
     d = state.t_hat.domain
     integ = _Integrator(d, params, forcing or ForcingSpec())
-    c = d.half(state.t_hat.coeffs)
+    c = state.t_hat.coeffs
     c_new = integ.advance(c, integ.nonlinear(c), params.dt)
     if not np.isfinite(np.abs(c_new).sum()):
         raise BlowUpError(f"non-finite coefficients after step at t={state.t}",
                           state=state)
-    return SimulationState(state.t + params.dt, SpectralField(d, complete_spectrum(c_new, d)))
+    return SimulationState(state.t + params.dt, SpectralField(d, c_new))
 
 
 def resolution_tail(t_hat: SpectralField) -> float:
@@ -423,14 +424,14 @@ def run(t0_field: PhysicalField, params: SolverParams,
             "theory applies and finite-time blow-up has not been ruled out",
             stacklevel=2)
 
-    c = np.fft.rfftn(t0_field.values, norm="forward")
-    tail = resolution_tail(SpectralField(domain, complete_spectrum(c, domain)))
+    c = forward_transform(t0_field).coeffs
+    tail = resolution_tail(SpectralField(domain, c))
     if tail > 1e-10:
         warnings.warn(
             f"initial data is marginally resolved: spectral tail {tail:.2e} "
             "of peak beyond the 2/3 cutoff", stacklevel=2)
     if params.dealias:
-        c = np.where(domain.half(domain.dealias_mask), c, 0.0)
+        c = np.where(domain.dealias_mask, c, 0.0)
 
     integ = _Integrator(domain, params, forcing)
     idx0 = (0,) * domain.dim
@@ -443,7 +444,8 @@ def run(t0_field: PhysicalField, params: SolverParams,
         raise ValueError(f"sample_every must be positive, got {sample_every}")
 
     def make_state(t, coeffs):
-        return SimulationState(t, SpectralField(domain, complete_spectrum(coeffs, domain)))
+        # a copy: the stepping reuses the arrays of past states
+        return SimulationState(t, SpectralField(domain, coeffs.copy()))
 
     records = []
     states = [] if keep_states else None

@@ -13,11 +13,13 @@ potentials, which are defined on mean-zero fields.  Odd (imaginary)
 multipliers also annihilate the unpaired Nyquist mode so that real fields
 stay real.
 
-The public fields use the full fftn layout.  The solver's hot paths carry
-the rfftn half spectrum instead (last axis n//2 + 1, see Domain.half):
-multipliers are sliced to it, sums over it are weighted by
-Domain.parseval_weights, and complete_spectrum mirrors it back to the full
-layout without a transform.
+Every field here is real, so its coefficients are Hermitian,
+coeff(-k) = conj(coeff(k)), and only the rfftn half spectrum is stored: the
+last axis keeps k_last = 0, ..., n/2 (n//2 + 1 entries), which halves the
+transforms and the memory (Frigo & Johnson, "The Design and Implementation
+of FFTW3", Proc. IEEE 93, 2005).  Every Domain array is built on that
+layout, and a sum over all modes of a quantity even in k is the sum over
+the half weighted by Domain.parseval_weights.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ class Domain:
         for m in n:
             if m < 8 or m % 2:
                 raise ValueError(f"grid sizes must be even and >= 8, got {n}")
-        ax = self.buoyancy_axis % len(n)
-        object.__setattr__(self, "buoyancy_axis", ax)
+        if not -len(n) <= self.buoyancy_axis < len(n):
+            raise ValueError(f"buoyancy axis {self.buoyancy_axis} out of range "
+                             f"for dimension {len(n)}")
+        object.__setattr__(self, "buoyancy_axis", self.buoyancy_axis % len(n))
 
     @property
     def dim(self):
@@ -71,9 +75,10 @@ class Domain:
     def volume(self):
         return TWO_PI ** self.dim
 
-    def half(self, a):
-        """The rfftn half of a full-layout (or sparse open-mesh) array, as a view."""
-        return a[..., :self.n[-1] // 2 + 1]
+    @property
+    def spectral_shape(self):
+        """Shape of a half spectrum: the grid's, with n//2 + 1 along the last axis."""
+        return self.n[:-1] + (self.n[-1] // 2 + 1,)
 
     @cached_property
     def parseval_weights(self):
@@ -83,7 +88,7 @@ class Domain:
         half, and 2 elsewhere, where a mode stands for its conjugate pair.
         Exact for x even in k, such as |c|^2 of a real field's spectrum.
         """
-        w = np.full(self.n[-1] // 2 + 1, 2.0)
+        w = np.full(self.spectral_shape[-1], 2.0)
         w[0] = w[-1] = 1.0
         return w
 
@@ -97,8 +102,7 @@ class Domain:
         the nearest sample is within pi/n_j.
         """
         reach = sum(np.abs(k) * (math.pi / m) for k, m in zip(self.wavenumbers, self.n))
-        return np.ascontiguousarray(np.broadcast_to(self.half(reach ** 2) * self.parseval_weights,
-                                                    self.n[:-1] + (self.n[-1] // 2 + 1,)))
+        return reach ** 2 * self.parseval_weights
 
     @cached_property
     def grid(self):
@@ -108,8 +112,13 @@ class Domain:
 
     @cached_property
     def wavenumbers(self):
-        """Open-mesh integer wavenumber arrays (fftfreq layout)."""
+        """Open-mesh integer wavenumber arrays of the half spectrum.
+
+        fftfreq values along every axis, the last cut to its first n//2 + 1:
+        0, ..., n/2 - 1, then the Nyquist at -n/2.
+        """
         axes = [np.fft.fftfreq(m, d=1.0 / m) for m in self.n]
+        axes[-1] = axes[-1][:self.spectral_shape[-1]]
         return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
     @cached_property
@@ -123,17 +132,12 @@ class Domain:
     @cached_property
     def deriv_wavenumbers(self):
         """Wavenumbers for odd multipliers: unpaired Nyquist modes zeroed."""
-        out = []
-        for j, k in enumerate(self.wavenumbers):
-            kj = k.copy()
-            kj[kj == -self.n[j] // 2] = 0.0
-            out.append(kj)
-        return tuple(out)
+        return tuple(np.where(k == -m // 2, 0.0, k) for k, m in zip(self.wavenumbers, self.n))
 
     @cached_property
     def dealias_mask(self):
         """2/3-rule mask: True where every |k_j| <= n_j/3."""
-        mask = np.ones(self.n, dtype=bool)
+        mask = np.ones(self.spectral_shape, dtype=bool)
         for j, k in enumerate(self.wavenumbers):
             mask &= np.abs(k) <= self.n[j] / 3.0
         return mask
@@ -144,35 +148,31 @@ class Domain:
 
         Obtained by eliminating the pressure from Darcy's law with div v = 0;
         the zero mode encodes the uniform drift -gamma * mean(T) induced by a
-        constant temperature with periodic pressure.
+        constant temperature with periodic pressure.  Where exactly one of
+        k_j and k_N (j != N) is an unpaired Nyquist wavenumber, which the
+        mirror -k keeps, k_j k_N changes sign between k and -k: m_j is its
+        even part there, 0, which the real part of the velocity carries.
         """
-        kN = self.wavenumbers[self.buoyancy_axis]
+        ax = self.buoyancy_axis
+        kN = self.wavenumbers[ax]
         safe = np.where(self.k_squared > 0, self.k_squared, 1.0)
+        nyquist = [k == -m // 2 for k, m in zip(self.wavenumbers, self.n)]
         mults = []
         for j, kj in enumerate(self.wavenumbers):
-            m = (kj * kN / safe) - (1.0 if j == self.buoyancy_axis else 0.0)
-            m = np.ascontiguousarray(np.broadcast_to(m, self.n)).copy()
-            m[(0,) * self.dim] = -1.0 if j == self.buoyancy_axis else 0.0
+            if j == ax:
+                m = kj * kN / safe - 1.0
+            else:
+                m = np.where(nyquist[j] != nyquist[ax], 0.0, kj * kN / safe)
+            m[(0,) * self.dim] = -1.0 if j == ax else 0.0
             mults.append(m)
         return tuple(mults)
-
-    @cached_property
-    def half_velocity_multipliers(self):
-        """velocity_multipliers on the half spectrum, symmetrized to be even in k.
-
-        On a leading-axis Nyquist slab the fftfreq sign makes k_j k_N odd;
-        its even part, which the slicing keeps everywhere else, is what the
-        real inverse transform of the full layout applies there.
-        """
-        return tuple(np.ascontiguousarray(self.half(0.5 * (m + _reflect(m, range(self.dim)))))
-                     for m in self.velocity_multipliers)
 
     @cached_property
     def pressure_multiplier(self):
         """p_hat(k) = i k_N T_hat(k) / |k|^2, zero at k = 0."""
         kN = self.wavenumbers[self.buoyancy_axis]
         safe = np.where(self.k_squared > 0, self.k_squared, 1.0)
-        m = np.ascontiguousarray(np.broadcast_to(1j * kN / safe, self.n)).copy()
+        m = 1j * kN / safe
         m[(0,) * self.dim] = 0.0
         return m
 
@@ -195,10 +195,11 @@ class PhysicalField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier coefficients indexed by integer wave vectors (fftfreq layout).
+    """Half-spectrum Fourier coefficients of a real scalar.
 
-    For a real scalar the coefficients are Hermitian-symmetric,
-    coeff(-k) = conj(coeff(k)), and coeff(0) is the mean of the field.
+    coeffs has Domain.spectral_shape and is indexed like Domain.wavenumbers;
+    the modes left out are the conjugates coeff(-k) = conj(coeff(k)) of
+    those kept.  coeff(0) is the mean of the field.
     """
 
     domain: Domain
@@ -206,8 +207,9 @@ class SpectralField:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.domain.n:
-            raise ValueError(f"coeffs shape {c.shape} does not match grid {self.domain.n}")
+        if c.shape != self.domain.spectral_shape:
+            raise ValueError(f"coeffs shape {c.shape} is not the half-spectrum shape "
+                             f"{self.domain.spectral_shape} of grid {self.domain.n}")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -222,32 +224,16 @@ def _reflect(a, axes):
     return a
 
 
-def complete_spectrum(half: np.ndarray, domain: Domain) -> np.ndarray:
-    """Full fftn-layout coefficients of a real field from its rfftn half.
-
-    Exact: the missing modes are the conjugate mirror c(-k) = conj c(k),
-    so no transform is involved.
-    """
-    tail = np.conj(half[..., domain.n[-1] // 2 - 1:0:-1])
-    return np.concatenate([half, _reflect(tail, range(domain.dim - 1))], axis=-1)
-
-
 def forward_transform(u: PhysicalField) -> SpectralField:
-    """FFT normalized so that coeff(0) = mean(u)."""
-    return SpectralField(u.domain, np.fft.fftn(u.values, norm="forward"))
+    """Real FFT normalized so that coeff(0) = mean(u)."""
+    return SpectralField(u.domain, np.fft.rfftn(u.values, norm="forward"))
 
 
 def inverse_transform(u_hat: SpectralField) -> PhysicalField:
-    """Inverse FFT back to real samples.
-
-    Rejects coefficient arrays that are not Hermitian-symmetric (the
-    inverse would be complex), which signals corrupted state upstream.
-    """
-    z = np.fft.ifftn(u_hat.coeffs, norm="forward")
-    scale = np.abs(z.real).max()
-    if np.abs(z.imag).max() > 1e-8 * scale + 1e-13:
-        raise ValueError("coefficients are not Hermitian-symmetric; field is not real")
-    return PhysicalField(u_hat.domain, z.real)
+    """Real inverse FFT back to the grid samples."""
+    d = u_hat.domain
+    return PhysicalField(d, np.fft.irfftn(u_hat.coeffs, s=d.n, axes=range(d.dim),
+                                          norm="forward"))
 
 
 def fractional_laplacian(u_hat: SpectralField, alpha: float) -> SpectralField:
@@ -324,18 +310,17 @@ def hs_seminorm(u_hat: SpectralField, s: float) -> float:
     with Domain.parseval_weights, which is exact for a real field.
     """
     d = u_hat.domain
-    nz = d.half(d.k_squared) > 0
-    w = np.where(nz, np.maximum(d.half(d.k_abs), 1.0) ** (2.0 * s), 0.0) * d.parseval_weights
-    total = float(np.sum(w * np.abs(d.half(u_hat.coeffs)) ** 2))
+    w = np.where(d.k_squared > 0, np.maximum(d.k_abs, 1.0) ** (2.0 * s), 0.0) * d.parseval_weights
+    total = float(np.sum(w * np.abs(u_hat.coeffs) ** 2))
     return math.sqrt(d.volume * total)
 
 
 def refine(u_hat: SpectralField, factor: int) -> PhysicalField:
     """Evaluate the trigonometric interpolant on a factor-times finer grid.
 
-    Zero-pads the half spectrum of a Hermitian coefficient array and takes
-    one real inverse transform; used by the diagnostics to sample sup norms
-    between collocation points.  The last-axis Nyquist plane is halved,
+    Zero-pads the half spectrum and takes one real inverse transform, which
+    samples the interpolant between collocation points (the reference the
+    sup norm is tested against).  The last-axis Nyquist plane is halved,
     because the real inverse adds its mirror at -n/2.  Assumes no energy on
     the unpaired Nyquist modes of the other axes (always true for dealiased
     fields).
@@ -349,7 +334,7 @@ def refine(u_hat: SpectralField, factor: int) -> PhysicalField:
     big = np.zeros(nbig[:-1] + (nbig[-1] // 2 + 1,), dtype=np.complex128)
     idx = [np.fft.fftfreq(m, d=1.0 / m).astype(int) % mb for m, mb in zip(d.n[:-1], nbig)]
     nyq = d.n[-1] // 2
-    big[np.ix_(*idx, np.arange(nyq + 1))] = d.half(u_hat.coeffs)
+    big[np.ix_(*idx, np.arange(nyq + 1))] = u_hat.coeffs
     big[..., nyq] *= 0.5
     vals = np.fft.irfftn(big, s=nbig, axes=range(d.dim), norm="forward")
     return PhysicalField(Domain(nbig, d.buoyancy_axis), vals)
@@ -485,8 +470,9 @@ def random_field(domain: Domain, spectrum_decay: float = 3.0, cutoff: float = 5.
     """
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-math.pi, math.pi, size=domain.n)
-    # antisymmetrize under k -> -k so the coefficients are Hermitian
-    theta = 0.5 * (theta - _reflect(theta, range(domain.dim)))
+    # phases drawn on the full grid and antisymmetrized under k -> -k, so the
+    # coefficients are Hermitian; the half keeps one mode of each pair
+    theta = 0.5 * (theta - _reflect(theta, range(domain.dim)))[..., :domain.spectral_shape[-1]]
     safe = np.maximum(domain.k_abs, 1.0)
     amp = np.where(domain.k_squared > 0,
                    safe ** (-spectrum_decay) * np.exp(-domain.k_squared / cutoff ** 2),

@@ -9,7 +9,9 @@ with N the buoyancy axis, and v_hat(0) = -gamma T_hat(0).  The multiplier
 form is exact and O(n log n); the singular-kernel representation of the same
 operator is exercised only through the curl-curl identity in the tests.
 Every multiplier has magnitude at most one, so each velocity component is
-bounded by the temperature in L^2.
+bounded by the temperature in L^2.  Like every spectrum in the package the
+velocity is a half spectrum (see Domain.velocity_multipliers for the
+unpaired Nyquist modes, where a real velocity is not solenoidal).
 """
 
 from __future__ import annotations
@@ -34,14 +36,14 @@ class VelocityField:
     def spectral_divergence(self) -> np.ndarray:
         """sum_j i k_j v_hat_j(k); identically zero up to rounding."""
         d = self.domain
-        out = np.zeros(d.n, dtype=np.complex128)
+        out = np.zeros(d.spectral_shape, dtype=np.complex128)
         for j, comp in enumerate(self.components):
             out += 1j * d.wavenumbers[j] * comp.coeffs
         return out
 
 
 def velocity_coefficients(domain: Domain, t_coeffs: np.ndarray) -> list:
-    """Multiplier application on a raw fftn coefficient array."""
+    """The Darcy multipliers applied to a raw half-spectrum coefficient array."""
     return [m * t_coeffs for m in domain.velocity_multipliers]
 
 

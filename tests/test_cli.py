@@ -177,6 +177,27 @@ output.dir = {outdir}
         assert "sample_every" in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value", [("solver.t_end", "nan"), ("solver.nu", "nan"),
+                                            ("solver.dt", "nan"),
+                                            ("diagnostics.sample_every", "inf")])
+    def test_non_finite_number_exits_4(self, tmp_path, capsys, key, value):
+        # not a config error, a NaN t_end takes no step, a NaN nu reads as
+        # blow-up and an infinite cadence overflows the stride check
+        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in text.splitlines()]
+        assert main(["run", write_config(tmp_path / "c.cfg", "\n".join(lines) + "\n")]) == 4
+        assert key.split(".")[1] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_of_range_buoyancy_axis_exits_4(self, tmp_path, capsys):
+        # axis 2 of a 2D domain, which must not wrap round to axis 0
+        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
+        cfg = write_config(tmp_path / "axis.cfg", text + "domain.buoyancy_axis = 2\n")
+        assert main(["run", cfg]) == 4
+        assert "buoyancy axis" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_ball_exponent_missing_from_p_list_exits_4(self, tmp_path):
         text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
         text = text.replace("decay, dissipation_budget", "absorbing_ball")

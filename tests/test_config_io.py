@@ -227,3 +227,13 @@ class TestSnapshots:
         path.write_bytes(raw[:-4])
         with pytest.raises(ValueError, match="size"):
             read_snapshot(path)
+
+    def test_read_rejects_out_of_range_buoyancy_axis(self, tmp_path):
+        # a 2D snapshot whose header byte names buoyancy axis 2
+        path = tmp_path / "axis.dpmf"
+        write_snapshot(path, 0.0, PhysicalField(Domain((8, 8)), np.zeros((8, 8))))
+        raw = bytearray(path.read_bytes())
+        raw[9] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="buoyancy axis"):
+            read_snapshot(path)

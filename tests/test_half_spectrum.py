@@ -1,11 +1,12 @@
-"""Property tests: the rfftn half-spectrum hot paths against fftn references.
+"""Property tests on the rfftn half spectrum, over random grids, orders and data.
 
-The solver, the refined sup norm and the 1D stream-slope RHS and step
-carry the rfftn half spectrum.  Each is compared here with a straightforward
-complex-to-complex implementation on the full fftn layout, over random
-dimensions, grid sizes, orders and Hermitian data, dealiased except where a
-case needs energy on the Nyquist planes.  The examples are derandomized by
-the suite's hypothesis profile (conftest.py), so the suite stays reproducible.
+The operator identities of the spectral calculus and the Darcy velocity are
+checked on the half spectrum directly.  The solver, the refined interpolant
+and the 1D stream-slope RHS and step are compared with straightforward
+complex-to-complex implementations on the full fftn layout (fft_reference),
+on Hermitian data, dealiased except where a case needs energy on the
+Nyquist planes.  The examples are derandomized by the suite's hypothesis
+profile (conftest.py), so the suite stays reproducible.
 
 The solver's integrator computes in work arrays of its own; the same
 properties check that no array handed to a caller is one of them.
@@ -19,10 +20,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dpmflow import (Domain, ForcingSpec, PhysicalField, SolverParams, SpectralField,
-                     compute_record, refine, run)
+                     compute_record, forward_transform, fractional_laplacian,
+                     hs_seminorm, inverse_transform, lp_norm, partial_derivative,
+                     pressure_from_temperature, refine, riesz_potential,
+                     riesz_transform, run, velocity_from_temperature)
 from dpmflow.blowup1d import Regularization, _StreamOps
 from dpmflow.solver import _Integrator
-from dpmflow.spectral import complete_spectrum
+from dpmflow.spectral import _reflect
+from fft_reference import FullLayout, half, hermitian
 
 RTOL = 1e-12
 
@@ -35,21 +40,6 @@ def grids(draw, dims=(1, 2, 3)):
     return Domain(tuple(draw(even_n) for _ in range(dim)))
 
 
-def reflect(a):
-    """a(-k) on the full fftn layout."""
-    for ax in range(a.ndim):
-        a = np.roll(np.flip(a, axis=ax), 1, axis=ax)
-    return a
-
-
-def hermitian(d, seed, mask=None):
-    """Random Hermitian coefficients, zero outside mask (default: the 2/3 rule)."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(d.n) + 1j * rng.standard_normal(d.n)
-    z = 0.5 * (z + np.conj(reflect(z)))
-    return np.where(d.dealias_mask if mask is None else mask, z, 0.0)
-
-
 def assert_close(got, ref, scale=None):
     scale = np.abs(ref).max() if scale is None else scale
     assert np.abs(got - ref).max() <= RTOL * scale + 1e-300
@@ -57,18 +47,20 @@ def assert_close(got, ref, scale=None):
 
 def ref_nonlinear(d, c, f_hat=None, dealias=True):
     """Reference: c2c transforms, real part, conservative form."""
+    full = FullLayout(d)
     axes = tuple(range(1, d.dim + 1))
-    stack = np.stack([c] + [m * c for m in d.velocity_multipliers])
+    stack = np.stack([c] + [m * c for m in full.velocity_multipliers])
     phys = np.fft.ifftn(stack, axes=axes, norm="forward").real
     prod = np.fft.fftn(phys[1:] * phys[0], axes=axes, norm="forward")
     if dealias:
-        prod *= d.dealias_mask
-    out = -sum(1j * d.deriv_wavenumbers[j] * prod[j] for j in range(d.dim))
+        prod *= full.dealias_mask
+    out = -sum(1j * full.deriv_wavenumbers[j] * prod[j] for j in range(d.dim))
     return out if f_hat is None else out + f_hat
 
 
 def ref_k_alpha(d, alpha):
-    return np.where(d.k_squared > 0, np.maximum(d.k_abs, 1.0) ** alpha, 0.0)
+    full = FullLayout(d)
+    return np.where(full.k_squared > 0, np.maximum(full.k_abs, 1.0) ** alpha, 0.0)
 
 
 def ref_advance(d, c, f_hat, nu, alpha, dt):
@@ -83,7 +75,7 @@ def ref_advance(d, c, f_hat, nu, alpha, dt):
 
 def integrator(d, f_hat, nu, alpha, dealias=True):
     params = SolverParams(nu=nu, alpha=alpha, dt=0.01, t_end=1.0, dealias=dealias)
-    return _Integrator(d, params, ForcingSpec(SpectralField(d, f_hat)))
+    return _Integrator(d, params, ForcingSpec(SpectralField(d, half(f_hat))))
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -91,24 +83,107 @@ alphas = st.floats(0.0, 2.0)
 nus = st.floats(0.0, 0.5)
 
 
+@st.composite
+def buoyant_grids(draw, dims=(1, 2, 3)):
+    d = draw(grids(dims))
+    return Domain(d.n, draw(st.integers(0, d.dim - 1)))
+
+
+def real_field(d, seed):
+    """Grid samples of a random real field, with energy on every mode."""
+    return PhysicalField(d, np.random.default_rng(seed).standard_normal(d.n))
+
+
+def smooth_spectrum(d, seed):
+    """Half spectrum of a random real field, dealiased and mean zero."""
+    c = np.where(d.dealias_mask, forward_transform(real_field(d, seed)).coeffs, 0.0)
+    c[(0,) * d.dim] = 0.0
+    return SpectralField(d, c)
+
+
+# operator identities on the half spectrum, at the fixed-grid tolerances
+
+@given(d=grids(), seed=seeds)
+def test_round_trip(d, seed):
+    u = real_field(d, seed)
+    back = inverse_transform(forward_transform(u)).values
+    assert np.abs(back - u.values).max() <= RTOL * np.abs(u.values).max()
+
+
+@given(d=grids(), seed=seeds)
+def test_parseval(d, seed):
+    values = real_field(d, seed).values
+    u = PhysicalField(d, values - values.mean())  # the seminorm leaves out the mean
+    assert abs(hs_seminorm(forward_transform(u), 0.0) - lp_norm(u, 2)) <= RTOL * lp_norm(u, 2)
+
+
+@given(d=grids(), seed=seeds, a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
+def test_fractional_laplacian_semigroup(d, seed, a, b):
+    c = smooth_spectrum(d, seed)
+    one = fractional_laplacian(fractional_laplacian(c, a), b).coeffs
+    two = fractional_laplacian(c, a + b).coeffs
+    assert np.abs(one - two).max() <= RTOL * np.abs(two).max() + 1e-16
+
+
+@given(d=grids(), seed=seeds)
+def test_riesz_squares_sum_to_minus_identity(d, seed):
+    c = smooth_spectrum(d, seed)
+    acc = sum(riesz_transform(riesz_transform(c, j), j).coeffs for j in range(d.dim))
+    assert np.abs(acc + c.coeffs).max() <= RTOL * np.abs(c.coeffs).max() + 1e-16
+
+
+@given(d=grids(), seed=seeds, beta=st.floats(0.0, 2.0, exclude_min=True))
+def test_riesz_potential_inverts_fractional_laplacian(d, seed, beta):
+    c = smooth_spectrum(d, seed)
+    out = riesz_potential(fractional_laplacian(c, beta), beta).coeffs
+    assert np.abs(out - c.coeffs).max() <= RTOL * np.abs(c.coeffs).max()
+
+
+@given(d=buoyant_grids(dims=(2, 3)), seed=seeds)
+def test_velocity_identities(d, seed):
+    c = smooth_spectrum(d, seed)
+    v = velocity_from_temperature(c)
+    scale = np.abs(c.coeffs).max()
+    assert np.abs(v.spectral_divergence()).max() <= 1e-13 * scale
+    # curl-curl: -|k|^2 v_j = (-k_j k_N + delta_{jN} |k|^2) T
+    k, ax = d.wavenumbers, d.buoyancy_axis
+    for j, comp in enumerate(v.components):
+        rhs = (-k[j] * k[ax] + (d.k_squared if j == ax else 0.0)) * c.coeffs
+        assert np.abs(-d.k_squared * comp.coeffs - rhs).max() <= 1e-12 * scale
+    # Darcy's law: v = -(grad p + gamma T)
+    p = pressure_from_temperature(c)
+    for j, comp in enumerate(v.components):
+        rec = -(partial_derivative(p, j).coeffs + (c.coeffs if j == ax else 0.0))
+        assert np.abs(rec - comp.coeffs).max() <= 1e-13 * scale
+    tn = lp_norm(inverse_transform(c), 2)
+    for comp in v.components:
+        assert lp_norm(inverse_transform(comp), 2) <= tn * (1 + 1e-13)
+
+
+@given(d=buoyant_grids())
+def test_velocity_multipliers_are_the_even_part_of_the_full_set(d):
+    # reference: the full-layout set, symmetrized to be even in k (the part
+    # a real inverse transform applies), cut to the half
+    for m, full in zip(d.velocity_multipliers, FullLayout(d).velocity_multipliers):
+        assert np.array_equal(m, half(0.5 * (full + _reflect(full, range(d.dim)))))
+
+
 @given(d=grids(), seed=seeds, alpha=alphas, dealias=st.booleans())
 def test_nonlinear_term_matches_fftn(d, seed, alpha, dealias):
     # without dealiasing every mode carries energy, Nyquist planes included
-    mask = d.dealias_mask if dealias else np.ones(d.n, dtype=bool)
+    mask = FullLayout(d).dealias_mask if dealias else np.ones(d.n, dtype=bool)
     c = hermitian(d, seed, mask)
     f_hat = hermitian(d, seed + 1, mask)
     integ = integrator(d, f_hat, 0.1, alpha, dealias)
-    got = integ.nonlinear(d.half(c))
-    ref = ref_nonlinear(d, c, f_hat, dealias)
-    assert_close(got, d.half(ref))
-    assert_close(complete_spectrum(got, d), ref)
+    got = integ.nonlinear(half(c))
+    assert_close(got, half(ref_nonlinear(d, c, f_hat, dealias)))
     # later calls on the same integrator leave the result alone
     kept = got.copy()
-    other = d.half(hermitian(d, seed + 2, mask))
+    other = half(hermitian(d, seed + 2, mask))
     integ.advance(other, integ.nonlinear(other), 0.01)
     assert np.array_equal(got, kept)
     # written over its own input, the same numbers
-    inplace = d.half(c).copy()
+    inplace = half(c).copy()
     assert np.array_equal(integ.nonlinear(inplace, out=inplace), kept)
 
 
@@ -117,10 +192,10 @@ def test_advance_matches_fftn(d, seed, alpha, nu, dt):
     c = hermitian(d, seed)
     f_hat = hermitian(d, seed + 1)
     integ = integrator(d, f_hat, nu, alpha)
-    ch = d.half(c)
+    ch = half(c)
     nl = integ.nonlinear(ch)
     got = integ.advance(ch, nl, dt)
-    assert_close(got, d.half(ref_advance(d, c, f_hat, nu, alpha, dt)))
+    assert_close(got, half(ref_advance(d, c, f_hat, nu, alpha, dt)))
     # into a given array, the same numbers; the inputs stay as they were
     kept = got.copy(), nl.copy(), ch.copy()
     assert np.array_equal(integ.advance(ch, nl, dt, out=np.empty_like(ch)), kept[0])
@@ -160,7 +235,7 @@ def test_weighted_budget_functionals_match_full_sums(d, seed, alpha, nu):
              f_hat * np.conj(c),
              2.0 * nu * k_alpha * np.conj(c) * rhs,
              f_hat * np.conj(rhs))
-    got = integrator(d, f_hat, nu, alpha, dealias=False).budget(d.half(c), d.half(rhs))
+    got = integrator(d, f_hat, nu, alpha, dealias=False).budget(half(c), half(rhs))
     for value, term in zip(got, terms):
         ref = d.volume * float(np.sum(term).real)
         assert abs(value - ref) <= RTOL * d.volume * float(np.abs(term).sum()) + 1e-300
@@ -176,17 +251,18 @@ def ref_refine(c, d, factor):
 
 @given(d=grids(), seed=seeds, factor=st.integers(2, 3), nyquist=st.booleans())
 def test_refine_matches_fftn(d, seed, factor, nyquist):
-    mask = d.dealias_mask
+    full = FullLayout(d)
+    mask = full.dealias_mask
     if nyquist:
         # energy on the last-axis Nyquist plane, dealiased along the other axes
         lead = np.ones(d.n, dtype=bool)
-        for j, k in enumerate(d.wavenumbers[:-1]):
+        for j, k in enumerate(full.wavenumbers[:-1]):
             lead = lead & (np.abs(k) <= d.n[j] / 3.0)
-        mask = mask | (lead & (d.wavenumbers[-1] == -d.n[-1] // 2))
+        mask = mask | (lead & (full.wavenumbers[-1] == -d.n[-1] // 2))
     c = hermitian(d, seed, mask)
     if nyquist:
         assert np.abs(c[..., d.n[-1] // 2]).max() > 0
-    got = refine(SpectralField(d, c), factor).values
+    got = refine(SpectralField(d, half(c)), factor).values
     ref = ref_refine(c, d, factor)
     assert_close(got, ref)
 
@@ -219,10 +295,10 @@ def test_stream_slope_rhs_matches_fft(d, seed, g, nu_ql):
     ops = _StreamOps(d, reg)
     wh = hermitian(d, seed)
     wh[0] = 0.0
-    x = np.append(d.half(wh), g)
+    x = np.append(half(wh), g)
     got = ops.nonlinear(x)
     ref = ref_stream_rhs(ops, wh, g, nu_ql)
-    assert_close(got[:-1], d.half(ref[0]))
+    assert_close(got[:-1], half(ref[0]))
     assert abs(got[-1] - ref[1]) <= RTOL * max(abs(ref[1]), 1.0)
     assert_close(ops.w, ref[2], scale=max(np.abs(ref[2]).max(), 1.0))
     # written over its own input, the same numbers
@@ -250,16 +326,16 @@ def test_stream_slope_advance_matches_fft(d, seed, g, dt, mode, nu, alpha, sign)
     ops = _StreamOps(d, reg)
     wh = hermitian(d, seed)
     wh[0] = 0.0
-    x = np.append(d.half(wh), g)
+    x = np.append(half(wh), g)
     got = ops.advance(x, ops.nonlinear(x), dt)
     lam = np.zeros(d.n)
     if mode == "spectral":
-        kabs = np.abs(np.where(d.wavenumbers[0] == -d.n[0] // 2, 0.0, d.wavenumbers[0]))
+        kabs = np.abs(FullLayout(d).deriv_wavenumbers[0])
         lam = (1.0 if sign == "oracle" else -1.0) * nu * np.where(
             kabs > 0, np.maximum(kabs, 1.0) ** alpha, 0.0)
     ref_w, ref_g = ref_stream_advance(ops, wh, g, dt, nu if mode == "quasilinear" else None,
                                       lam)
-    assert_close(got[:-1], d.half(ref_w))
+    assert_close(got[:-1], half(ref_w))
     assert abs(got[-1] - ref_g) <= RTOL * max(abs(ref_g), 1.0)
 
 
@@ -269,16 +345,16 @@ def test_stream_slope_frozen_coefficient_advance_matches_fft(d, seed, g, dt, nu)
     # the coefficient is frozen at other data, so the explicit remainder
     # -(coeff - c0) k^2 wh is non-zero from the first stage on
     ops = _StreamOps(d, Regularization("quasilinear", nu=nu))
-    k = d.wavenumbers[0]
+    k = FullLayout(d).wavenumbers[0]
     other = hermitian(d, seed + 1)
     other[0] = 0.0
     c0 = nu * (2.0 * math.pi * float(np.sum(k ** 2 * np.abs(other) ** 2)) + 0.25 * g * g)
-    ops.freeze(np.append(d.half(other), 0.5 * g))
+    ops.freeze(np.append(half(other), 0.5 * g))
     assert abs(ops.c0 - c0) <= RTOL * c0
     wh = hermitian(d, seed)
     wh[0] = 0.0
-    x = np.append(d.half(wh), g)
+    x = np.append(half(wh), g)
     got = ops.advance(x, ops.nonlinear(x), dt)
     ref_w, ref_g = ref_stream_advance(ops, wh, g, dt, nu, -c0 * k ** 2, c0)
-    assert_close(got[:-1], d.half(ref_w))
+    assert_close(got[:-1], half(ref_w))
     assert abs(got[-1] - ref_g) <= RTOL * max(abs(ref_g), 1.0)

@@ -34,6 +34,14 @@ class TestParams:
         with pytest.raises(ValueError):
             SolverParams(nu=0.1, alpha=1.0, dt=0.1, t_end=1.0, scheme="rk4")
 
+    @pytest.mark.parametrize("name", ["nu", "dt", "t_end"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_numbers(self, name, value):
+        kwargs = dict(nu=0.1, alpha=1.0, dt=0.1, t_end=1.0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SolverParams(**kwargs)
+
 
 class TestNonlinearTerm:
     def test_vanishes_on_cross_stream_mode(self, d2):
@@ -65,7 +73,7 @@ class TestNonlinearTerm:
         f_hat = forward_transform(random_field(d, seed=1))
         integ = _Integrator(d, SolverParams(nu=0.1, alpha=1.5, dt=0.01, t_end=1.0),
                             ForcingSpec(f_hat))
-        c = d.half(forward_transform(random_field(d, seed=2)).coeffs)
+        c = forward_transform(random_field(d, seed=2)).coeffs
         integ.nonlinear(c)  # allocates the work arrays
         half_array = c.size * 16
         tracemalloc.start()
