@@ -17,9 +17,8 @@ from .diagnostics import (CheckResult, DiagnosticsRecord, check_absorbing_ball,
                           check_decay_torus, check_dissipation_budget,
                           compute_record, records_to_csv)
 from .snapshots import read_snapshot, write_snapshot
-from .solver import (BlowUpError, ForcingSpec, RunResult, SimulationState,
-                     SolverParams, cfl_dt, nonlinear_term, resolution_tail,
-                     run, step)
+from .solver import (RunResult, SimulationState, SolverParams, nonlinear_term,
+                     resolution_tail, run)
 from .spectral import (Domain, PhysicalField, SpectralField, dealias,
                        forward_transform, fractional_laplacian, hs_seminorm,
                        inverse_transform, lp_norm, partial_derivative,

@@ -58,6 +58,8 @@ class Regularization:
     def __post_init__(self):
         if self.mode not in REG_MODES:
             raise ValueError(f"mode must be one of {REG_MODES}, got {self.mode!r}")
+        if not math.isfinite(self.nu):
+            raise ValueError(f"nu must be finite, got {self.nu}")
         if self.nu < 0:
             raise ValueError(f"nu must be >= 0, got {self.nu}")
         if self.mode == "spectral" and self.alpha not in (1.0, 2.0):
@@ -321,7 +323,7 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
 
     while t < t_end - clock.eps:
         step_dt = dt * (1.0 + m0_inf) / (1.0 + minf) if adaptive else dt
-        step_dt, t_new = clock.step(t, step_dt)
+        step_dt, t_new = clock.clip(t, step_dt)
         if quasilinear:
             ops.freeze(x)
         # the sup norm of this first stage sizes the next step

@@ -17,14 +17,12 @@ import sys
 import traceback
 import warnings
 
-import numpy as np
-
 from . import blowup1d
 from .config import (ConfigError, RunConfig, build_domain, build_forcing,
                      build_initial, build_regularization, build_solver_params,
                      build_stream_initial)
-from .diagnostics import (_fmt, check_absorbing_ball, check_cells, check_decay_torus,
-                          check_dissipation_budget, check_header, records_to_csv)
+from .diagnostics import (check_absorbing_ball, check_decay_torus,
+                          check_dissipation_budget, records_to_csv, write_csv)
 from .snapshots import atomic_open, read_snapshot, write_snapshot
 from .solver import run as run_dpm
 from .spectral import inverse_transform, lp_norm
@@ -42,6 +40,14 @@ def _outdir(cfg):
     path = cfg.get_str("output.dir", default="out")
     os.makedirs(path, exist_ok=True)
     return path
+
+
+def _tolerance(cfg, key, default):
+    """A check's relative tolerance: finite and >= 0, as a NaN passes or fails every check."""
+    tol = cfg.get_float(key, default=default)
+    if not 0 <= tol < math.inf:
+        raise ConfigError(f"{key} = {tol} must be finite and >= 0")
+    return tol
 
 
 def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
@@ -69,7 +75,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         # another size: keep every step at solver.dt
         raise ConfigError(f"diagnostics.sample_every = {sample_every} is not an "
                           f"integer multiple of solver.dt = {params.dt}")
-    slack = cfg.get_float("diagnostics.slack", default=1e-6)
+    slack = _tolerance(cfg, "diagnostics.slack", 1e-6)
     if "diagnostics.linf_refine" in cfg.values:
         warnings.warn("diagnostics.linf_refine is ignored: the linf column is the sup "
                       "of the trigonometric interpolant", stacklevel=2)
@@ -82,7 +88,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
     allow_blowup = cfg.get_bool("solver.allow_blowup", default=False)
     snapshots = cfg.get_bool("output.snapshots", default=False)
 
-    if "decay" in checks and forcing.f_hat is not None:
+    if "decay" in checks and forcing is not None:
         raise ConfigError("diagnostics.checks: the decay bound applies to "
                           "unforced runs only")
     decay_p = cfg.get_float("diagnostics.decay_p", default=2.0)
@@ -109,7 +115,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
                                 volume=domain.volume)
         all_ok &= all(r.passed for r in res)
     if "absorbing_ball" in checks:
-        f_field = None if forcing.f_hat is None else inverse_transform(forcing.f_hat)
+        f_field = None if forcing is None else inverse_transform(forcing)
         res = check_absorbing_ball(result.records, t0_field, f_field, ball_p,
                                    params.nu, params.alpha,
                                    lambda1=domain.lambda1, slack=slack)
@@ -156,27 +162,33 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
         start_g = g or 0.0
         if w0.domain.dim != 1:
             raise ConfigError(f"blowup.path: snapshot is {w0.domain.dim}D, need 1D")
-        if abs(float(w0.values.mean())) > 1e-10 * max(1.0, float(np.abs(w0.values).max())):
-            raise ConfigError("blowup.path: stream slope must be mean zero")
+        try:
+            blowup1d._check_mean_zero(w0)
+        except ValueError as exc:
+            raise ConfigError(f"blowup.path: {exc}") from exc
     else:
         w0 = build_stream_initial(cfg)
     dt = cfg.get_float("blowup.dt", default=1e-4)
     t_end = cfg.get_float("blowup.t_end")
-    if not dt > 0:
-        raise ConfigError(f"blowup.dt = {dt} must be positive")
-    if not t_end > start_time:
-        raise ConfigError(f"blowup.t_end = {t_end} must exceed the start time {start_time}")
+    if not 0 < dt < math.inf:
+        raise ConfigError(f"blowup.dt = {dt} must be positive and finite")
+    if not start_time < t_end < math.inf:
+        raise ConfigError(f"blowup.t_end = {t_end} must be finite and exceed the "
+                          f"start time {start_time}")
     sample_every = cfg.get_float("blowup.sample_every", default=0.01)
-    if not sample_every > 0:
-        raise ConfigError(f"blowup.sample_every = {sample_every} must be positive")
+    if not 0 < sample_every < math.inf:
+        raise ConfigError(f"blowup.sample_every = {sample_every} must be positive "
+                          "and finite")
     threshold = cfg.get_float("blowup.threshold", default=1e8)
+    if not 0 < threshold < math.inf:
+        raise ConfigError(f"blowup.threshold = {threshold} must be positive and finite")
     adaptive = cfg.get_bool("blowup.adaptive", default=True)
     oracle_mode = cfg.get_str("blowup.oracle", default="auto",
                               choices=("auto", "on", "off"))
-    oracle_rtol = cfg.get_float("blowup.oracle_rtol", default=1e-5)
-    tstar_rtol = cfg.get_float("blowup.tstar_rtol", default=0.01)
+    oracle_rtol = _tolerance(cfg, "blowup.oracle_rtol", 1e-5)
+    tstar_rtol = _tolerance(cfg, "blowup.tstar_rtol", 0.01)
     bound_check = cfg.get_bool("blowup.max_bound_check", default=False)
-    slack = cfg.get_float("blowup.slack", default=1e-6)
+    slack = _tolerance(cfg, "blowup.slack", 1e-6)
 
     result = blowup1d.run_stream_slope(w0, reg, dt, t_end,
                                        sample_every=sample_every,
@@ -204,17 +216,20 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
             raise ConfigError(f"blowup oracle: {exc}") from exc
         t_star_analytic = blowup1d.blowup_time(params)
 
+    # the oracle columns of each record, nan at and beyond the singular time
+    oracle = []
+    errs = []
+    for rec in result.records:
+        beta = r_oracle = math.nan
+        if params is not None and rec.t < t_star_analytic * (1 - 1e-12):
+            beta = blowup1d.oracle_beta(rec.t, params)
+            r_oracle = blowup1d.oracle_r(rec.t, params)
+            errs.append(abs(rec.g - beta) / max(abs(beta), 1.0))
+        oracle.append((beta, r_oracle))
     all_ok = True
-    g_err = math.nan
-    if params is not None:
-        errs = []
-        for rec in result.records:
-            if rec.t < t_star_analytic * (1 - 1e-12):
-                beta = blowup1d.oracle_beta(rec.t, params)
-                errs.append(abs(rec.g - beta) / max(abs(beta), 1.0))
-        g_err = max(errs) if errs else math.nan
-        if errs and g_err > oracle_rtol:
-            all_ok = False
+    g_err = max(errs) if errs else math.nan
+    if errs and g_err > oracle_rtol:
+        all_ok = False
 
     tstar_err = math.nan
     if params is not None:
@@ -236,26 +251,15 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     outdir = _outdir(cfg)
     csv_name = cfg.get_str("output.csv", default="trajectory.csv")
     with atomic_open(os.path.join(outdir, csv_name), encoding="utf-8", newline="") as fh:
-        checks = ["max_bound"] if bound_check else []
-        header = ["t", "l2", "linf", "max", "g", "h2", "oracle_beta", "oracle_r"]
-        fh.write(",".join(header + check_header(checks)) + "\n")
-        for rec in result.records:
-            beta = r_oracle = math.nan
-            if params is not None and rec.t < t_star_analytic * (1 - 1e-12):
-                beta = blowup1d.oracle_beta(rec.t, params)
-                r_oracle = blowup1d.oracle_r(rec.t, params)
-            row = [_fmt(rec.t), _fmt(rec.l2), _fmt(rec.linf), _fmt(rec.max_w),
-                   _fmt(rec.g), _fmt(rec.h2), _fmt(beta), _fmt(r_oracle)]
-            fh.write(",".join(row + check_cells(rec.checks, checks)) + "\n")
+        write_csv(fh, ["t", "l2", "linf", "max", "g", "h2", "oracle_beta", "oracle_r"],
+                  (([rec.t, rec.l2, rec.linf, rec.max_w, rec.g, rec.h2, *columns], rec.checks)
+                   for rec, columns in zip(result.records, oracle)),
+                  ["max_bound"] if bound_check else [])
     with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8", newline="") as fh:
-        fh.write("blew_up,t_final,t_star_est,t_star_analytic,t_star_rel_err,"
-                 "g_oracle_max_rel_err,checks_passed\n")
-        fh.write(",".join([
-            "1" if result.blew_up else "0",
-            _fmt(result.final_state.t),
-            _fmt(result.t_star_estimate),
-            _fmt(t_star_analytic), _fmt(tstar_err), _fmt(g_err),
-            "1" if all_ok else "0"]) + "\n")
+        write_csv(fh, ["blew_up", "t_final", "t_star_est", "t_star_analytic", "t_star_rel_err",
+                       "g_oracle_max_rel_err", "checks_passed"],
+                  [([result.blew_up, result.final_state.t, result.t_star_estimate,
+                     t_star_analytic, tstar_err, g_err, all_ok], [])])
     ckpt = cfg.values.get("output.checkpoint")
     if ckpt:
         write_snapshot(os.path.join(outdir, ckpt), result.final_state.t,

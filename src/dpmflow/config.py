@@ -16,9 +16,9 @@ import numpy as np
 
 from .blowup1d import Regularization
 from .snapshots import read_snapshot
-from .solver import ForcingSpec, SolverParams
-from .spectral import (Domain, PhysicalField, dealias, forward_transform,
-                       random_field)
+from .solver import SolverParams
+from .spectral import (Domain, PhysicalField, SpectralField, dealias,
+                       forward_transform, random_field)
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
 
@@ -153,6 +153,8 @@ def build_domain(cfg: RunConfig) -> Domain:
 
 
 def build_solver_params(cfg: RunConfig) -> SolverParams:
+    if not cfg.get_bool("solver.dealias", default=True):
+        raise ConfigError("solver.dealias = false: the 2/3 rule is always applied")
     try:
         return SolverParams(
             nu=cfg.get_float("solver.nu"),
@@ -161,12 +163,19 @@ def build_solver_params(cfg: RunConfig) -> SolverParams:
             t_end=cfg.get_float("solver.t_end"),
             scheme=cfg.get_str("solver.scheme", default="ifrk4",
                                choices=("ifrk4", "ifeuler")),
-            dealias=cfg.get_bool("solver.dealias", default=True),
             adaptive=cfg.get_bool("solver.adaptive", default=False),
             cfl_safety=cfg.get_float("solver.cfl_safety", default=0.9),
         )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
+
+
+def _field(prefix, make, *args, **kwargs) -> PhysicalField:
+    """make(*args, **kwargs), a ValueError (such as non-finite data) as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}: {exc}") from exc
 
 
 def _mode_field(cfg, prefix, domain) -> PhysicalField:
@@ -184,7 +193,7 @@ def _mode_field(cfg, prefix, domain) -> PhysicalField:
         kvec[axis] = cfg.get_int(f"{prefix}.wavenumber", default=1)
     phase = sum(k * x for k, x in zip(kvec, domain.grid))
     fn = np.sin if shape == "sin" else np.cos
-    return PhysicalField(domain, np.ascontiguousarray(
+    return _field(prefix, PhysicalField, domain, np.ascontiguousarray(
         np.broadcast_to(amplitude * fn(phase), domain.n)))
 
 
@@ -195,8 +204,8 @@ def build_initial(cfg: RunConfig, domain: Domain):
     if kind == "single_mode":
         return _mode_field(cfg, "initial", domain), 0.0
     if kind == "random":
-        return random_field(
-            domain,
+        return _field(
+            "initial", random_field, domain,
             spectrum_decay=cfg.get_float("initial.spectrum_decay", default=3.0),
             cutoff=cfg.get_float("initial.cutoff", default=5.0),
             seed=cfg.get_int("initial.seed", default=0),
@@ -212,11 +221,12 @@ def build_initial(cfg: RunConfig, domain: Domain):
     return PhysicalField(domain, fld.values), time
 
 
-def build_forcing(cfg: RunConfig, domain: Domain) -> ForcingSpec:
+def build_forcing(cfg: RunConfig, domain: Domain) -> SpectralField | None:
+    """The dealiased forcing spectrum, or None for an unforced run."""
     kind = cfg.get_str("forcing.kind", default="none",
                        choices=("none", "single_mode", "file"))
     if kind == "none":
-        return ForcingSpec()
+        return None
     if kind == "single_mode":
         fld = _mode_field(cfg, "forcing", domain)
     else:
@@ -229,7 +239,7 @@ def build_forcing(cfg: RunConfig, domain: Domain) -> ForcingSpec:
             raise ConfigError(f"forcing.path: snapshot grid {fld.domain.n} "
                               f"does not match domain.n {domain.n}")
         fld = PhysicalField(domain, fld.values)
-    return ForcingSpec(dealias(forward_transform(fld)))
+    return dealias(forward_transform(fld))
 
 
 def build_regularization(cfg: RunConfig) -> Regularization:
@@ -256,9 +266,9 @@ def build_stream_initial(cfg: RunConfig) -> PhysicalField:
         raise ConfigError(f"blowup.n: {exc}") from exc
     if kind == "cos":
         amp = cfg.get_float("blowup.amplitude", default=1.0)
-        return PhysicalField(domain, amp * np.cos(domain.grid[0]))
-    return random_field(
-        domain,
+        return _field("blowup", PhysicalField, domain, amp * np.cos(domain.grid[0]))
+    return _field(
+        "blowup", random_field, domain,
         spectrum_decay=cfg.get_float("blowup.spectrum_decay", default=3.0),
         cutoff=cfg.get_float("blowup.cutoff", default=5.0),
         seed=cfg.get_int("blowup.seed", default=0),

@@ -85,11 +85,11 @@ def check_decay_torus(records, initial_norms, p, nu, alpha, lambda1=1.0,
     measure normalization relating L^q and L^p on a box of volume (2 pi)^N;
     the bound is multiplied by volume^(1/q - 1/p), which makes q = p the
     binding case.  The volume is the caller's, else the one the records
-    carry.  Forced runs are refused: the bound does not apply.
+    carry.  Forced runs (a forcing spectrum that is not zero) are refused:
+    the bound does not apply.
     """
-    if forcing is not None and getattr(forcing, "f_hat", None) is not None:
-        if np.abs(forcing.f_hat.coeffs).max() > 0:
-            raise ValueError("decay check applies to unforced runs only")
+    if forcing is not None and np.abs(forcing.coeffs).max() > 0:
+        raise ValueError("decay check applies to unforced runs only")
     p = float(p)
     q = p if q is None else float(q)
     if not 1.0 <= q <= p:
@@ -185,35 +185,33 @@ def records_to_csv(records, stream):
         for c in rec.checks:
             if c.name not in check_names:
                 check_names.append(c.name)
-    header += check_header(check_names)
-    stream.write(",".join(header) + "\n")
-    for rec in records:
-        row = [_fmt(rec.t)]
-        row += [_fmt(rec.lp[p]) for p in p_cols]
-        row += [_fmt(rec.hs[s]) for s in s_cols]
-        row += [_fmt(rec.dissipation), _fmt(rec.mean), _fmt(rec.vmax),
-                _fmt(rec.diss_integral), _fmt(rec.inj_integral)]
-        row += check_cells(rec.checks, check_names)
+    write_csv(stream, header,
+              (([rec.t, *(rec.lp[p] for p in p_cols), *(rec.hs[s] for s in s_cols),
+                 rec.dissipation, rec.mean, rec.vmax, rec.diss_integral, rec.inj_integral],
+                rec.checks) for rec in records),
+              check_names)
+
+
+def write_csv(stream, header, rows, check_names=()):
+    """Write the header, then one line per (numbers, checks) row.
+
+    Numbers print with _fmt; after them come the bound, value and pass cells
+    of each named check (columns <name>_bound, <name>_value, <name>_pass),
+    nan,nan,1 where the row has no check of that name.  Booleans print as
+    1 and 0.
+    """
+    stream.write(",".join(header + [f"{name}_{col}" for name in check_names
+                                    for col in ("bound", "value", "pass")]) + "\n")
+    for numbers, checks in rows:
+        by_name = {c.name: c for c in checks}
+        row = [_fmt(x) for x in numbers]
+        for name in check_names:
+            c = by_name.get(name)
+            row += (["nan", "nan", "1"] if c is None
+                    else [_fmt(c.bound), _fmt(c.value), _fmt(c.passed)])
         stream.write(",".join(row) + "\n")
 
 
-def check_header(names):
-    return [f"{name}_{col}" for name in names for col in ("bound", "value", "pass")]
-
-
-def check_cells(checks, names):
-    """The bound, value and pass cells of each named check; nan,nan,1 where absent."""
-    by_name = {c.name: c for c in checks}
-    row = []
-    for name in names:
-        c = by_name.get(name)
-        if c is None:
-            row += ["nan", "nan", "1"]
-        else:
-            row += [_fmt(c.bound), _fmt(c.value), "1" if c.passed else "0"]
-    return row
-
-
 def _fmt(x):
-    """17 significant digits; None and NaN print as nan."""
+    """17 significant digits; None and NaN print as nan, booleans as 1 and 0."""
     return "nan" if x is None else f"{x:.17g}"

@@ -30,14 +30,6 @@ from .spectral import Domain, PhysicalField, SpectralField, forward_transform
 SCHEMES = ("ifrk4", "ifeuler")
 
 
-class BlowUpError(RuntimeError):
-    """Raised when a coefficient becomes non-finite; carries the last finite state."""
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
-
-
 @dataclass(frozen=True)
 class SolverParams:
     """Evolution parameters: diffusion, fractional order, stepping policy."""
@@ -47,7 +39,6 @@ class SolverParams:
     dt: float
     t_end: float
     scheme: str = "ifrk4"
-    dealias: bool = True
     adaptive: bool = False
     cfl_safety: float = 0.9
 
@@ -68,17 +59,6 @@ class SolverParams:
 
 
 @dataclass(frozen=True)
-class ForcingSpec:
-    """Time-independent source term, or None for the unforced system."""
-
-    f_hat: SpectralField | None = None
-
-    @property
-    def mean(self):
-        return 0.0 if self.f_hat is None else complex(self.f_hat.mean)
-
-
-@dataclass(frozen=True)
 class SimulationState:
     t: float
     t_hat: SpectralField
@@ -93,8 +73,6 @@ class RunResult:
     blew_up: bool = False
     states: list | None = None
     initial: PhysicalField | None = None
-    forcing: ForcingSpec | None = None
-    params: SolverParams | None = None
 
 
 class _Work(NamedTuple):
@@ -179,6 +157,9 @@ class IFRK4:
 class _Integrator(IFRK4):
     """The DPM instance of IFRK4 for one (domain, params, forcing).
 
+    forcing is the spectrum of the time-independent source term, or None
+    for the unforced system; its modes beyond the 2/3 cutoff are dropped.
+
     Coefficient arrays here are half spectra, like SpectralField.coeffs, and
     every sum over modes carries Domain.parseval_weights.
 
@@ -194,7 +175,7 @@ class _Integrator(IFRK4):
     2/3 rule, applied to the sum as zeroed slices, are exact.
     """
 
-    def __init__(self, domain: Domain, params: SolverParams, forcing: ForcingSpec):
+    def __init__(self, domain: Domain, params: SolverParams, forcing: SpectralField | None):
         self.domain = domain
         self.params = params
         self.axes = tuple(range(1, domain.dim + 1))
@@ -207,15 +188,11 @@ class _Integrator(IFRK4):
         # axis: zeroing those slices is cheaper than a boolean multiply, and
         # full-size masked multipliers would cost their memory
         self.cut = []
-        for j, k in enumerate(domain.wavenumbers if params.dealias else ()):
+        for j, k in enumerate(domain.wavenumbers):
             run = np.flatnonzero(np.abs(k.ravel()) > domain.n[j] / 3.0)
             self.cut.append((slice(None),) * j + (slice(run[0], run[-1] + 1),))
-        self.f_hat = None
-        if forcing is not None and forcing.f_hat is not None:
-            fh = forcing.f_hat.coeffs
-            if params.dealias:
-                fh = np.where(domain.dealias_mask, fh, 0.0)
-            self.f_hat = fh
+        self.f_hat = (None if forcing is None
+                      else np.where(domain.dealias_mask, forcing.coeffs, 0.0))
         self._work = None
         self.last_vmax = 0.0
 
@@ -324,39 +301,16 @@ class _Integrator(IFRK4):
         return diss, inj, diss_rate, inj_rate
 
 
-def nonlinear_term(t_hat: SpectralField, dealias_products: bool = True,
-                   forcing: ForcingSpec | None = None) -> SpectralField:
+def nonlinear_term(t_hat: SpectralField, forcing: SpectralField | None = None) -> SpectralField:
     """Conservative advection term -div(v T) of a temperature field.
 
     The velocity and temperature are multiplied on the collocation grid and
-    the divergence is taken spectrally; the product is 2/3-truncated unless
-    dealias_products is False.  A forcing term, when given, is added.
+    the divergence is taken spectrally; the product is 2/3-truncated.  A
+    forcing spectrum, when given, is added (2/3-truncated as well).
     """
     d = t_hat.domain
-    params = SolverParams(nu=0.0, alpha=1.0, dt=1.0, t_end=1.0, dealias=dealias_products)
-    integ = _Integrator(d, params, forcing or ForcingSpec())
-    return SpectralField(d, integ.nonlinear(t_hat.coeffs))
-
-
-def cfl_dt(state: SimulationState, params: SolverParams) -> float:
-    """Advective step bound: cfl_safety * dx / max(|v|_inf, 1e-8)."""
-    d = state.t_hat.domain
-    integ = _Integrator(d, params, ForcingSpec())
-    integ.nonlinear(state.t_hat.coeffs)
-    return integ.cfl_dt()
-
-
-def step(state: SimulationState, params: SolverParams,
-         forcing: ForcingSpec | None = None) -> SimulationState:
-    """Advance one step of size params.dt; raises BlowUpError on non-finite output."""
-    d = state.t_hat.domain
-    integ = _Integrator(d, params, forcing or ForcingSpec())
-    c = state.t_hat.coeffs
-    c_new = integ.advance(c, integ.nonlinear(c), params.dt)
-    if not np.isfinite(np.abs(c_new).sum()):
-        raise BlowUpError(f"non-finite coefficients after step at t={state.t}",
-                          state=state)
-    return SimulationState(state.t + params.dt, SpectralField(d, c_new))
+    params = SolverParams(nu=0.0, alpha=1.0, dt=1.0, t_end=1.0)
+    return SpectralField(d, _Integrator(d, params, forcing).nonlinear(t_hat.coeffs))
 
 
 def resolution_tail(t_hat: SpectralField) -> float:
@@ -384,7 +338,7 @@ class SampleClock:
         self.k = 1
         self.next = start + every
 
-    def step(self, t, dt):
+    def clip(self, t, dt):
         """(step size, end time) of a step from t of at most dt.
 
         A step that would pass the next sample or t_end is shortened to end
@@ -405,18 +359,20 @@ class SampleClock:
 
 
 def run(t0_field: PhysicalField, params: SolverParams,
-        forcing: ForcingSpec | None = None, sample_every: float = 0.1,
+        forcing: SpectralField | None = None, sample_every: float = 0.1,
         p_list=(1.0, 2.0, 4.0, math.inf), s_list=(), keep_states: bool = False,
         start_time: float = 0.0) -> RunResult:
     """Integrate to params.t_end, sampling diagnostics on schedule.
 
+    The one way to step the DPM system; a single step is a run with
+    t_end = start_time + dt.  forcing is the spectrum of the time-independent
+    source term, or None.  The state and the forcing are 2/3-truncated.
     Deterministic given its inputs.  The mean mode is pinned to its exact
     linear-in-time law each step.  If a coefficient becomes non-finite the
     run stops and the result is flagged, keeping the last finite state.
     """
     from .diagnostics import compute_record  # local import avoids a cycle
 
-    forcing = forcing or ForcingSpec()
     domain = t0_field.domain
     if params.alpha < 1.0 and params.nu > 0:
         warnings.warn(
@@ -430,13 +386,12 @@ def run(t0_field: PhysicalField, params: SolverParams,
         warnings.warn(
             f"initial data is marginally resolved: spectral tail {tail:.2e} "
             "of peak beyond the 2/3 cutoff", stacklevel=2)
-    if params.dealias:
-        c = np.where(domain.dealias_mask, c, 0.0)
+    c = np.where(domain.dealias_mask, c, 0.0)
 
     integ = _Integrator(domain, params, forcing)
     idx0 = (0,) * domain.dim
     mean0 = complex(c[idx0])
-    f0 = forcing.mean
+    f0 = 0.0 if forcing is None else complex(forcing.mean)
 
     if params.t_end <= start_time:
         raise ValueError("t_end must exceed the start time")
@@ -481,7 +436,7 @@ def run(t0_field: PhysicalField, params: SolverParams,
         dt = params.dt
         if params.adaptive:
             dt = min(dt, integ.cfl_dt())
-        dt, t_new = clock.step(t, dt)
+        dt, t_new = clock.clip(t, dt)
         c_new = integ.advance(c, nl, dt, out=spare)
         c_new[idx0] = mean0 + (t_new - start_time) * f0
         if not np.isfinite(np.abs(c_new).sum()):
@@ -498,7 +453,7 @@ def run(t0_field: PhysicalField, params: SolverParams,
 
     final = make_state(t, c)
     return RunResult(records=records, final_state=final, blew_up=blew_up,
-                     states=states, initial=t0_field, forcing=forcing, params=params)
+                     states=states, initial=t0_field)
 
 
 def _corrected_trapezoid(dt, f0, f1, df0, df1):

@@ -169,8 +169,12 @@ class Domain:
 
     @cached_property
     def pressure_multiplier(self):
-        """p_hat(k) = i k_N T_hat(k) / |k|^2, zero at k = 0."""
-        kN = self.wavenumbers[self.buoyancy_axis]
+        """p_hat(k) = i k_N T_hat(k) / |k|^2, zero at k = 0.
+
+        Odd in k, so, like every odd multiplier, zero on the unpaired
+        Nyquist plane of the buoyancy axis (deriv_wavenumbers).
+        """
+        kN = self.deriv_wavenumbers[self.buoyancy_axis]
         safe = np.where(self.k_squared > 0, self.k_squared, 1.0)
         m = 1j * kN / safe
         m[(0,) * self.dim] = 0.0
@@ -468,6 +472,8 @@ def random_field(domain: Domain, spectrum_decay: float = 3.0, cutoff: float = 5.
     with uniformly random phases (antisymmetrized so the field is real),
     mean zero, dealiased, then scaled to the requested L^2 norm.
     """
+    if not cutoff > 0:
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-math.pi, math.pi, size=domain.n)
     # phases drawn on the full grid and antisymmetrized under k -> -k, so the

@@ -34,11 +34,15 @@ class VelocityField:
         return self.components[0].domain
 
     def spectral_divergence(self) -> np.ndarray:
-        """sum_j i k_j v_hat_j(k); identically zero up to rounding."""
+        """sum_j i k_j v_hat_j(k), k_j read as deriv_wavenumbers (an odd multiplier).
+
+        Zero up to rounding off the unpaired Nyquist slabs (see
+        Domain.velocity_multipliers).
+        """
         d = self.domain
         out = np.zeros(d.spectral_shape, dtype=np.complex128)
         for j, comp in enumerate(self.components):
-            out += 1j * d.wavenumbers[j] * comp.coeffs
+            out += 1j * d.deriv_wavenumbers[j] * comp.coeffs
         return out
 
 

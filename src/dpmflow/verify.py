@@ -305,19 +305,17 @@ def _cases():
     @case("inviscid unforced step conserves the L2 norm")
     def _():
         params = solver.SolverParams(nu=0.0, alpha=1.0, dt=1e-3, t_end=1e-3)
-        state = solver.SimulationState(0.0, spectral.dealias(smooth2_hat))
-        before = spectral.hs_seminorm(state.t_hat, 0.0)
-        after = solver.step(state, params)
+        before = spectral.hs_seminorm(smooth2_hat, 0.0)
+        after = solver.run(smooth2, params, sample_every=1e-3, p_list=(2.0,)).final_state
         drift = abs(spectral.hs_seminorm(after.t_hat, 0.0) - before) / before
         return drift <= 1e-10, f"drift={drift:.2e}"
 
     @case("mean mode follows d(mean)/dt = mean forcing exactly")
     def _():
         f = spectral.forward_transform(phys(d2, 0.25 + 0.1 * np.sin(x2[0])))
-        forcing = solver.ForcingSpec(f)
         t0 = phys(d2, 1.0 + np.cos(x2[0]))
         params = solver.SolverParams(nu=0.3, alpha=1.5, dt=0.01, t_end=0.5)
-        result = solver.run(t0, params, forcing, sample_every=0.1, p_list=(2.0,))
+        result = solver.run(t0, params, f, sample_every=0.1, p_list=(2.0,))
         worst = max(abs(rec.mean - (1.0 + 0.25 * rec.t)) for rec in result.records)
         return worst <= 1e-13, f"err={worst:.2e}"
 

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dpmflow import (Domain, ForcingSpec, OracleParams, PhysicalField,
+from dpmflow import (Domain, OracleParams, PhysicalField,
                      Regularization, SolverParams, blowup_time,
                      check_absorbing_ball, check_dissipation_budget,
                      check_max_bound, dealias, forward_transform,
@@ -54,7 +54,7 @@ def run6():
     d = Domain((64, 64))
     x = d.grid
     f_field = PhysicalField(d, 0.1 * np.sin(x[0] + x[1]))
-    forcing = ForcingSpec(dealias(forward_transform(f_field)))
+    forcing = dealias(forward_transform(f_field))
     t0 = random_field(d, seed=123, l2_norm=5.0)
     params = SolverParams(nu=0.5, alpha=1.5, dt=0.02, t_end=200.0)
     result = run(t0, params, forcing, sample_every=0.1, p_list=(2.0,))

@@ -390,6 +390,33 @@ output.dir = {outdir}
         assert main(["blowup1d", cfg]) == 4
 
 
+@pytest.mark.parametrize("command, settings, named", [
+    ("run", {"initial.amplitude": "nan"}, "initial"),
+    ("run", {"forcing.kind": "single_mode", "forcing.amplitude": "nan"}, "forcing"),
+    ("run", {"initial.kind": "random", "initial.l2_norm": "inf"}, "initial"),
+    ("run", {"initial.kind": "random", "initial.cutoff": "0"}, "initial"),
+    ("run", {"solver.dealias": "false"}, "2/3 rule"),
+    ("run", {"diagnostics.slack": "nan"}, "slack"),
+    ("blowup1d", {"blowup.amplitude": "nan"}, "blowup"),
+    ("blowup1d", {"blowup.initial": "random", "blowup.l2_norm": "inf"}, "blowup"),
+    ("blowup1d", {"blowup.t_end": "inf"}, "t_end"),
+    ("blowup1d", {"blowup.sample_every": "inf"}, "sample_every"),
+    ("blowup1d", {"blowup.threshold": "nan"}, "threshold"),
+    ("blowup1d", {"blowup.mode": "quasilinear", "blowup.nu": "nan"}, "nu"),
+    ("blowup1d", {"blowup.oracle_rtol": "nan"}, "oracle_rtol"),
+])
+def test_bad_input_exits_4(tmp_path, capsys, command, settings, named):
+    # none of these may end in a traceback, nor in a run of something else
+    text = (DECAY_RUN if command == "run" else BLOWUP_CFG).format(
+        t_end=0.2, outdir=tmp_path / "o")
+    kept = [line for line in text.splitlines() if line.split(" =")[0] not in settings]
+    cfg = write_config(tmp_path / "c.cfg", "\n".join(
+        kept + [f"{key} = {value}" for key, value in settings.items()]) + "\n")
+    assert main([command, cfg]) == 4
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestSweep:
     def test_cartesian_sweep(self, tmp_path):
         text = DECAY_RUN.format(t_end=0.3, outdir=tmp_path / "sweep")

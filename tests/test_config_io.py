@@ -128,11 +128,11 @@ class TestBuilders:
     def test_forcing_none_and_mode(self):
         cfg = RunConfig.parse(GOOD)
         domain = build_domain(cfg)
-        assert build_forcing(cfg, domain).f_hat is None
+        assert build_forcing(cfg, domain) is None
         cfg2 = RunConfig.parse(GOOD + "forcing.kind = single_mode\n"
                                "forcing.axis = 0\nforcing.amplitude = 0.5\n")
         f = build_forcing(cfg2, domain)
-        assert f.f_hat is not None
+        assert f is not None
         assert abs(f.mean) < 1e-15
 
     def test_regularization_builder(self):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dpmflow import (Domain, ForcingSpec, PhysicalField, SolverParams,
+from dpmflow import (Domain, PhysicalField, SolverParams,
                      check_absorbing_ball, check_decay_torus,
                      check_dissipation_budget, dealias, forward_transform,
                      lp_norm, random_field, records_to_csv, run)
@@ -66,7 +66,7 @@ class TestDecayCheck:
 
     def test_refuses_forced_runs(self, d2, single_mode_run):
         x = d2.grid
-        forcing = ForcingSpec(forward_transform(phys(d2, 0.1 * np.sin(x[0]))))
+        forcing = forward_transform(phys(d2, 0.1 * np.sin(x[0])))
         with pytest.raises(ValueError, match="unforced"):
             check_decay_torus(single_mode_run.records, {2.0: 1.0}, 2.0, 0.05, 1.5,
                               forcing=forcing)
@@ -93,7 +93,7 @@ class TestAbsorbingBallCheck:
     def test_zero_initial_data_saturates_monotonically(self, d2):
         x = d2.grid
         nu, alpha, p = 0.5, 1.5, 2.0
-        forcing = ForcingSpec(dealias(forward_transform(phys(d2, 0.2 * np.sin(x[0])))))
+        forcing = dealias(forward_transform(phys(d2, 0.2 * np.sin(x[0]))))
         params = SolverParams(nu=nu, alpha=alpha, dt=5e-3, t_end=3.0)
         res = run(phys(d2, np.zeros(d2.n)), params, forcing, sample_every=0.25)
         f_field = phys(d2, 0.2 * np.sin(x[0]))
@@ -126,7 +126,7 @@ class TestDissipationBudget:
     def test_forced_steady_state_balances(self, d2):
         x = d2.grid
         nu = 0.3
-        forcing = ForcingSpec(dealias(forward_transform(phys(d2, nu * np.sin(x[0])))))
+        forcing = dealias(forward_transform(phys(d2, nu * np.sin(x[0]))))
         params = SolverParams(nu=nu, alpha=1.5, dt=5e-3, t_end=1.0)
         res = run(phys(d2, np.sin(x[0])), params, forcing, sample_every=0.2)
         # dissipation equals injection: both nu * ||sin x1||_2^2 = 2 pi^2 nu

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpmflow import (Domain, ForcingSpec, PhysicalField, SolverParams, SpectralField,
+from dpmflow import (Domain, PhysicalField, SolverParams, SpectralField,
                      compute_record, forward_transform, fractional_laplacian,
                      hs_seminorm, inverse_transform, lp_norm, partial_derivative,
                      pressure_from_temperature, refine, riesz_potential,
@@ -45,15 +45,13 @@ def assert_close(got, ref, scale=None):
     assert np.abs(got - ref).max() <= RTOL * scale + 1e-300
 
 
-def ref_nonlinear(d, c, f_hat=None, dealias=True):
-    """Reference: c2c transforms, real part, conservative form."""
+def ref_nonlinear(d, c, f_hat=None):
+    """Reference: c2c transforms, real part, conservative form, 2/3 rule."""
     full = FullLayout(d)
     axes = tuple(range(1, d.dim + 1))
     stack = np.stack([c] + [m * c for m in full.velocity_multipliers])
     phys = np.fft.ifftn(stack, axes=axes, norm="forward").real
-    prod = np.fft.fftn(phys[1:] * phys[0], axes=axes, norm="forward")
-    if dealias:
-        prod *= full.dealias_mask
+    prod = np.fft.fftn(phys[1:] * phys[0], axes=axes, norm="forward") * full.dealias_mask
     out = -sum(1j * full.deriv_wavenumbers[j] * prod[j] for j in range(d.dim))
     return out if f_hat is None else out + f_hat
 
@@ -73,9 +71,9 @@ def ref_advance(d, c, f_hat, nu, alpha, dt):
     return e_full * c + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + cc) + dd)
 
 
-def integrator(d, f_hat, nu, alpha, dealias=True):
-    params = SolverParams(nu=nu, alpha=alpha, dt=0.01, t_end=1.0, dealias=dealias)
-    return _Integrator(d, params, ForcingSpec(SpectralField(d, half(f_hat))))
+def integrator(d, f_hat, nu, alpha):
+    params = SolverParams(nu=nu, alpha=alpha, dt=0.01, t_end=1.0)
+    return _Integrator(d, params, SpectralField(d, half(f_hat)))
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -168,18 +166,16 @@ def test_velocity_multipliers_are_the_even_part_of_the_full_set(d):
         assert np.array_equal(m, half(0.5 * (full + _reflect(full, range(d.dim)))))
 
 
-@given(d=grids(), seed=seeds, alpha=alphas, dealias=st.booleans())
-def test_nonlinear_term_matches_fftn(d, seed, alpha, dealias):
-    # without dealiasing every mode carries energy, Nyquist planes included
-    mask = FullLayout(d).dealias_mask if dealias else np.ones(d.n, dtype=bool)
-    c = hermitian(d, seed, mask)
-    f_hat = hermitian(d, seed + 1, mask)
-    integ = integrator(d, f_hat, 0.1, alpha, dealias)
+@given(d=grids(), seed=seeds, alpha=alphas)
+def test_nonlinear_term_matches_fftn(d, seed, alpha):
+    c = hermitian(d, seed)
+    f_hat = hermitian(d, seed + 1)
+    integ = integrator(d, f_hat, 0.1, alpha)
     got = integ.nonlinear(half(c))
-    assert_close(got, half(ref_nonlinear(d, c, f_hat, dealias)))
+    assert_close(got, half(ref_nonlinear(d, c, f_hat)))
     # later calls on the same integrator leave the result alone
     kept = got.copy()
-    other = half(hermitian(d, seed + 2, mask))
+    other = half(hermitian(d, seed + 2))
     integ.advance(other, integ.nonlinear(other), 0.01)
     assert np.array_equal(got, kept)
     # written over its own input, the same numbers
@@ -227,15 +223,17 @@ def test_run_keeps_each_state_as_sampled(d, seed, alpha, adaptive):
 
 @given(d=grids(), seed=seeds, alpha=alphas, nu=nus)
 def test_weighted_budget_functionals_match_full_sums(d, seed, alpha, nu):
-    # every mode carries energy, so both singly counted planes are exercised
+    # every mode of c and rhs carries energy, so both singly counted planes
+    # are exercised; the integrator keeps the forcing 2/3-truncated
     full = np.ones(d.n, dtype=bool)
-    c, rhs, f_hat = (hermitian(d, seed + i, full) for i in range(3))
+    c, rhs = (hermitian(d, seed + i, full) for i in range(2))
+    f_hat = hermitian(d, seed + 2)
     k_alpha = ref_k_alpha(d, alpha)
     terms = (nu * k_alpha * np.abs(c) ** 2,
              f_hat * np.conj(c),
              2.0 * nu * k_alpha * np.conj(c) * rhs,
              f_hat * np.conj(rhs))
-    got = integrator(d, f_hat, nu, alpha, dealias=False).budget(half(c), half(rhs))
+    got = integrator(d, f_hat, nu, alpha).budget(half(c), half(rhs))
     for value, term in zip(got, terms):
         ref = d.volume * float(np.sum(term).real)
         assert abs(value - ref) <= RTOL * d.volume * float(np.abs(term).sum()) + 1e-300

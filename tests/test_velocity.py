@@ -108,6 +108,14 @@ class TestPressure:
         p = pressure_from_temperature(forward_transform(phys(d2, np.full(d2.n, 3.0))))
         assert np.abs(p.coeffs).max() < 1e-14
 
+    def test_pressure_of_raw_data_is_a_real_field(self, d2):
+        # every mode carries energy, the Nyquist plane of the buoyancy axis
+        # included, where an odd multiplier must vanish
+        c = forward_transform(phys(d2, np.random.default_rng(2).standard_normal(d2.n)))
+        p = pressure_from_temperature(c).coeffs
+        back = forward_transform(inverse_transform(pressure_from_temperature(c))).coeffs
+        assert np.abs(back - p).max() <= 1e-13 * np.abs(p).max()
+
     def test_velocity_reconstruction(self, d2):
         u = random_field(d2, seed=6)
         c = forward_transform(u)
