@@ -113,7 +113,7 @@ class StreamResult:
 def _check_mean_zero(w: PhysicalField):
     m = abs(float(w.values.mean()))
     if m > 1e-10 * max(1.0, float(np.abs(w.values).max())):
-        raise ValueError(f"stream slope must be mean zero, got mean {m:.3e}")
+        raise ValueError(f"data must be mean zero, got mean {m:.3e}")
 
 
 def antiderivative(w: PhysicalField) -> PhysicalField:
@@ -435,23 +435,26 @@ def integrate_amplitude_ode(r0: float, nu: float, dt: float, t_max: float,
     return np.asarray(times), np.asarray(betas), t_div
 
 
-def check_max_bound(records, m0: float, slack: float = 1e-6):
-    """Maximum-control bound M(t) + g(t) <= M(0) / (1 - M(0) t) for t < 1/M(0).
+def check_max_bound(records, slack: float = 1e-6):
+    """Maximum-control bound Q(t) <= Q(t0) / (1 - Q(t0) (t - t0)), Q = max w + g.
 
-    Proved for the quasilinear-regularized dynamics; offered for the
-    unregularized trajectories as well (label the run accordingly).  Records
-    at or beyond the vanishing denominator are skipped.
+    t0 and Q(t0) come from the first record, so a restart is checked from
+    where it starts.  Proved for the quasilinear-regularized dynamics;
+    offered for the unregularized trajectories as well (label the run
+    accordingly).  Records at t - t0 >= 1/Q(t0) are skipped.
     """
-    if m0 <= 0:
-        raise ValueError("the bound applies to positive initial maxima")
-    horizon = 1.0 / m0
+    first = records[0]
+    q0 = first.max_w + first.g
+    if q0 <= 0:
+        raise ValueError("the bound applies to a positive initial max w + g")
+    horizon = 1.0 / q0
     results = []
     for rec in records:
-        if rec.t >= horizon:
+        if rec.t - first.t >= horizon:
             continue
-        bound = m0 / (1.0 - m0 * rec.t)
+        bound = q0 / (1.0 - q0 * (rec.t - first.t))
         value = rec.max_w + rec.g
-        ok = value <= bound * (1.0 + slack) + 1e-14 * m0
+        ok = value <= bound * (1.0 + slack) + 1e-14 * q0
         res = CheckResult("max_bound", bound, value, ok)
         rec.checks.append(res)
         results.append(res)

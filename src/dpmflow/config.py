@@ -132,9 +132,6 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"{key}: not an integer list: {val!r}") from None
 
-    def subkeys(self, prefix):
-        return [k for k in self.values if k.startswith(prefix)]
-
 
 # builders ----------------------------------------------------------------
 

@@ -41,10 +41,10 @@ class DiagnosticsRecord:
     dissipation: float
     mean: float
     vmax: float
+    volume: float  # of the box, for norm comparisons across p
     diss_integral: float = 0.0
     inj_integral: float = 0.0
     checks: list = field(default_factory=list)
-    volume: float | None = None  # of the box, for norm comparisons across p
 
 
 def compute_record(state, nu, alpha, vmax, p_list=(1.0, 2.0, 4.0, math.inf), s_list=(),
@@ -64,9 +64,8 @@ def compute_record(state, nu, alpha, vmax, p_list=(1.0, 2.0, 4.0, math.inf), s_l
         lp[p] = sup_norm(t_hat.coeffs, d, u.values) if p == math.inf else lp_norm(u, p)
     return DiagnosticsRecord(t=state.t, lp=lp, hs=hs, dissipation=dissipation,
                              mean=float(t_hat.mean.real),
-                             vmax=vmax,
-                             diss_integral=diss_integral, inj_integral=inj_integral,
-                             volume=d.volume)
+                             vmax=vmax, volume=d.volume,
+                             diss_integral=diss_integral, inj_integral=inj_integral)
 
 
 def _norm_from_record(rec, p):
@@ -76,17 +75,17 @@ def _norm_from_record(rec, p):
         raise KeyError(f"record at t={rec.t} does not carry the L^{p} norm") from None
 
 
-def check_decay_torus(records, initial_norms, p, nu, alpha, lambda1=1.0,
-                      q=None, slack=1e-6, forcing=None, volume=None):
+def check_decay_torus(records, p, nu, alpha, q=None, slack=1e-6, forcing=None):
     """Exponential decay of unforced mean-zero solutions on the torus.
 
-    Verifies ||T(t)||_q <= ||T0||_p * exp(-2 nu lambda1^alpha t / p) per
-    record, with q = p by default.  For q < p the comparison needs the
-    measure normalization relating L^q and L^p on a box of volume (2 pi)^N;
-    the bound is multiplied by volume^(1/q - 1/p), which makes q = p the
-    binding case.  The volume is the caller's, else the one the records
-    carry.  Forced runs (a forcing spectrum that is not zero) are refused:
-    the bound does not apply.
+    Verifies ||T(t)||_q <= ||T(t0)||_p * exp(-2 nu (t - t0) / p) per record,
+    with q = p by default and t0 and ||T(t0)||_p from the first record.  For
+    q < p the comparison needs the measure normalization relating L^q and
+    L^p on the box the records carry: the bound is multiplied by
+    volume^(1/q - 1/p), which makes q = p the binding case.  Forced runs (a
+    forcing spectrum that is not zero) and data whose mean is not zero are
+    refused: the bound does not apply.  The rate is 2 nu lambda1^alpha / p,
+    and lambda1 = 1 on the 2 pi box.
     """
     if forcing is not None and np.abs(forcing.coeffs).max() > 0:
         raise ValueError("decay check applies to unforced runs only")
@@ -94,18 +93,16 @@ def check_decay_torus(records, initial_norms, p, nu, alpha, lambda1=1.0,
     q = p if q is None else float(q)
     if not 1.0 <= q <= p:
         raise ValueError(f"q must lie in [1, p], got q={q}, p={p}")
-    n0 = initial_norms[p] if isinstance(initial_norms, dict) else float(initial_norms)
-    rate = 2.0 * nu * lambda1 ** alpha / p
-    volfac = 1.0
-    if q < p and records:
-        volume = records[0].volume if volume is None else volume
-        if volume is None:
-            raise ValueError("q < p needs the box volume; pass volume=")
-        volfac = volume ** (1.0 / q - 1.0 / p)
-    t_ref = records[0].t if records else 0.0
+    first = records[0]
+    n0 = _norm_from_record(first, p)
+    # the mean part's L^p norm against the data's; at p = inf, _check_mean_zero's test
+    if abs(first.mean) * first.volume ** (1.0 / p) > 1e-10 * max(1.0, n0):
+        raise ValueError(f"decay check applies to mean-zero data, got mean {first.mean:.3e}")
+    rate = 2.0 * nu / p
+    volfac = first.volume ** (1.0 / q - 1.0 / p)
     results = []
     for rec in records:
-        bound = volfac * n0 * math.exp(-rate * (rec.t - t_ref))
+        bound = volfac * n0 * math.exp(-rate * (rec.t - first.t))
         value = _norm_from_record(rec, q)
         ok = value <= bound * (1.0 + slack) + 1e-14 * n0
         res = CheckResult("decay", bound, value, ok)
@@ -114,26 +111,28 @@ def check_decay_torus(records, initial_norms, p, nu, alpha, lambda1=1.0,
     return results
 
 
-def check_absorbing_ball(records, t0_field, f_field, p, nu, alpha,
-                         lambda1=1.0, slack=1e-6):
+def check_absorbing_ball(records, forcing, p, nu, alpha, slack=1e-6):
     """Forced absorbing-ball estimate in L^p.
 
     Verifies, per record,
-      ||T(t)||_p <= (||T0||_p - R) exp(-nu lambda1^alpha t / p) + R,
-    with ball radius R = p ||f||_p / (nu lambda1^alpha).  With f = 0 this
-    degenerates to the unforced decay bound at q = p.
+      ||T(t)||_p <= (||T(t0)||_p - R) exp(-nu (t - t0) / p) + R,
+    with t0 and ||T(t0)||_p from the first record and ball radius
+    R = p ||f||_p / nu, f the forcing spectrum (None for no forcing).  With
+    f = 0 this degenerates to the unforced decay bound at q = p.  As in
+    check_decay_torus, lambda1^alpha = 1 on the 2 pi box.
     """
     if nu <= 0:
         raise ValueError("absorbing ball requires nu > 0")
     p = float(p)
-    n0 = lp_norm(t0_field, p)
-    fnorm = 0.0 if f_field is None else lp_norm(f_field, p)
-    radius = p * fnorm / (nu * lambda1 ** alpha)
-    rate = nu * lambda1 ** alpha / p
-    t_ref = records[0].t if records else 0.0
+    if p == math.inf:
+        raise ValueError("absorbing ball needs a finite p: the radius p ||f||_p / nu is infinite")
+    first = records[0]
+    n0 = _norm_from_record(first, p)
+    radius = 0.0 if forcing is None else p * lp_norm(inverse_transform(forcing), p) / nu
+    rate = nu / p
     results = []
     for rec in records:
-        bound = (n0 - radius) * math.exp(-rate * (rec.t - t_ref)) + radius
+        bound = (n0 - radius) * math.exp(-rate * (rec.t - first.t)) + radius
         value = _norm_from_record(rec, p)
         ok = value <= bound * (1.0 + slack) + 1e-14 * max(n0, radius)
         res = CheckResult("absorbing_ball", bound, value, ok)

@@ -72,7 +72,6 @@ class RunResult:
     final_state: SimulationState
     blew_up: bool = False
     states: list | None = None
-    initial: PhysicalField | None = None
 
 
 class _Work(NamedTuple):
@@ -453,7 +452,7 @@ def run(t0_field: PhysicalField, params: SolverParams,
 
     final = make_state(t, c)
     return RunResult(records=records, final_state=final, blew_up=blew_up,
-                     states=states, initial=t0_field)
+                     states=states)
 
 
 def _corrected_trapezoid(dt, f0, f1, df0, df1):

@@ -64,10 +64,6 @@ class Domain:
         return len(self.n)
 
     @property
-    def lambda1(self):
-        return 1.0
-
-    @property
     def num_points(self):
         return int(np.prod(self.n))
 
@@ -474,6 +470,8 @@ def random_field(domain: Domain, spectrum_decay: float = 3.0, cutoff: float = 5.
     """
     if not cutoff > 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
+    if not 0 < l2_norm < math.inf:
+        raise ValueError(f"l2_norm must be positive and finite, got {l2_norm}")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-math.pi, math.pi, size=domain.n)
     # phases drawn on the full grid and antisymmetrized under k -> -k, so the

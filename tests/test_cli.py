@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from dpmflow import cli, read_snapshot
+from dpmflow import Domain, PhysicalField, cli, read_snapshot, write_snapshot
 from dpmflow.cli import main
 
 DECAY_RUN = """\
@@ -240,6 +240,45 @@ output.dir = {outdir}
                            .replace("decay_p = inf", "decay_p = 4"))
         assert main(["run", cfg]) == 4  # not among the sampled norms
 
+    def test_lp_decay_starts_from_the_truncated_data(self, tmp_path):
+        # the run starts from the 2/3-truncated square wave, whose L^4 norm
+        # (2.5277) exceeds the raw data's (2.5066); a bound started from the
+        # raw data fails at t = 0
+        d = Domain((32, 32))
+        wave = np.where(d.grid[0] < math.pi, 1.0, -1.0) + np.zeros(d.n)
+        write_snapshot(tmp_path / "square.dpmf", 0.0, PhysicalField(d, wave))
+        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
+        text = text.replace("initial.kind = single_mode",
+                            f"initial.kind = file\ninitial.path = {tmp_path / 'square.dpmf'}")
+        cfg = write_config(tmp_path / "sq.cfg", text + "diagnostics.decay_p = 4\n")
+        with pytest.warns(UserWarning, match="marginally resolved"):
+            assert main(["run", cfg]) == 0
+        rows = csv_rows(tmp_path / "o" / "diagnostics.csv")
+        assert rows[0]["decay_bound"] == rows[0]["decay_value"] == rows[0]["l4"]
+
+    def test_decay_on_data_whose_mean_is_not_zero_exits_4(self, tmp_path, capsys):
+        # the decay bound holds for mean-zero data only: 0.5 + 0.1 sin x1
+        # decays to its mean and fails it
+        d = Domain((16, 16))
+        write_snapshot(tmp_path / "offset.dpmf", 0.0,
+                       PhysicalField(d, 0.5 + 0.1 * np.sin(d.grid[0]) + np.zeros(d.n)))
+        text = f"""\
+domain.dim = 2
+domain.n = 16, 16
+solver.nu = 1
+solver.alpha = 2
+solver.dt = 0.01
+solver.t_end = 3
+initial.kind = file
+initial.path = {tmp_path / 'offset.dpmf'}
+diagnostics.sample_every = 0.1
+diagnostics.checks = decay
+output.dir = {tmp_path / 'o'}
+"""
+        assert main(["run", write_config(tmp_path / "m.cfg", text)]) == 4
+        assert "mean" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_linf_refine_is_ignored_with_a_warning(self, tmp_path):
         text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "plain")
         assert main(["run", write_config(tmp_path / "plain.cfg", text)]) == 0
@@ -364,6 +403,43 @@ output.dir = {outdir}
         header = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[0]
         assert "max_bound_pass" in header
 
+    def test_restart_max_bound_starts_from_the_restart(self, tmp_path):
+        # Q(t0) = max w + g of the restart's first record, over t - t0: the
+        # restart's M alone, from t = 0, failed at the first record
+        text = """\
+blowup.n = 128
+blowup.dt = 0.001
+blowup.amplitude = 5.0
+blowup.mode = quasilinear
+blowup.nu = 2.0
+blowup.sample_every = 0.02
+"""
+        first = write_config(tmp_path / "a.cfg", text + "blowup.t_end = 0.1\n"
+                             f"output.dir = {tmp_path / 'a'}\noutput.checkpoint = ck.dpmf\n")
+        assert main(["blowup1d", first]) == 0
+        restart = write_config(tmp_path / "b.cfg", text + "blowup.t_end = 0.3\n"
+                               "blowup.initial = file\n"
+                               f"blowup.path = {tmp_path / 'a' / 'ck.dpmf'}\n"
+                               "blowup.max_bound_check = true\n"
+                               f"output.dir = {tmp_path / 'b'}\n")
+        assert main(["blowup1d", restart]) == 0
+        rows = csv_rows(tmp_path / "b" / "trajectory.csv")
+        assert float(rows[0]["t"]) == pytest.approx(0.1)
+        assert rows[0]["max_bound_bound"] == rows[0]["max_bound_value"]
+        assert all(r["max_bound_pass"] == "1" for r in rows)
+
+    def test_restart_with_non_positive_max_bound_start_exits_4(self, tmp_path, capsys):
+        # max w + g = 1 - 2 at the restart: the bound needs a positive start
+        d = Domain((64,))
+        write_snapshot(tmp_path / "neg.dpmf", 0.0, PhysicalField(d, np.cos(d.grid[0])), g=-2.0)
+        text = BLOWUP_CFG.format(t_end=0.1, outdir=tmp_path / "o")
+        cfg = write_config(tmp_path / "n.cfg", text.replace("blowup.n = 128", "blowup.n = 64")
+                           + f"blowup.initial = file\nblowup.path = {tmp_path / 'neg.dpmf'}\n"
+                           "blowup.max_bound_check = true\n")
+        assert main(["blowup1d", cfg]) == 4
+        assert "max_bound_check" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unattainable_oracle_tolerance_exits_2(self, tmp_path):
         text = BLOWUP_CFG.format(t_end=0.4, outdir=tmp_path / "o")
         text = text.replace("blowup.oracle_rtol = 1e-4",
@@ -404,6 +480,10 @@ output.dir = {outdir}
     ("blowup1d", {"blowup.threshold": "nan"}, "threshold"),
     ("blowup1d", {"blowup.mode": "quasilinear", "blowup.nu": "nan"}, "nu"),
     ("blowup1d", {"blowup.oracle_rtol": "nan"}, "oracle_rtol"),
+    ("run", {"initial.kind": "random", "initial.l2_norm": "-2"}, "initial"),
+    ("run", {"forcing.kind": "single_mode", "diagnostics.checks": "absorbing_ball",
+             "diagnostics.ball_p": "inf"}, "ball_p"),
+    ("blowup1d", {"blowup.initial": "random", "blowup.l2_norm": "0"}, "blowup"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named):
     # none of these may end in a traceback, nor in a run of something else

@@ -38,7 +38,6 @@ class TestDomain:
     def test_defaults(self, d2):
         assert d2.dim == 2
         assert d2.buoyancy_axis == 1  # last axis by convention
-        assert d2.lambda1 == 1.0
         assert d2.volume == pytest.approx((2 * math.pi) ** 2)
 
     @pytest.mark.parametrize("n", [(7, 8), (8, 9), (6, 8), (4,)])
