@@ -251,6 +251,23 @@ class _StreamOps(IFRK4):
         x_new[0] = 0.0  # mean-zero data stays mean zero
         return x_new
 
+    def start(self, w0, g):
+        """The packed state a run from (w0, g) starts at: w0's half spectrum,
+        2/3-truncated and mean-free, then g."""
+        wh = np.fft.rfft(w0.values, norm="forward")
+        wh[self.kcut:] = 0.0
+        wh[0] = 0.0
+        return np.append(wh, g)
+
+    def record(self, t, x):
+        """The StreamRecord of the packed state x at time t."""
+        wh = x[:-1]
+        w = np.fft.irfft(wh, n=self.n, norm="forward")
+        return StreamRecord(
+            t=t, l2=math.sqrt(TWO_PI * self.power(wh)),
+            linf=float(np.abs(w).max()), max_w=float(w.max()), g=float(x[-1].real),
+            h2=hs_seminorm(SpectralField(self.domain, wh), 2.0))
+
 
 def stream_rhs(state: StreamSlopeState, reg: Regularization):
     """Full tendency of the stream-slope system, regularization included.
@@ -294,10 +311,7 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
         raise ValueError(f"sample_every must be positive, got {sample_every}")
     d = w0.domain
     ops = _StreamOps(d, reg)
-    wh = np.fft.rfft(w0.values, norm="forward")
-    wh[ops.kcut:] = 0.0
-    wh[0] = 0.0
-    x = np.append(wh, start_g)  # the packed state
+    x = ops.start(w0, start_g)
     t = start_time
     m0_inf = float(np.abs(w0.values).max())
     quasilinear = reg.mode == "quasilinear"
@@ -307,12 +321,7 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
     history_m = []
 
     def sample(t, x):
-        wh = x[:-1]
-        w = np.fft.irfft(wh, n=ops.n, norm="forward")
-        records.append(StreamRecord(
-            t=t, l2=math.sqrt(TWO_PI * ops.power(wh)),
-            linf=float(np.abs(w).max()), max_w=float(w.max()), g=float(x[-1].real),
-            h2=hs_seminorm(SpectralField(d, wh), 2.0)))
+        records.append(ops.record(t, x))
 
     sample(t, x)
     minf = m0_inf
@@ -354,6 +363,16 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
                              float(x[-1].real))
     return StreamResult(records=records, final_state=final, blew_up=blew_up,
                         t_star_estimate=t_star)
+
+
+def start_record(w0: PhysicalField, start_time: float = 0.0,
+                 start_g: float = 0.0) -> StreamRecord:
+    """The first record of a run_stream_slope run from (w0, start_g) at start_time.
+
+    The state it records is the run's start: w0 2/3-truncated and mean-free.
+    """
+    ops = _StreamOps(w0.domain, Regularization())
+    return ops.record(start_time, ops.start(w0, start_g))
 
 
 def estimate_blowup_time(times, maxima, threshold) -> float:

@@ -114,12 +114,11 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
 
     all_ok = True
     if "decay" in checks:
-        res = check_decay_torus(result.records, decay_p, params.nu, params.alpha,
-                                slack=slack, forcing=forcing)
+        res = check_decay_torus(result.records, decay_p, params.nu, slack=slack,
+                                forcing=forcing)
         all_ok &= all(r.passed for r in res)
     if "absorbing_ball" in checks:
-        res = check_absorbing_ball(result.records, forcing, ball_p, params.nu,
-                                   params.alpha, slack=slack)
+        res = check_absorbing_ball(result.records, forcing, ball_p, params.nu, slack=slack)
         all_ok &= all(r.passed for r in res)
     if "dissipation_budget" in checks:
         res = check_dissipation_budget(result.records, slack=slack)
@@ -191,6 +190,12 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     bound_check = cfg.get_bool("blowup.max_bound_check", default=False)
     slack = _tolerance(cfg, "blowup.slack", 1e-6)
 
+    if bound_check:
+        # Q(t0) is that of the run's first record: refuse a bad one before stepping
+        try:
+            blowup1d.check_max_bound([blowup1d.start_record(w0, start_time, start_g)])
+        except ValueError as exc:  # a restart whose g outweighs max w
+            raise ConfigError(f"blowup.max_bound_check: {exc}") from exc
     result = blowup1d.run_stream_slope(w0, reg, dt, t_end,
                                        sample_every=sample_every,
                                        threshold=threshold, adaptive=adaptive,
@@ -245,10 +250,7 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
             all_ok = False  # blew up although the closed form says it should not
 
     if bound_check:
-        try:
-            res = blowup1d.check_max_bound(result.records, slack=slack)
-        except ValueError as exc:  # a restart whose g outweighs max w
-            raise ConfigError(f"blowup.max_bound_check: {exc}") from exc
+        res = blowup1d.check_max_bound(result.records, slack=slack)
         all_ok &= all(r.passed for r in res)
 
     outdir = _outdir(cfg)

@@ -75,7 +75,7 @@ def _norm_from_record(rec, p):
         raise KeyError(f"record at t={rec.t} does not carry the L^{p} norm") from None
 
 
-def check_decay_torus(records, p, nu, alpha, q=None, slack=1e-6, forcing=None):
+def check_decay_torus(records, p, nu, q=None, slack=1e-6, forcing=None):
     """Exponential decay of unforced mean-zero solutions on the torus.
 
     Verifies ||T(t)||_q <= ||T(t0)||_p * exp(-2 nu (t - t0) / p) per record,
@@ -85,7 +85,7 @@ def check_decay_torus(records, p, nu, alpha, q=None, slack=1e-6, forcing=None):
     volume^(1/q - 1/p), which makes q = p the binding case.  Forced runs (a
     forcing spectrum that is not zero) and data whose mean is not zero are
     refused: the bound does not apply.  The rate is 2 nu lambda1^alpha / p,
-    and lambda1 = 1 on the 2 pi box.
+    and lambda1 = 1 on the 2 pi box, so no bound here depends on alpha.
     """
     if forcing is not None and np.abs(forcing.coeffs).max() > 0:
         raise ValueError("decay check applies to unforced runs only")
@@ -111,7 +111,7 @@ def check_decay_torus(records, p, nu, alpha, q=None, slack=1e-6, forcing=None):
     return results
 
 
-def check_absorbing_ball(records, forcing, p, nu, alpha, slack=1e-6):
+def check_absorbing_ball(records, forcing, p, nu, slack=1e-6):
     """Forced absorbing-ball estimate in L^p.
 
     Verifies, per record,

@@ -18,6 +18,7 @@ by the sampling cadence.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -75,12 +76,58 @@ class RunResult:
 
 
 class _Work(NamedTuple):
-    """Work arrays of one _Integrator."""
+    """Work arrays of one _Integrator, and the views its transforms run on."""
 
     spec: np.ndarray     # complex (dim+1)-stack on the half spectrum: T, v, then (v T)^
     phys: np.ndarray     # its real image on the grid
-    scratch: np.ndarray  # spec rows 0 and 1 seen as two contiguous real grids
-    stages: np.ndarray   # two half-spectrum arrays for the RK4 stages
+    scratch: np.ndarray  # up to two real grids in spec rows 1..dim, for |v|^2
+    stages: np.ndarray   # two box arrays for the RK4 stages
+    views: list          # per block of the box (_box_blocks), its view in spec
+    zero: list           # the views of spec that must be zero for the inverse passes
+    inverse: list        # per leading axis, in irfftn's order: (axis, lines)
+    forward: list        # per leading axis, in rfftn's order: (axis, lines)
+
+
+def box_shape(domain: Domain) -> tuple:
+    """Shape of the 2/3 box: 2 (n//3) + 1 along a leading axis, n//3 + 1 along the last."""
+    return tuple(2 * (m // 3) + 1 for m in domain.n[:-1]) + (domain.n[-1] // 3 + 1,)
+
+
+def _box_runs(domain: Domain) -> list:
+    """Per axis, the (half-spectrum, box) index pair of each run of the 2/3 box.
+
+    The modes with |k| <= n/3 are k = 0..m, m = n//3, and along a leading
+    axis also k = -m..-1, at indices n-m..n-1 of the half spectrum; the box
+    packs them in that (fftfreq) order.
+    """
+    runs = [[(slice(0, m // 3 + 1),) * 2, (slice(m - m // 3, m), slice(m // 3 + 1, None))]
+            for m in domain.n[:-1]]
+    return runs + [[(slice(0, domain.n[-1] // 3 + 1),) * 2]]
+
+
+def _box_blocks(domain: Domain) -> list:
+    """(half-spectrum index, box index) of each of the 2^(dim-1) blocks of the 2/3 box.
+
+    Both indices start with an Ellipsis, so they index stacks as well.
+    """
+    return [tuple((Ellipsis,) + index for index in zip(*pairs))
+            for pairs in itertools.product(*_box_runs(domain))]
+
+
+def gather(c: np.ndarray, domain: Domain) -> np.ndarray:
+    """The 2/3 box of half spectrum c, as a new array of box_shape."""
+    box = np.empty(box_shape(domain), dtype=c.dtype)
+    for half, inner in _box_blocks(domain):
+        box[inner] = c[half]
+    return box
+
+
+def scatter(box: np.ndarray, domain: Domain) -> np.ndarray:
+    """A new half spectrum that holds box on the 2/3 box and zero elsewhere."""
+    c = np.zeros(domain.spectral_shape, dtype=np.complex128)
+    for half, inner in _box_blocks(domain):
+        c[half] = box[inner]
+    return c
 
 
 class IFRK4:
@@ -154,44 +201,64 @@ class IFRK4:
 
 
 class _Integrator(IFRK4):
-    """The DPM instance of IFRK4 for one (domain, params, forcing).
+    """The DPM instance of IFRK4 for one (domain, params, forcing), on the 2/3 box.
 
     forcing is the spectrum of the time-independent source term, or None
-    for the unforced system; its modes beyond the 2/3 cutoff are dropped.
+    for the unforced system.  run applies the 2/3 rule to the data, the
+    forcing and every product, so the only modes that are ever nonzero form
+    the box of box_shape: every array stepped here is a box array (gather
+    and scatter move a half spectrum to it and back), and the box is the
+    2/3 rule.  The symbol, the multipliers, the Parseval weights and the
+    forcing are box arrays too, built from the box's own wavenumbers with
+    the values Domain gives them: the box leaves out every Nyquist mode.
 
-    Coefficient arrays here are half spectra, like SpectralField.coeffs, and
-    every sum over modes carries Domain.parseval_weights.
+    nonlinear zero-pads the box into its transform stack, and each pass
+    along a leading axis transforms only the lines that can be nonzero: a
+    pruned FFT (Frigo & Johnson, "The Design and Implementation of FFTW3",
+    Proc. IEEE 93, 2005).  Each line it transforms holds what it holds in
+    the full transforms, so the results are theirs bit for bit.
 
     The integrator owns its work arrays, allocated on first use, so that the
-    steps of run allocate nothing of grid size: at 256^2 each array is about
-    half a megabyte, and allocating a dozen of them per nonlinear evaluation
-    made the allocator map and trim memory, paging it back in every time.  An
-    array handed to a caller is never one of them: nonlinear and advance
-    write into `out` when given one and into a new array otherwise.  Every
-    operation is the same ufunc on the same operands in the same order as
-    the plain expressions it replaces, so results are bit for bit the same;
-    the minus sign of the divergence, folded into its multipliers, and the
-    2/3 rule, applied to the sum as zeroed slices, are exact.
+    steps of run allocate nothing of grid size: at 256^2 each half-spectrum
+    array is about half a megabyte, and allocating a dozen of them per
+    nonlinear evaluation made the allocator map and trim memory, paging it
+    back in every time.  An array handed to a caller is never one of them:
+    nonlinear and advance write into `out` when given one and into a new
+    array otherwise.  Every operation is the same ufunc on the same operands
+    in the same order as the plain expressions it replaces, so results are
+    bit for bit the same; the minus sign of the divergence is folded into
+    its multipliers, which is exact.
     """
 
     def __init__(self, domain: Domain, params: SolverParams, forcing: SpectralField | None):
         self.domain = domain
         self.params = params
-        self.axes = tuple(range(1, domain.dim + 1))
-        self.k_alpha = np.where(domain.k_squared > 0,
-                                np.maximum(domain.k_abs, 1.0) ** params.alpha, 0.0)
+        self.box_shape = box_shape(domain)
+        # the box's wavenumbers, valued as Domain.wavenumbers
+        k = np.meshgrid(*(np.concatenate([np.fft.fftfreq(m, d=1.0 / m)[half] for half, _ in runs])
+                          for m, runs in zip(domain.n, _box_runs(domain))),
+                        indexing="ij", sparse=True)
+        k_squared = sum(kj ** 2 for kj in k)
+        self.k_alpha = np.where(k_squared > 0, np.maximum(np.sqrt(k_squared), 1.0) ** params.alpha,
+                                0.0)
         super().__init__(-params.nu * self.k_alpha)
-        self.weights = domain.parseval_weights
-        self.neg_deriv = [-1j * k for k in domain.deriv_wavenumbers]
-        # the modes the 2/3 rule cuts form one run of indices along each
-        # axis: zeroing those slices is cheaper than a boolean multiply, and
-        # full-size masked multipliers would cost their memory
-        self.cut = []
-        for j, k in enumerate(domain.wavenumbers):
-            run = np.flatnonzero(np.abs(k.ravel()) > domain.n[j] / 3.0)
-            self.cut.append((slice(None),) * j + (slice(run[0], run[-1] + 1),))
-        self.f_hat = (None if forcing is None
-                      else np.where(domain.dealias_mask, forcing.coeffs, 0.0))
+        # Domain.parseval_weights on the box, which leaves out the k_last = n/2 plane
+        self.weights = np.full(self.box_shape[-1], 2.0)
+        self.weights[0] = 1.0
+        # Domain.velocity_multipliers off the Nyquist planes, and the
+        # divergence multipliers -i k_j, dense so that blocks slice them
+        ax = domain.buoyancy_axis
+        safe = np.where(k_squared > 0, k_squared, 1.0)
+        vel, neg_deriv = [], []
+        for j, kj in enumerate(k):
+            m = kj * k[ax] / safe - 1.0 if j == ax else kj * k[ax] / safe
+            m[(0,) * domain.dim] = -1.0 if j == ax else 0.0
+            vel.append(m)
+            neg_deriv.append(np.broadcast_to(-1j * kj, self.box_shape).copy())
+        # per block of the box: its index, and the multipliers on it
+        self.blocks = [(inner, [m[inner] for m in vel], [m[inner] for m in neg_deriv])
+                       for _, inner in _box_blocks(domain)]
+        self.f_hat = None if forcing is None else gather(forcing.coeffs, domain)
         self._work = None
         self.last_vmax = 0.0
 
@@ -199,37 +266,65 @@ class _Integrator(IFRK4):
         """The work arrays (a _Work), allocated on the first call."""
         if self._work is None:
             d = self.domain
-            shape = d.spectral_shape
-            spec = np.empty((d.dim + 1,) + shape, dtype=np.complex128)
-            scratch = spec[:2].reshape(2, -1).view(np.float64)[:, :d.num_points]
-            self._work = _Work(spec, np.empty((d.dim + 1,) + d.n),
-                               scratch.reshape((2,) + d.n),
-                               np.empty((2,) + shape, dtype=np.complex128))
+            width = self.box_shape[-1]
+            # row 0 beyond the box's last-axis modes is zero for good
+            spec = np.zeros((d.dim + 1,) + d.spectral_shape, dtype=np.complex128)
+            scratch = spec[1:].reshape(-1).view(np.float64)[:min(d.dim, 2) * d.num_points]
+            # the pass along leading axis j reaches the lines whose later
+            # leading axes lie on box runs, and whose last one is on the box
+            runs = [[half for half, _ in rs] for rs in _box_runs(d)]
+            zero, inverse, forward = [spec[1:, ..., width:]], [], []
+            for j, m in enumerate(d.n[:-1]):
+                later = [rest + (runs[-1][0],) for rest in itertools.product(*runs[j + 1:-1])]
+                gap = (slice(None),) * (j + 1) + (slice(m // 3 + 1, m - m // 3),)
+                zero += [spec[gap + rest] for rest in later]
+                lines = [spec[(slice(None),) * (j + 2) + rest] for rest in later]
+                inverse.append((j + 1, lines))
+                forward.insert(0, (j + 1, [line[1:] for line in lines]))
+            self._work = _Work(spec, np.empty((d.dim + 1,) + d.n), scratch.reshape((-1,) + d.n),
+                               np.empty((2,) + self.box_shape, dtype=np.complex128),
+                               [spec[half] for half, _ in _box_blocks(d)], zero, inverse,
+                               forward)
         return self._work
 
     def drop_work(self):
         """Free the work arrays; the next call that needs them allocates them."""
         self._work = None
 
+    def _check(self, c):
+        """Refuse a state that is not on the box (a half spectrum, say)."""
+        if c.shape != self.box_shape:
+            raise ValueError(f"expected an array on the 2/3 box {self.box_shape}, "
+                             f"got shape {c.shape}")
+
     def nonlinear(self, c, out=None, _stage=False):
-        """-div(v T) in spectral form (dealiased product), plus forcing.
+        """-div(v T) in spectral form (dealiased product), plus forcing, on the box.
 
         Written into out (which may be c) when given, else into a new
         array.  Sets last_vmax, the grid maximum of |v| at c, unless
         _stage: the stages inside a step skip it, since nothing reads it.
         """
+        self._check(c)
         d = self.domain
-        spec, phys, (sq, vj), _ = self.work()
+        w = self.work()
+        spec, phys = w.spec, w.phys
+        sq, vj = w.scratch[0], w.scratch[-1]
         if out is None:
             out = np.empty_like(c)
         # overflow on the way to blow-up is expected; detection is explicit
         with np.errstate(over="ignore", invalid="ignore"):
-            spec[0] = c
-            for j, m in enumerate(d.velocity_multipliers):
-                np.multiply(m, c, out=spec[j + 1])
-            # irfftn's passes, done in place: irfftn allocates a copy per axis
-            for ax in self.axes[:-1]:
-                np.fft.ifft(spec, axis=ax, norm="forward", out=spec)
+            for view in w.zero:
+                view[...] = 0.0
+            for (inner, vel, _), view in zip(self.blocks, w.views):
+                cb = c[inner]
+                view[0] = cb
+                for j, m in enumerate(vel):
+                    np.multiply(m, cb, out=view[j + 1])
+            # irfftn's passes, done in place (irfftn allocates a copy per
+            # axis), the leading ones on the lines that can be nonzero
+            for ax, lines in w.inverse:
+                for line in lines:
+                    np.fft.ifft(line, axis=ax, norm="forward", out=line)
             np.fft.irfft(spec, n=d.n[-1], axis=-1, norm="forward", out=phys)
             if not _stage:
                 # |v|^2 = v_0^2 + v_1^2 (+ v_2^2), in spectrum rows that are
@@ -244,12 +339,16 @@ class _Integrator(IFRK4):
             # whole, and buffers a cast or broadcast operand up to its size
             for j in range(1, d.dim + 1):
                 np.multiply(phys[j], phys[0], out=phys[j])
-            prod_hat = np.fft.rfftn(phys[1:], axes=self.axes, norm="forward", out=spec[1:])
-        np.multiply(self.neg_deriv[0], prod_hat[0], out=out)
-        for j in range(1, d.dim):
-            out += np.multiply(self.neg_deriv[j], prod_hat[j], out=prod_hat[j])
-        for cut in self.cut:
-            out[cut] = 0.0
+            # rfftn's passes, the leading ones on the lines the box reads
+            np.fft.rfft(phys[1:], axis=-1, norm="forward", out=spec[1:])
+            for ax, lines in w.forward:
+                for line in lines:
+                    np.fft.fft(line, axis=ax, norm="forward", out=line)
+        for (inner, _, neg_deriv), view in zip(self.blocks, w.views):
+            prod, block = view[1:], out[inner]
+            np.multiply(neg_deriv[0], prod[0], out=block)
+            for j in range(1, d.dim):
+                block += np.multiply(neg_deriv[j], prod[j], out=prod[j])
         if self.f_hat is not None:
             out += self.f_hat
         return out
@@ -259,6 +358,7 @@ class _Integrator(IFRK4):
 
     def advance(self, c, nl_a, dt, out=None):
         """One step of params.scheme from c, reusing nl_a = nonlinear(c); see rk4."""
+        self._check(c)
         # overflow on the way to blow-up is expected; detection is explicit
         with np.errstate(over="ignore", invalid="ignore"):
             if self.params.scheme == "ifrk4":
@@ -280,7 +380,7 @@ class _Integrator(IFRK4):
         return np.add(np.multiply(self.lam, c, out=p), nl, out=p)
 
     def _sum(self, x):
-        """Full-spectrum sum of an even-in-k quantity given on the half."""
+        """Full-spectrum sum of an even-in-k quantity given on the box."""
         return float(np.sum(self.weights * x))
 
     def budget(self, c, rhs):
@@ -301,15 +401,17 @@ class _Integrator(IFRK4):
 
 
 def nonlinear_term(t_hat: SpectralField, forcing: SpectralField | None = None) -> SpectralField:
-    """Conservative advection term -div(v T) of a temperature field.
+    """Conservative advection term -div(v T) of the 2/3-truncated temperature field.
 
-    The velocity and temperature are multiplied on the collocation grid and
-    the divergence is taken spectrally; the product is 2/3-truncated.  A
-    forcing spectrum, when given, is added (2/3-truncated as well).
+    The tendency run computes: the field and the forcing (when given) are
+    2/3-truncated, the velocity and temperature are multiplied on the
+    collocation grid, the divergence is taken spectrally and the product
+    is 2/3-truncated.
     """
     d = t_hat.domain
     params = SolverParams(nu=0.0, alpha=1.0, dt=1.0, t_end=1.0)
-    return SpectralField(d, _Integrator(d, params, forcing).nonlinear(t_hat.coeffs))
+    return SpectralField(d, scatter(_Integrator(d, params, forcing).nonlinear(
+        gather(t_hat.coeffs, d)), d))
 
 
 def resolution_tail(t_hat: SpectralField) -> float:
@@ -385,9 +487,10 @@ def run(t0_field: PhysicalField, params: SolverParams,
         warnings.warn(
             f"initial data is marginally resolved: spectral tail {tail:.2e} "
             "of peak beyond the 2/3 cutoff", stacklevel=2)
-    c = np.where(domain.dealias_mask, c, 0.0)
 
+    # the state is stepped on the 2/3 box, and records see it on the half
     integ = _Integrator(domain, params, forcing)
+    c = gather(c, domain)
     idx0 = (0,) * domain.dim
     mean0 = complex(c[idx0])
     f0 = 0.0 if forcing is None else complex(forcing.mean)
@@ -398,8 +501,8 @@ def run(t0_field: PhysicalField, params: SolverParams,
         raise ValueError(f"sample_every must be positive, got {sample_every}")
 
     def make_state(t, coeffs):
-        # a copy: the stepping reuses the arrays of past states
-        return SimulationState(t, SpectralField(domain, coeffs.copy()))
+        # a new half spectrum: the stepping reuses the arrays of past states
+        return SimulationState(t, SpectralField(domain, scatter(coeffs, domain)))
 
     records = []
     states = [] if keep_states else None

@@ -176,7 +176,7 @@ def test_criterion_6_absorbing_ball(run6):
     result, forcing = run6
     nu, alpha, p = 0.5, 1.5, 2.0
     assert not result.blew_up
-    checks = check_absorbing_ball(result.records, forcing, p, nu, alpha, slack=1e-6)
+    checks = check_absorbing_ball(result.records, forcing, p, nu, slack=1e-6)
     radius = p * lp_norm(inverse_transform(forcing), p) / nu
     terminal = result.records[-1].lp[p]
     ok = all(c.passed for c in checks) and terminal <= radius * (1 + 1e-6)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dpmflow import Domain, PhysicalField, cli, read_snapshot, write_snapshot
+from dpmflow.blowup1d import _StreamOps
 from dpmflow.cli import main
 
 DECAY_RUN = """\
@@ -428,8 +429,14 @@ blowup.sample_every = 0.02
         assert rows[0]["max_bound_bound"] == rows[0]["max_bound_value"]
         assert all(r["max_bound_pass"] == "1" for r in rows)
 
-    def test_restart_with_non_positive_max_bound_start_exits_4(self, tmp_path, capsys):
-        # max w + g = 1 - 2 at the restart: the bound needs a positive start
+    def test_restart_with_non_positive_max_bound_start_exits_4(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # max w + g = 1 - 2 at the restart: the bound needs a positive start,
+        # and the run stops before its first step
+        calls = []
+        advance = _StreamOps.advance
+        monkeypatch.setattr(_StreamOps, "advance",
+                            lambda self, *a, **kw: calls.append(1) or advance(self, *a, **kw))
         d = Domain((64,))
         write_snapshot(tmp_path / "neg.dpmf", 0.0, PhysicalField(d, np.cos(d.grid[0])), g=-2.0)
         text = BLOWUP_CFG.format(t_end=0.1, outdir=tmp_path / "o")
@@ -439,6 +446,7 @@ blowup.sample_every = 0.02
         assert main(["blowup1d", cfg]) == 4
         assert "max_bound_check" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+        assert not calls
 
     def test_unattainable_oracle_tolerance_exits_2(self, tmp_path):
         text = BLOWUP_CFG.format(t_end=0.4, outdir=tmp_path / "o")

@@ -31,7 +31,7 @@ def single_mode_run(d2):
 class TestDecayCheck:
     def test_single_mode_equality(self, d2, single_mode_run):
         res = single_mode_run
-        checks = check_decay_torus(res.records, 2.0, 0.05, 1.5)
+        checks = check_decay_torus(res.records, 2.0, 0.05)
         assert all(c.passed for c in checks)
         # with p = 2 the bound rate equals nu, so the single mode saturates it
         for c in checks[1:]:
@@ -39,14 +39,14 @@ class TestDecayCheck:
 
     def test_t0_record_reduces_to_norm_comparison(self, d2, single_mode_run):
         res = single_mode_run
-        check = check_decay_torus(res.records[:1], 2.0, 0.05, 1.5)[0]
+        check = check_decay_torus(res.records[:1], 2.0, 0.05)[0]
         assert check.bound == check.value == res.records[0].lp[2.0]
         assert check.bound == pytest.approx(math.sqrt(2) * math.pi, rel=1e-15)
         assert check.passed
 
     def test_lower_q_uses_the_volume_factor(self, d2, single_mode_run):
         res = single_mode_run
-        checks = check_decay_torus(res.records, 2.0, 0.05, 1.5, q=1.0)
+        checks = check_decay_torus(res.records, 2.0, 0.05, q=1.0)
         assert all(c.passed for c in checks)
 
     def test_lower_q_in_3d_uses_the_3d_volume(self):
@@ -56,7 +56,7 @@ class TestDecayCheck:
         params = SolverParams(nu=0.05, alpha=1.5, dt=0.01, t_end=0.1)
         res = run(phys(d3, np.cos(d3.grid[0])), params, sample_every=0.05,
                   p_list=(1.0, 2.0))
-        checks = check_decay_torus(res.records, 2.0, 0.05, 1.5, q=1.0)
+        checks = check_decay_torus(res.records, 2.0, 0.05, q=1.0)
         assert all(c.passed for c in checks)
         n0 = lp_norm(phys(d3, np.cos(d3.grid[0])), 2)
         assert checks[0].bound == pytest.approx((2 * math.pi) ** 1.5 * n0, rel=1e-12)
@@ -65,26 +65,26 @@ class TestDecayCheck:
         x = d2.grid
         forcing = forward_transform(phys(d2, 0.1 * np.sin(x[0])))
         with pytest.raises(ValueError, match="unforced"):
-            check_decay_torus(single_mode_run.records, 2.0, 0.05, 1.5, forcing=forcing)
+            check_decay_torus(single_mode_run.records, 2.0, 0.05, forcing=forcing)
 
     def test_refuses_data_whose_mean_is_not_zero(self, d2):
         params = SolverParams(nu=1.0, alpha=2.0, dt=0.01, t_end=0.1)
         res = run(phys(d2, 0.5 + 0.1 * np.sin(d2.grid[0])), params, sample_every=0.05)
         with pytest.raises(ValueError, match="mean-zero"):
-            check_decay_torus(res.records, 2.0, 1.0, 2.0)
+            check_decay_torus(res.records, 2.0, 1.0)
 
     def test_random_data_decay(self, d2):
         params = SolverParams(nu=0.1, alpha=1.0, dt=5e-3, t_end=1.0)
         res = run(random_field(d2, seed=30), params, sample_every=0.1)
         for p in (2.0, 4.0):
-            checks = check_decay_torus(res.records, p, 0.1, 1.0)
+            checks = check_decay_torus(res.records, p, 0.1)
             assert all(c.passed for c in checks)
 
 
 class TestAbsorbingBallCheck:
     def test_zero_forcing_degenerates_to_decay(self, d2, single_mode_run):
         res = single_mode_run
-        checks = check_absorbing_ball(res.records, None, 2.0, 0.05, 1.5)
+        checks = check_absorbing_ball(res.records, None, 2.0, 0.05)
         assert all(c.passed for c in checks)
         n0 = res.records[0].lp[2.0]
         for rec, c in zip(res.records, checks):
@@ -97,18 +97,18 @@ class TestAbsorbingBallCheck:
         forcing = dealias(forward_transform(phys(d2, 0.2 * np.sin(x[0]))))
         params = SolverParams(nu=nu, alpha=alpha, dt=5e-3, t_end=3.0)
         res = run(phys(d2, np.zeros(d2.n)), params, forcing, sample_every=0.25)
-        checks = check_absorbing_ball(res.records, forcing, p, nu, alpha)
+        checks = check_absorbing_ball(res.records, forcing, p, nu)
         assert all(c.passed for c in checks)
         radius = p * lp_norm(phys(d2, 0.2 * np.sin(x[0])), p) / nu
         assert all(c.bound <= radius * (1 + 1e-12) for c in checks)
 
     def test_requires_positive_nu(self, d2, single_mode_run):
         with pytest.raises(ValueError, match="nu"):
-            check_absorbing_ball(single_mode_run.records, None, 2.0, 0.0, 1.5)
+            check_absorbing_ball(single_mode_run.records, None, 2.0, 0.0)
 
     def test_refuses_infinite_p(self, single_mode_run):
         with pytest.raises(ValueError, match="finite p"):
-            check_absorbing_ball(single_mode_run.records, None, math.inf, 0.05, 1.5)
+            check_absorbing_ball(single_mode_run.records, None, math.inf, 0.05)
 
 
 class TestDissipationBudget:
@@ -145,7 +145,7 @@ class TestCsv:
         x = d2.grid
         params = SolverParams(nu=0.05, alpha=1.5, dt=5e-3, t_end=0.2)
         res = run(phys(d2, np.sin(x[0])), params, sample_every=0.1)
-        check_decay_torus(res.records, 2.0, 0.05, 1.5)
+        check_decay_torus(res.records, 2.0, 0.05)
         buf = io.StringIO()
         records_to_csv(res.records, buf)
         lines = buf.getvalue().splitlines()

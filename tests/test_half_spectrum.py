@@ -8,8 +8,10 @@ on Hermitian data, dealiased except where a case needs energy on the
 Nyquist planes.  The examples are derandomized by the suite's hypothesis
 profile (conftest.py), so the suite stays reproducible.
 
-The solver's integrator computes in work arrays of its own; the same
-properties check that no array handed to a caller is one of them.
+The solver's integrator steps on the 2/3 box (solver.gather and scatter
+move a half spectrum to it and back) and computes in work arrays of its
+own; the same properties check that no array handed to a caller is one of
+them.
 """
 
 import math
@@ -25,7 +27,7 @@ from dpmflow import (Domain, PhysicalField, SolverParams, SpectralField,
                      pressure_from_temperature, refine, riesz_potential,
                      riesz_transform, run, velocity_from_temperature)
 from dpmflow.blowup1d import Regularization, _StreamOps
-from dpmflow.solver import _Integrator
+from dpmflow.solver import _Integrator, gather, scatter
 from dpmflow.spectral import _reflect
 from fft_reference import FullLayout, half, hermitian
 
@@ -74,6 +76,11 @@ def ref_advance(d, c, f_hat, nu, alpha, dt):
 def integrator(d, f_hat, nu, alpha):
     params = SolverParams(nu=nu, alpha=alpha, dt=0.01, t_end=1.0)
     return _Integrator(d, params, SpectralField(d, half(f_hat)))
+
+
+def box(d, a):
+    """The 2/3 box of a full-layout array."""
+    return gather(half(a), d)
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -171,15 +178,15 @@ def test_nonlinear_term_matches_fftn(d, seed, alpha):
     c = hermitian(d, seed)
     f_hat = hermitian(d, seed + 1)
     integ = integrator(d, f_hat, 0.1, alpha)
-    got = integ.nonlinear(half(c))
-    assert_close(got, half(ref_nonlinear(d, c, f_hat)))
+    got = integ.nonlinear(box(d, c))
+    assert_close(scatter(got, d), half(ref_nonlinear(d, c, f_hat)))
     # later calls on the same integrator leave the result alone
     kept = got.copy()
-    other = half(hermitian(d, seed + 2))
+    other = box(d, hermitian(d, seed + 2))
     integ.advance(other, integ.nonlinear(other), 0.01)
     assert np.array_equal(got, kept)
     # written over its own input, the same numbers
-    inplace = half(c).copy()
+    inplace = box(d, c)
     assert np.array_equal(integ.nonlinear(inplace, out=inplace), kept)
 
 
@@ -188,10 +195,10 @@ def test_advance_matches_fftn(d, seed, alpha, nu, dt):
     c = hermitian(d, seed)
     f_hat = hermitian(d, seed + 1)
     integ = integrator(d, f_hat, nu, alpha)
-    ch = half(c)
+    ch = box(d, c)
     nl = integ.nonlinear(ch)
     got = integ.advance(ch, nl, dt)
-    assert_close(got, half(ref_advance(d, c, f_hat, nu, alpha, dt)))
+    assert_close(scatter(got, d), half(ref_advance(d, c, f_hat, nu, alpha, dt)))
     # into a given array, the same numbers; the inputs stay as they were
     kept = got.copy(), nl.copy(), ch.copy()
     assert np.array_equal(integ.advance(ch, nl, dt, out=np.empty_like(ch)), kept[0])
@@ -202,7 +209,32 @@ def test_advance_matches_fftn(d, seed, alpha, nu, dt):
     # two integrators on one domain share no work array
     other = integrator(d, f_hat, nu, alpha)
     other.nonlinear(ch)
-    assert not any(np.may_share_memory(a, b) for a in integ.work() for b in other.work())
+    assert not any(np.may_share_memory(a, b) for a in work_arrays(integ)
+                   for b in work_arrays(other))
+
+
+def work_arrays(integ):
+    w = integ.work()
+    return w.spec, w.phys, w.scratch, w.stages
+
+
+@given(d=grids(), seed=seeds)
+def test_box_holds_exactly_the_modes_of_the_two_thirds_rule(d, seed):
+    # every n from 8 to 32, multiples of 3 and not
+    mask = gather(d.dealias_mask, d)
+    assert mask.all() and mask.size == np.count_nonzero(d.dealias_mask)
+    c = half(hermitian(d, seed))
+    assert np.array_equal(scatter(gather(c, d), d), c)
+
+
+@given(d=grids())
+def test_integrator_refuses_arrays_off_the_box(d):
+    integ = integrator(d, hermitian(d, 1), 0.1, 1.5)
+    c = half(hermitian(d, 2))
+    with pytest.raises(ValueError, match="2/3 box"):
+        integ.nonlinear(c)
+    with pytest.raises(ValueError, match="2/3 box"):
+        integ.advance(c, c, 0.01)
 
 
 @given(d=grids(dims=(2, 3)), seed=seeds, alpha=st.floats(1.0, 2.0), adaptive=st.booleans())
@@ -223,17 +255,16 @@ def test_run_keeps_each_state_as_sampled(d, seed, alpha, adaptive):
 
 @given(d=grids(), seed=seeds, alpha=alphas, nu=nus)
 def test_weighted_budget_functionals_match_full_sums(d, seed, alpha, nu):
-    # every mode of c and rhs carries energy, so both singly counted planes
-    # are exercised; the integrator keeps the forcing 2/3-truncated
-    full = np.ones(d.n, dtype=bool)
-    c, rhs = (hermitian(d, seed + i, full) for i in range(2))
-    f_hat = hermitian(d, seed + 2)
+    # every mode of the 2/3 box carries energy in c, rhs and the forcing, so
+    # the singly counted k_last = 0 plane is exercised; the other one, the
+    # Nyquist plane, lies outside the box
+    c, rhs, f_hat = (hermitian(d, seed + i) for i in range(3))
     k_alpha = ref_k_alpha(d, alpha)
     terms = (nu * k_alpha * np.abs(c) ** 2,
              f_hat * np.conj(c),
              2.0 * nu * k_alpha * np.conj(c) * rhs,
              f_hat * np.conj(rhs))
-    got = integrator(d, f_hat, nu, alpha).budget(half(c), half(rhs))
+    got = integrator(d, f_hat, nu, alpha).budget(box(d, c), box(d, rhs))
     for value, term in zip(got, terms):
         ref = d.volume * float(np.sum(term).real)
         assert abs(value - ref) <= RTOL * d.volume * float(np.abs(term).sum()) + 1e-300
