@@ -72,6 +72,17 @@ class TestDomain:
 
 
 class TestTransforms:
+    def test_roundtrip(self, d2, smooth2):
+        back = inverse_transform(forward_transform(smooth2))
+        err = np.abs(back.values - smooth2.values).max()
+        assert err <= 1e-12 * np.abs(smooth2.values).max()
+
+    def test_roundtrip_3d(self):
+        d3 = Domain((16, 16, 16))
+        u = random_field(d3, seed=3, cutoff=3.0)
+        back = inverse_transform(forward_transform(u))
+        assert np.abs(back.values - u.values).max() <= 1e-12 * np.abs(u.values).max()
+
     def test_field_validation(self, d2):
         with pytest.raises(ValueError, match="shape"):
             PhysicalField(d2, np.zeros((32, 16)))
@@ -164,6 +175,17 @@ class TestDealias:
 
 
 class TestNorms:
+    def test_unit_field_l2_is_two_pi(self, d2):
+        assert lp_norm(phys(d2, np.ones(d2.n)), 2) == pytest.approx(2 * math.pi, rel=1e-13)
+
+    def test_sine_l2_is_sqrt_pi(self, d1):
+        x = d1.grid[0]
+        assert lp_norm(phys(d1, np.sin(x)), 2) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+
+    def test_sine_sup_norm_exact_on_grids_divisible_by_four(self, d1):
+        x = d1.grid[0]
+        assert lp_norm(phys(d1, np.sin(x)), math.inf) == 1.0
+
     def test_rejects_p_below_one(self, d1):
         x = d1.grid[0]
         with pytest.raises(ValueError):
