@@ -38,7 +38,7 @@ import numpy as np
 
 from .diagnostics import CheckResult
 from .solver import IFRK4, SampleClock
-from .spectral import Domain, PhysicalField, SpectralField, hs_seminorm
+from .spectral import Domain, PhysicalField, SpectralField, hs_seminorm, k_power
 
 TWO_PI = 2.0 * math.pi
 
@@ -187,9 +187,8 @@ class _StreamOps(IFRK4):
         lam = np.zeros(kd.size + 1)
         if reg.mode == "spectral":
             sgn = 1.0 if reg.sign == "oracle" else -1.0
-            kabs = np.abs(kd)
-            lam[:-1] = sgn * reg.nu * np.where(kabs > 0, np.maximum(kabs, 1.0) ** reg.alpha, 0.0)
-        super().__init__(lam, np.complex128)
+            lam[:-1] = sgn * reg.nu * k_power(kd ** 2, reg.alpha)
+        super().__init__(lam)
         self.c0 = 0.0
         self._stages = np.empty((2, lam.size), dtype=np.complex128)
         self.w = None

@@ -299,6 +299,8 @@ def _sweep_worker(args):
 def cmd_sweep(cfg: RunConfig) -> int:
     command = cfg.get_str("sweep.command", default="run", choices=("run", "blowup1d"))
     workers = cfg.get_int("sweep.workers", default=min(4, os.cpu_count() or 1))
+    if workers < 1:
+        raise ConfigError(f"sweep.workers = {workers} must be >= 1")
     axes = []
     base = dict(cfg.values)
     for key in sorted(cfg.values):
@@ -335,7 +337,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         labels.append((label, dict(zip((t for t, _ in axes), combo))))
 
     results = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
+    # a fork-context pool starts all its workers at the first submit
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         for fut in [pool.submit(_sweep_worker, job) for job in jobs]:
             try:
                 _, code, metrics = fut.result()

@@ -64,6 +64,8 @@ def read_snapshot(path):
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
     off = head
+    if len(raw) < off + 8 * dim + 8:
+        raise ValueError(f"{path}: truncated snapshot header")
     n = struct.unpack_from(f"<{dim}Q", raw, off)
     off += 8 * dim
     (time,) = struct.unpack_from("<d", raw, off)

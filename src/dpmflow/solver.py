@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import Domain, PhysicalField, SpectralField, forward_transform
+from .spectral import (Domain, PhysicalField, SpectralField, darcy_multipliers,
+                       forward_transform, k_power, parseval_weights)
 
 SCHEMES = ("ifrk4", "ifeuler")
 
@@ -142,34 +143,30 @@ class IFRK4:
     as the DPM velocity maximum, is skipped there.
     """
 
-    def __init__(self, lam, prop_dtype=np.float64):
-        self.prop_dtype = prop_dtype
+    def __init__(self, lam):
         self.set_symbol(lam)
 
     def set_symbol(self, lam):
         """Take lam (which may be the array already held, changed) as the symbol."""
         self.lam = lam
         # a zero symbol propagates by 1 whatever the step, so that adaptive
-        # steps, each of its own size, share one cache entry
+        # steps, each of its own size, share its one set
         self._dt_free = not lam.any()
-        self._props = {}
+        self._props = None
 
     def propagators(self, dt):
-        """exp(lam dt/2), exp(lam dt) and 2 exp(lam dt/2), cached per dt.
+        """exp(lam dt/2), exp(lam dt) and 2 exp(lam dt/2), kept for the last dt.
 
-        Of dtype prop_dtype: complex propagators spare the multiplies of a
-        complex state a cast buffer of its size, with the same results.
+        Complex, like the state: a real operand would cost each multiply a
+        cast buffer of the state's size, for the same results.  Only the
+        last step size's set is kept, as an adaptive run rarely repeats one.
         """
         key = 0.0 if self._dt_free else dt
-        cached = self._props.get(key)
-        if cached is None:
-            e_half, e_full = (np.exp(self.lam * h).astype(self.prop_dtype, copy=False)
+        if self._props is None or self._props[0] != key:
+            e_half, e_full = (np.exp(self.lam * h).astype(np.complex128)
                               for h in (0.5 * dt, dt))
-            cached = (e_half, e_full, 2.0 * e_half)
-            if len(self._props) > 8:
-                self._props.clear()
-            self._props[key] = cached
-        return cached
+            self._props = key, (e_half, e_full, 2.0 * e_half)
+        return self._props[1]
 
     def rk4(self, c, nl_a, dt, out=None):
         """One step from c, reusing nl_a = nonlinear(c).
@@ -209,8 +206,9 @@ class _Integrator(IFRK4):
     the box of box_shape: every array stepped here is a box array (gather
     and scatter move a half spectrum to it and back), and the box is the
     2/3 rule.  The symbol, the multipliers, the Parseval weights and the
-    forcing are box arrays too, built from the box's own wavenumbers with
-    the values Domain gives them: the box leaves out every Nyquist mode.
+    forcing are box arrays too.  The builders of spectral make the first
+    three from the box's part of Domain.wavenumbers, so they hold the values
+    Domain's arrays hold there.
 
     nonlinear zero-pads the box into its transform stack, and each pass
     along a leading axis transforms only the lines that can be nonzero: a
@@ -234,27 +232,16 @@ class _Integrator(IFRK4):
         self.domain = domain
         self.params = params
         self.box_shape = box_shape(domain)
-        # the box's wavenumbers, valued as Domain.wavenumbers
-        k = np.meshgrid(*(np.concatenate([np.fft.fftfreq(m, d=1.0 / m)[half] for half, _ in runs])
-                          for m, runs in zip(domain.n, _box_runs(domain))),
+        # the box's wavenumbers, and the multipliers Domain builds on the half
+        k = np.meshgrid(*(np.concatenate([kj.ravel()[half] for half, _ in runs])
+                          for kj, runs in zip(domain.wavenumbers, _box_runs(domain))),
                         indexing="ij", sparse=True)
-        k_squared = sum(kj ** 2 for kj in k)
-        self.k_alpha = np.where(k_squared > 0, np.maximum(np.sqrt(k_squared), 1.0) ** params.alpha,
-                                0.0)
+        self.k_alpha = k_power(sum(kj ** 2 for kj in k), params.alpha)
         super().__init__(-params.nu * self.k_alpha)
-        # Domain.parseval_weights on the box, which leaves out the k_last = n/2 plane
-        self.weights = np.full(self.box_shape[-1], 2.0)
-        self.weights[0] = 1.0
-        # Domain.velocity_multipliers off the Nyquist planes, and the
-        # divergence multipliers -i k_j, dense so that blocks slice them
-        ax = domain.buoyancy_axis
-        safe = np.where(k_squared > 0, k_squared, 1.0)
-        vel, neg_deriv = [], []
-        for j, kj in enumerate(k):
-            m = kj * k[ax] / safe - 1.0 if j == ax else kj * k[ax] / safe
-            m[(0,) * domain.dim] = -1.0 if j == ax else 0.0
-            vel.append(m)
-            neg_deriv.append(np.broadcast_to(-1j * kj, self.box_shape).copy())
+        self.weights = parseval_weights(k[-1].ravel(), domain.n[-1])
+        vel = darcy_multipliers(k, domain.buoyancy_axis, domain.n)
+        # the divergence multipliers -i k_j, dense so that blocks slice them
+        neg_deriv = [np.broadcast_to(-1j * kj, self.box_shape).copy() for kj in k]
         # per block of the box: its index, and the multipliers on it
         self.blocks = [(inner, [m[inner] for m in vel], [m[inner] for m in neg_deriv])
                        for _, inner in _box_blocks(domain)]

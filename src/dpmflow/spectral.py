@@ -34,6 +34,51 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+# The closed forms of the multipliers, each written once.  They take open
+# wavenumber meshes, of the half spectrum (Domain) or of the solver's 2/3
+# box, which leaves out every Nyquist mode.
+
+def k_power(k_squared, s):
+    """|k|^s, |k| floored at 1, and 0 on the mean mode: Lambda^s on mean-zero fields."""
+    return np.where(k_squared > 0, np.maximum(np.sqrt(k_squared), 1.0) ** s, 0.0)
+
+
+def darcy_multipliers(k, buoyancy_axis, n):
+    """Darcy multipliers m_j(k) = k_j k_N / |k|^2 - delta_{jN}, m_j(0) = -delta_{jN}.
+
+    k are open wavenumber meshes, n the grid sizes and N the buoyancy axis.
+    Obtained by eliminating the pressure from Darcy's law with div v = 0;
+    the zero mode encodes the uniform drift -gamma * mean(T) induced by a
+    constant temperature with periodic pressure.  Where exactly one of
+    k_j and k_N (j != N) is an unpaired Nyquist wavenumber -n_j/2, which
+    the mirror -k keeps, k_j k_N changes sign between k and -k: m_j is its
+    even part there, 0, which the real part of the velocity carries.
+    """
+    kN = k[buoyancy_axis]
+    k_squared = sum(kj ** 2 for kj in k)
+    safe = np.where(k_squared > 0, k_squared, 1.0)
+    nyquist = [kj == -m // 2 for kj, m in zip(k, n)]
+    mults = []
+    for j, kj in enumerate(k):
+        if j == buoyancy_axis:
+            m = kj * kN / safe - 1.0
+        else:
+            m = np.where(nyquist[j] != nyquist[buoyancy_axis], 0.0, kj * kN / safe)
+        m[(0,) * len(k)] = -1.0 if j == buoyancy_axis else 0.0
+        mults.append(m)
+    return tuple(mults)
+
+
+def parseval_weights(k_last, n_last):
+    """Weights w(k_last) such that sum(w * x) over a half spectrum is the full sum.
+
+    1 on the modes that are their own mirror, k_last = 0 and -n_last/2,
+    and 2 elsewhere, where a mode stands for its conjugate pair.  Exact for
+    x even in k, such as |c|^2 of a real field's spectrum.
+    """
+    return np.where((k_last == 0) | (k_last == -(n_last // 2)), 1.0, 2.0)
+
+
 @dataclass(frozen=True)
 class Domain:
     """Periodic box descriptor: per-axis mode counts and the buoyancy axis.
@@ -78,15 +123,8 @@ class Domain:
 
     @cached_property
     def parseval_weights(self):
-        """Half-spectrum weights: sum(w * x) over the half equals the full sum.
-
-        1 on the k_last = 0 and n/2 planes, which have no mirror in the
-        half, and 2 elsewhere, where a mode stands for its conjugate pair.
-        Exact for x even in k, such as |c|^2 of a real field's spectrum.
-        """
-        w = np.full(self.spectral_shape[-1], 2.0)
-        w[0] = w[-1] = 1.0
-        return w
+        """Half-spectrum weights (parseval_weights), indexed by k_last."""
+        return parseval_weights(self.wavenumbers[-1].ravel(), self.n[-1])
 
     @cached_property
     def interpolant_reach(self):
@@ -122,10 +160,6 @@ class Domain:
         return sum(k ** 2 for k in self.wavenumbers)
 
     @cached_property
-    def k_abs(self):
-        return np.sqrt(self.k_squared)
-
-    @cached_property
     def deriv_wavenumbers(self):
         """Wavenumbers for odd multipliers: unpaired Nyquist modes zeroed."""
         return tuple(np.where(k == -m // 2, 0.0, k) for k, m in zip(self.wavenumbers, self.n))
@@ -140,28 +174,8 @@ class Domain:
 
     @cached_property
     def velocity_multipliers(self):
-        """Darcy multipliers m_j(k) = k_j k_N / |k|^2 - delta_{jN}, m_j(0) = -delta_{jN}.
-
-        Obtained by eliminating the pressure from Darcy's law with div v = 0;
-        the zero mode encodes the uniform drift -gamma * mean(T) induced by a
-        constant temperature with periodic pressure.  Where exactly one of
-        k_j and k_N (j != N) is an unpaired Nyquist wavenumber, which the
-        mirror -k keeps, k_j k_N changes sign between k and -k: m_j is its
-        even part there, 0, which the real part of the velocity carries.
-        """
-        ax = self.buoyancy_axis
-        kN = self.wavenumbers[ax]
-        safe = np.where(self.k_squared > 0, self.k_squared, 1.0)
-        nyquist = [k == -m // 2 for k, m in zip(self.wavenumbers, self.n)]
-        mults = []
-        for j, kj in enumerate(self.wavenumbers):
-            if j == ax:
-                m = kj * kN / safe - 1.0
-            else:
-                m = np.where(nyquist[j] != nyquist[ax], 0.0, kj * kN / safe)
-            m[(0,) * self.dim] = -1.0 if j == ax else 0.0
-            mults.append(m)
-        return tuple(mults)
+        """The Darcy multipliers (darcy_multipliers) of the half spectrum."""
+        return darcy_multipliers(self.wavenumbers, self.buoyancy_axis, self.n)
 
     @cached_property
     def pressure_multiplier(self):
@@ -241,8 +255,7 @@ def fractional_laplacian(u_hat: SpectralField, alpha: float) -> SpectralField:
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must lie in [0, 2], got {alpha}")
     d = u_hat.domain
-    mult = np.where(d.k_squared > 0, np.maximum(d.k_abs, 1.0) ** alpha, 0.0)
-    return SpectralField(d, mult * u_hat.coeffs)
+    return SpectralField(d, k_power(d.k_squared, alpha) * u_hat.coeffs)
 
 
 def partial_derivative(u_hat: SpectralField, axis: int) -> SpectralField:
@@ -258,7 +271,7 @@ def riesz_transform(u_hat: SpectralField, axis: int) -> SpectralField:
     d = u_hat.domain
     if not 0 <= axis < d.dim:
         raise ValueError(f"axis {axis} out of range for dim {d.dim}")
-    safe = np.where(d.k_squared > 0, d.k_abs, 1.0)
+    safe = np.sqrt(np.where(d.k_squared > 0, d.k_squared, 1.0))
     mult = 1j * d.deriv_wavenumbers[axis] / safe
     return SpectralField(d, mult * u_hat.coeffs)
 
@@ -272,9 +285,7 @@ def riesz_potential(u_hat: SpectralField, beta: float) -> SpectralField:
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     d = u_hat.domain
-    safe = np.maximum(d.k_abs, 1.0)
-    mult = np.where(d.k_squared > 0, safe ** (-beta), 0.0)
-    return SpectralField(d, mult * u_hat.coeffs)
+    return SpectralField(d, k_power(d.k_squared, -beta) * u_hat.coeffs)
 
 
 def dealias(u_hat: SpectralField) -> SpectralField:
@@ -310,7 +321,7 @@ def hs_seminorm(u_hat: SpectralField, s: float) -> float:
     with Domain.parseval_weights, which is exact for a real field.
     """
     d = u_hat.domain
-    w = np.where(d.k_squared > 0, np.maximum(d.k_abs, 1.0) ** (2.0 * s), 0.0) * d.parseval_weights
+    w = k_power(d.k_squared, 2.0 * s) * d.parseval_weights
     total = float(np.sum(w * np.abs(u_hat.coeffs) ** 2))
     return math.sqrt(d.volume * total)
 
@@ -477,10 +488,7 @@ def random_field(domain: Domain, spectrum_decay: float = 3.0, cutoff: float = 5.
     # phases drawn on the full grid and antisymmetrized under k -> -k, so the
     # coefficients are Hermitian; the half keeps one mode of each pair
     theta = 0.5 * (theta - _reflect(theta, range(domain.dim)))[..., :domain.spectral_shape[-1]]
-    safe = np.maximum(domain.k_abs, 1.0)
-    amp = np.where(domain.k_squared > 0,
-                   safe ** (-spectrum_decay) * np.exp(-domain.k_squared / cutoff ** 2),
-                   0.0)
+    amp = k_power(domain.k_squared, -spectrum_decay) * np.exp(-domain.k_squared / cutoff ** 2)
     coeffs = amp * np.exp(1j * theta)
     coeffs = np.where(domain.dealias_mask, coeffs, 0.0)
     field = SpectralField(domain, coeffs)

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, restart, sweep."""
 
+import concurrent.futures
 import csv
 import math
 import os
@@ -189,6 +190,17 @@ output.dir = {outdir}
                  for line in text.splitlines()]
         assert main(["run", write_config(tmp_path / "c.cfg", "\n".join(lines) + "\n")]) == 4
         assert key.split(".")[1] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_truncated_initial_snapshot_exits_4(self, tmp_path, capsys):
+        # 26 bytes of a 2D snapshot: cut inside the header's grid sizes
+        path = tmp_path / "cut.dpmf"
+        write_snapshot(path, 0.0, PhysicalField(Domain((32, 32)), np.zeros((32, 32))))
+        path.write_bytes(path.read_bytes()[:26])
+        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o").replace(
+            "initial.kind = single_mode", f"initial.kind = file\ninitial.path = {path}")
+        assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 4
+        assert "initial.path" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_out_of_range_buoyancy_axis_exits_4(self, tmp_path, capsys):
@@ -553,6 +565,35 @@ class TestSweep:
         rows = csv_rows(tmp_path / "o" / "summary.csv")
         assert [r["exit_code"] for r in rows] == ["0", "1", "1"]
         assert all("BrokenProcessPool" in r["metrics"] for r in rows[1:])
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_workers_exit_4(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
+            workers=workers, dts="1e-3 | 2e-3", outdir=tmp_path / "o"))
+        assert main(["sweep", cfg]) == 4
+        assert "sweep.workers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_pool_has_no_more_workers_than_points(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class InlinePool(concurrent.futures.Executor):
+            """Runs each job when it is submitted, in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
+            workers=4, dts="1e-3 | 2e-3", outdir=tmp_path / "o"))
+        assert main(["sweep", cfg]) == 0
+        assert sizes == [2]
+        assert len(csv_rows(tmp_path / "o" / "summary.csv")) == 2
 
     def test_sweep_without_axes_exits_4(self, tmp_path):
         cfg = write_config(tmp_path / "s.cfg",

@@ -228,6 +228,16 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="size"):
             read_snapshot(path)
 
+    def test_read_rejects_every_truncated_header(self, tmp_path):
+        # a 2D header is 10 + 2 * 8 + 8 = 34 bytes: magic to axis, n, time
+        path = tmp_path / "t.dpmf"
+        write_snapshot(path, 0.0, PhysicalField(Domain((8, 8)), np.zeros((8, 8))))
+        raw = path.read_bytes()
+        for length in range(34):
+            path.write_bytes(raw[:length])
+            with pytest.raises(ValueError, match="truncated"):
+                read_snapshot(path)
+
     def test_read_rejects_out_of_range_buoyancy_axis(self, tmp_path):
         # a 2D snapshot whose header byte names buoyancy axis 2
         path = tmp_path / "axis.dpmf"

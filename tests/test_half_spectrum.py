@@ -28,7 +28,7 @@ from dpmflow import (Domain, PhysicalField, SolverParams, SpectralField,
                      riesz_transform, run, velocity_from_temperature)
 from dpmflow.blowup1d import Regularization, _StreamOps
 from dpmflow.solver import _Integrator, gather, scatter
-from dpmflow.spectral import _reflect
+from dpmflow.spectral import _reflect, k_power
 from fft_reference import FullLayout, half, hermitian
 
 RTOL = 1e-12
@@ -235,6 +235,18 @@ def test_integrator_refuses_arrays_off_the_box(d):
         integ.nonlinear(c)
     with pytest.raises(ValueError, match="2/3 box"):
         integ.advance(c, c, 0.01)
+
+
+@given(d=buoyant_grids(), alpha=alphas)
+def test_box_multipliers_are_the_half_spectrum_ones(d, alpha):
+    # the builders of spectral serve both layouts, so the box holds the
+    # very bits of the half spectrum: its Nyquist branch is all false there
+    integ = integrator(d, hermitian(d, 1), 0.1, alpha)
+    assert np.array_equal(integ.k_alpha, gather(k_power(d.k_squared, alpha), d))
+    for inner, vel, _ in integ.blocks:
+        for m, full in zip(vel, d.velocity_multipliers):
+            assert np.array_equal(m, gather(full, d)[inner])
+    assert np.array_equal(integ.weights, d.parseval_weights[:integ.box_shape[-1]])
 
 
 @given(d=grids(dims=(2, 3)), seed=seeds, alpha=st.floats(1.0, 2.0), adaptive=st.booleans())

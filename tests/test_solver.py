@@ -73,6 +73,25 @@ class TestNonlinearTerm:
 class TestStep:
     """Steps of run: a single step is a run with t_end = dt."""
 
+    def test_keeps_the_propagators_of_the_last_step_size_only(self):
+        # an adaptive run rarely repeats a step size, so sets kept for
+        # earlier sizes would only hold memory
+        d = Domain((64, 64))
+        integ = _Integrator(d, SolverParams(nu=0.1, alpha=1.5, dt=0.01, t_end=1.0), None)
+        c = gather(forward_transform(random_field(d, seed=2)).coeffs, d)
+        nl = integ.nonlinear(c)  # allocates the work arrays
+        out = np.empty_like(c)
+        held = 0
+        tracemalloc.start()
+        try:
+            for dt in np.linspace(1e-3, 1e-2, 12):
+                integ.advance(c, nl, float(dt), out=out)
+                held = max(held, tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        # one set: exp(lam dt/2), exp(lam dt) and 2 exp(lam dt/2), complex
+        assert 3 * c.nbytes <= held <= 3 * c.nbytes + 4096
+
     def test_single_mode_decay_is_exact(self, d2):
         x = d2.grid
         t0 = phys(d2, np.sin(x[0]))
