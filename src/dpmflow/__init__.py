@@ -17,8 +17,7 @@ from .diagnostics import (CheckResult, DiagnosticsRecord, check_absorbing_ball,
                           check_decay_torus, check_dissipation_budget,
                           compute_record, records_to_csv)
 from .snapshots import read_snapshot, write_snapshot
-from .solver import (RunResult, SimulationState, SolverParams, nonlinear_term,
-                     resolution_tail, run)
+from .solver import RunResult, SimulationState, SolverParams, nonlinear_term, run
 from .spectral import (Domain, PhysicalField, SpectralField, dealias,
                        forward_transform, fractional_laplacian, hs_seminorm,
                        inverse_transform, lp_norm, partial_derivative,

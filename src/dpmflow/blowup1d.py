@@ -304,7 +304,7 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
     Blow-up is an expected outcome in many configurations, not a failure.
     """
     _check_mean_zero(w0)
-    if dt <= 0 or t_end <= start_time:
+    if not (dt > 0 and start_time < t_end):
         raise ValueError("dt must be positive and t_end must exceed the start time")
     if not sample_every > 0:
         raise ValueError(f"sample_every must be positive, got {sample_every}")

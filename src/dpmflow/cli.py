@@ -108,9 +108,16 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         raise ConfigError(f"diagnostics.ball_p = {ball_p:g} must be finite and in "
                           "diagnostics.p_list")
 
+    outdir = _outdir(cfg)
+    taken = itertools.count()
+
+    def write_sample(state):
+        write_snapshot(os.path.join(outdir, f"snapshot_{next(taken):05d}.dpmf"),
+                       state.t, inverse_transform(state.t_hat))
+
     result = run_dpm(t0_field, params, forcing, sample_every=sample_every,
                      p_list=p_list, s_list=s_list,
-                     keep_states=snapshots, start_time=start_time)
+                     on_sample=write_sample if snapshots else None, start_time=start_time)
 
     all_ok = True
     if "decay" in checks:
@@ -124,14 +131,9 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         res = check_dissipation_budget(result.records, slack=slack)
         all_ok &= all(r.passed for r in res)
 
-    outdir = _outdir(cfg)
     csv_name = cfg.get_str("output.csv", default="diagnostics.csv")
     with atomic_open(os.path.join(outdir, csv_name), encoding="utf-8", newline="") as fh:
         records_to_csv(result.records, fh)
-    if snapshots and result.states:
-        for i, st in enumerate(result.states):
-            write_snapshot(os.path.join(outdir, f"snapshot_{i:05d}.dpmf"),
-                           st.t, inverse_transform(st.t_hat))
     ckpt = cfg.values.get("output.checkpoint")
     if ckpt:
         write_snapshot(os.path.join(outdir, ckpt), result.final_state.t,
@@ -318,9 +320,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep: no sweep.<key> axes given")
 
     outdir = _outdir(cfg)
+    combos = list(itertools.product(*(opts for _, opts in axes)))
     jobs = []
-    labels = []
-    for idx, combo in enumerate(itertools.product(*(opts for _, opts in axes))):
+    for idx, combo in enumerate(combos):
         values = dict(base)
         label_parts = []
         for (target, _), val in zip(axes, combo):
@@ -334,30 +336,27 @@ def cmd_sweep(cfg: RunConfig) -> int:
         with atomic_open(os.path.join(subdir, "config.txt"), encoding="utf-8") as fh:
             fh.write(text)
         jobs.append((idx, command, text, subdir))
-        labels.append((label, dict(zip((t for t, _ in axes), combo))))
 
-    results = []
+    # the summary is rewritten as each point finishes, so that an
+    # interrupted sweep keeps the rows of the points it has
+    keys = [t for t, _ in axes]
+    rows = [["point"] + keys + ["exit_code", "metrics"]]
+    codes = []
     # a fork-context pool starts all its workers at the first submit
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        for fut in [pool.submit(_sweep_worker, job) for job in jobs]:
+        futures = [pool.submit(_sweep_worker, job) for job in jobs]
+        for idx, (combo, fut) in enumerate(zip(combos, futures)):
             try:
                 _, code, metrics = fut.result()
             except concurrent.futures.BrokenExecutor as exc:  # a worker process died
                 code, metrics = EXIT_POINT_FAILED, {"error": _error_line(exc)}
-            results.append((code, metrics))
-
-    keys = [t for t, _ in axes]
-    with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["point"] + keys + ["exit_code", "metrics"])
-        for idx in range(len(jobs)):
-            code, metrics = results[idx]
-            _, combo = labels[idx]
+            codes.append(code)
             metric_text = ";".join(f"{k}={v}" for k, v in sorted(metrics.items()))
-            writer.writerow([f"pt{idx:04d}"] + [combo[k] for k in keys]
-                            + [str(code), metric_text])
+            rows.append([f"pt{idx:04d}", *combo, str(code), metric_text])
+            with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8",
+                             newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
 
-    codes = [code for code, _ in results]
     for severity in (EXIT_POINT_FAILED, EXIT_CONFIG_ERROR, EXIT_UNEXPECTED_BLOWUP,
                      EXIT_CHECK_FAILED):
         if severity in codes:

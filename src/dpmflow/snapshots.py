@@ -4,12 +4,14 @@ Layout, all little-endian:
   magic 'DPMF', u32 version=1, u8 dim, u8 buoyancy_axis,
   u64 n per axis, f64 time, f64 values row-major.
 A checkpoint is a snapshot followed by one trailing f64 carrying the 1D
-module's accumulator g; readers tell the two apart by file length.
+module's accumulator g; readers tell the two apart by file length.  The
+time and g must be finite.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 
@@ -81,6 +83,9 @@ def read_snapshot(path):
     g = None
     if len(raw) == need + 8:
         (g,) = struct.unpack_from("<d", raw, need)
+    for name, value in (("time", time), ("g", g)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{path}: {name} is {value}, must be finite")
     field = PhysicalField(Domain(tuple(int(m) for m in n), int(baxis)),
                           values.astype(np.float64))
     return float(time), field, g

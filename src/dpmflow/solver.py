@@ -73,7 +73,6 @@ class RunResult:
     records: list
     final_state: SimulationState
     blew_up: bool = False
-    states: list | None = None
 
 
 class _Work(NamedTuple):
@@ -401,17 +400,6 @@ def nonlinear_term(t_hat: SpectralField, forcing: SpectralField | None = None) -
         gather(t_hat.coeffs, d)), d))
 
 
-def resolution_tail(t_hat: SpectralField) -> float:
-    """Relative magnitude of the spectrum beyond the 2/3 cutoff."""
-    d = t_hat.domain
-    a = np.abs(t_hat.coeffs)
-    peak = a.max()
-    if peak == 0.0:
-        return 0.0
-    tail = a[~d.dealias_mask]
-    return float(tail.max() / peak) if tail.size else 0.0
-
-
 class SampleClock:
     """Sample times start + k * sample_every, k = 1, 2, ..., of a run ending at t_end.
 
@@ -448,13 +436,15 @@ class SampleClock:
 
 def run(t0_field: PhysicalField, params: SolverParams,
         forcing: SpectralField | None = None, sample_every: float = 0.1,
-        p_list=(1.0, 2.0, 4.0, math.inf), s_list=(), keep_states: bool = False,
+        p_list=(1.0, 2.0, 4.0, math.inf), s_list=(), on_sample=None,
         start_time: float = 0.0) -> RunResult:
     """Integrate to params.t_end, sampling diagnostics on schedule.
 
     The one way to step the DPM system; a single step is a run with
     t_end = start_time + dt.  forcing is the spectrum of the time-independent
     source term, or None.  The state and the forcing are 2/3-truncated.
+    on_sample, when given, is called with each sampled SimulationState (a
+    half spectrum of its own) right after its record is computed.
     Deterministic given its inputs.  The mean mode is pinned to its exact
     linear-in-time law each step.  If a coefficient becomes non-finite the
     run stops and the result is flagged, keeping the last finite state.
@@ -468,21 +458,23 @@ def run(t0_field: PhysicalField, params: SolverParams,
             "theory applies and finite-time blow-up has not been ruled out",
             stacklevel=2)
 
-    c = forward_transform(t0_field).coeffs
-    tail = resolution_tail(SpectralField(domain, c))
+    # the state is stepped on the 2/3 box, and records see it on the half;
+    # the data's spectral tail is what the box leaves out of them
+    full = forward_transform(t0_field).coeffs
+    c = gather(full, domain)
+    peak = np.abs(full).max()
+    tail = np.abs(full - scatter(c, domain)).max() / peak if peak else 0.0
+    del full  # not held through the run
     if tail > 1e-10:
         warnings.warn(
             f"initial data is marginally resolved: spectral tail {tail:.2e} "
             "of peak beyond the 2/3 cutoff", stacklevel=2)
-
-    # the state is stepped on the 2/3 box, and records see it on the half
     integ = _Integrator(domain, params, forcing)
-    c = gather(c, domain)
     idx0 = (0,) * domain.dim
     mean0 = complex(c[idx0])
     f0 = 0.0 if forcing is None else complex(forcing.mean)
 
-    if params.t_end <= start_time:
+    if not start_time < params.t_end:
         raise ValueError("t_end must exceed the start time")
     if not sample_every > 0:
         raise ValueError(f"sample_every must be positive, got {sample_every}")
@@ -492,7 +484,6 @@ def run(t0_field: PhysicalField, params: SolverParams,
         return SimulationState(t, SpectralField(domain, scatter(coeffs, domain)))
 
     records = []
-    states = [] if keep_states else None
     # the next state goes into the array of the state before the last, and
     # the nonlinear term into its own, so stepping allocates nothing of grid
     # size; records drop both spare and work arrays, which they outweigh
@@ -501,7 +492,11 @@ def run(t0_field: PhysicalField, params: SolverParams,
     inj_int = 0.0
 
     def sample(t, coeffs):
-        """Record the state of the last nonlinear evaluation, whose vmax it takes."""
+        """Record the state of the last nonlinear evaluation, whose vmax it takes.
+
+        on_sample runs here, while the work arrays are released, so what it
+        allocates never adds to the stepping set.
+        """
         nonlocal spare
         integ.drop_work()
         spare = None
@@ -509,8 +504,8 @@ def run(t0_field: PhysicalField, params: SolverParams,
         records.append(compute_record(state, params.nu, params.alpha, integ.last_vmax,
                                       p_list=p_list, s_list=s_list,
                                       diss_integral=diss_int, inj_integral=inj_int))
-        if keep_states:
-            states.append(state)
+        if on_sample is not None:
+            on_sample(state)
 
     nl = integ.nonlinear(c)
     budget = integ.budget(c, integ.tendency(c, nl))
@@ -541,8 +536,7 @@ def run(t0_field: PhysicalField, params: SolverParams,
         sample(t, c)
 
     final = make_state(t, c)
-    return RunResult(records=records, final_state=final, blew_up=blew_up,
-                     states=states)
+    return RunResult(records=records, final_state=final, blew_up=blew_up)
 
 
 def _corrected_trapezoid(dt, f0, f1, df0, df1):

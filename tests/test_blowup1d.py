@@ -252,6 +252,11 @@ class TestTrajectories:
             run_stream_slope(cos_field(d1), Regularization(), dt=1e-3, t_end=0.1,
                              sample_every=sample_every)
 
+    def test_rejects_a_nan_start_time(self, d1):
+        with pytest.raises(ValueError, match="start time"):
+            run_stream_slope(cos_field(d1), Regularization(), dt=1e-3, t_end=0.1,
+                             start_time=math.nan)
+
 
 @pytest.mark.parametrize("reg", [Regularization(), Regularization("spectral", nu=0.1)])
 def test_step_allocates_nothing_of_state_size(reg):

@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dpmflow import Domain, PhysicalField, cli, read_snapshot, write_snapshot
+from dpmflow import (Domain, PhysicalField, RunConfig, cli, diagnostics, read_snapshot,
+                     write_snapshot)
 from dpmflow.blowup1d import _StreamOps
 from dpmflow.cli import main
 
@@ -77,6 +79,13 @@ def _worker_dying_on_point_1(args):
     """The sweep worker, except that point 1 kills its process."""
     if args[0] == 1:
         os._exit(9)
+    return _run_point(args)
+
+
+def _worker_interrupted_on_point_1(args):
+    """The sweep worker, except that point 1 is interrupted."""
+    if args[0] == 1:
+        raise KeyboardInterrupt
     return _run_point(args)
 
 
@@ -193,15 +202,17 @@ output.dir = {outdir}
         assert not (tmp_path / "o").exists()
 
     def test_truncated_initial_snapshot_exits_4(self, tmp_path, capsys):
-        # 26 bytes of a 2D snapshot: cut inside the header's grid sizes
+        # 26 bytes of a 2D snapshot, cut inside the header's grid sizes; and
+        # a whole one whose time is NaN, from which no step would be taken
         path = tmp_path / "cut.dpmf"
-        write_snapshot(path, 0.0, PhysicalField(Domain((32, 32)), np.zeros((32, 32))))
-        path.write_bytes(path.read_bytes()[:26])
-        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o").replace(
-            "initial.kind = single_mode", f"initial.kind = file\ninitial.path = {path}")
-        assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 4
-        assert "initial.path" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        for time, length in ((0.0, 26), (math.nan, None)):
+            write_snapshot(path, time, PhysicalField(Domain((32, 32)), np.zeros((32, 32))))
+            path.write_bytes(path.read_bytes()[:length])
+            text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o").replace(
+                "initial.kind = single_mode", f"initial.kind = file\ninitial.path = {path}")
+            assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 4
+            assert "initial.path" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_out_of_range_buoyancy_axis_exits_4(self, tmp_path, capsys):
         # axis 2 of a 2D domain, which must not wrap round to axis 0
@@ -322,6 +333,46 @@ output.dir = {tmp_path / 'o'}
         assert len(snaps) >= 3
         t, field, g = read_snapshot(snaps[0])
         assert t == 0.0 and g is None and field.domain.n == (32, 32)
+
+    def test_interrupted_run_keeps_the_snapshots_taken(self, tmp_path, monkeypatch):
+        # the 4th record raises: the three samples before it are on disk
+        times = []
+        record = diagnostics.compute_record
+
+        def failing_on_the_4th(state, *args, **kwargs):
+            if len(times) == 3:
+                raise RuntimeError("interrupted")
+            times.append(state.t)
+            return record(state, *args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "compute_record", failing_on_the_4th)
+        text = DECAY_RUN.format(t_end=1.0, outdir=tmp_path / "o")
+        cfg = write_config(tmp_path / "snap.cfg", text + "output.snapshots = true\n")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            main(["run", cfg])
+        snaps = sorted((tmp_path / "o").glob("snapshot_*.dpmf"))
+        assert [p.name for p in snaps] == [f"snapshot_{i:05d}.dpmf" for i in range(3)]
+        assert [read_snapshot(p)[0] for p in snaps] == times == pytest.approx([0.0, 0.1, 0.2])
+
+    def test_snapshot_memory_does_not_grow_with_the_samples(self, tmp_path):
+        # each snapshot is written when it is sampled, so 36 more samples
+        # hold less than one more half spectrum at their peak
+        def peak(samples):
+            text = DECAY_RUN.format(t_end=0.002 * (samples - 1), outdir=tmp_path / "o")
+            text = (text.replace("32, 32", "128, 128").replace("1, 2, 4, inf", "2")
+                    .replace("sample_every = 0.1", "sample_every = 0.002"))
+            cfg = RunConfig.parse(text + "output.snapshots = true\n")
+            tracemalloc.start()
+            try:
+                assert cli.cmd_run(cfg)[0] == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # fills numpy's and the domain's caches
+        assert len(list((tmp_path / "o").glob("snapshot_*.dpmf"))) == 4
+        half_spectrum = 128 * 65 * 16
+        assert peak(40) - peak(4) < half_spectrum
 
     def test_failing_bound_check_exits_2(self, tmp_path):
         # inviscid first-order Euler grows energy (u + dt*N is never shorter
@@ -460,6 +511,18 @@ blowup.sample_every = 0.02
         assert not (tmp_path / "o").exists()
         assert not calls
 
+    def test_restart_with_non_finite_g_exits_4(self, tmp_path, capsys):
+        # a NaN g would flag blow-up at once, after no step
+        d = Domain((64,))
+        write_snapshot(tmp_path / "nan.dpmf", 0.0, PhysicalField(d, np.cos(d.grid[0])),
+                       g=math.nan)
+        text = BLOWUP_CFG.format(t_end=0.1, outdir=tmp_path / "o")
+        cfg = write_config(tmp_path / "n.cfg", text.replace("blowup.n = 128", "blowup.n = 64")
+                           + f"blowup.initial = file\nblowup.path = {tmp_path / 'nan.dpmf'}\n")
+        assert main(["blowup1d", cfg]) == 4
+        assert "blowup.path" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unattainable_oracle_tolerance_exits_2(self, tmp_path):
         text = BLOWUP_CFG.format(t_end=0.4, outdir=tmp_path / "o")
         text = text.replace("blowup.oracle_rtol = 1e-4",
@@ -565,6 +628,17 @@ class TestSweep:
         rows = csv_rows(tmp_path / "o" / "summary.csv")
         assert [r["exit_code"] for r in rows] == ["0", "1", "1"]
         assert all("BrokenProcessPool" in r["metrics"] for r in rows[1:])
+
+    def test_interrupted_sweep_keeps_the_finished_points(self, tmp_path, monkeypatch):
+        # one worker runs the points in order: point 0 finishes, and point
+        # 1 is interrupted, which stops the sweep
+        monkeypatch.setattr(cli, "_sweep_worker", _worker_interrupted_on_point_1)
+        cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
+            workers=1, dts="1e-3 | 2e-3 | 3e-3", outdir=tmp_path / "o"))
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", cfg])
+        rows = csv_rows(tmp_path / "o" / "summary.csv")
+        assert [(r["point"], r["exit_code"]) for r in rows] == [("pt0000", "0")]
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_non_positive_workers_exit_4(self, tmp_path, capsys, workers):

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dpmflow import (ConfigError, Domain, PhysicalField, RunConfig,
                      read_snapshot, write_snapshot)
@@ -237,6 +239,37 @@ class TestSnapshots:
             path.write_bytes(raw[:length])
             with pytest.raises(ValueError, match="truncated"):
                 read_snapshot(path)
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["2d", "1d"]), cut=st.none() | st.integers(0, 600),
+           patches=st.lists(st.tuples(st.integers(-48, 47), st.integers(0, 255)), max_size=4))
+    @example(kind="2d", cut=None, patches=list(enumerate(struct.pack("<d", math.nan), 26)))
+    @example(kind="1d", cut=None, patches=list(enumerate(struct.pack("<d", math.inf), -8)))
+    def test_read_of_a_damaged_file_fails_or_matches_its_header(self, tmp_path, kind, cut,
+                                                                 patches):
+        # a 2D snapshot (time at bytes 26-33) or a 1D checkpoint (g in the
+        # last 8), cut short or with some header or tail bytes overwritten
+        path = tmp_path / "f.dpmf"
+        if kind == "2d":
+            values = np.arange(64.0).reshape(8, 8)
+            write_snapshot(path, 0.5, PhysicalField(Domain((8, 8)), values - values.mean()))
+        else:
+            d = Domain((16,))
+            write_snapshot(path, 1.0, PhysicalField(d, np.sin(d.grid[0])), g=0.75)
+        raw = bytearray(path.read_bytes())
+        for at, byte in patches:
+            raw[at] = byte
+        if cut is not None:
+            raw = raw[:cut % (len(raw) + 1)]
+        path.write_bytes(bytes(raw))
+        try:
+            t, field, g = read_snapshot(path)
+        except (ValueError, OSError):
+            return
+        dim = raw[8]
+        assert field.values.shape == struct.unpack_from(f"<{dim}Q", raw, 10)
+        assert math.isfinite(t)
+        assert g is None or math.isfinite(g)
 
     def test_read_rejects_out_of_range_buoyancy_axis(self, tmp_path):
         # a 2D snapshot whose header byte names buoyancy axis 2

@@ -254,12 +254,13 @@ def test_run_keeps_each_state_as_sampled(d, seed, alpha, adaptive):
     values = np.fft.ifftn(hermitian(d, seed), norm="forward").real
     u0 = PhysicalField(d, values / np.abs(values).max())
     params = SolverParams(nu=0.1, alpha=alpha, dt=0.01, t_end=0.03, adaptive=adaptive)
-    res = run(u0, params, sample_every=0.01, p_list=(2.0,), keep_states=True)
-    assert len(res.states) == len(res.records) == 4
-    for rec, state in zip(res.records, res.states):
+    states = []
+    res = run(u0, params, sample_every=0.01, p_list=(2.0,), on_sample=states.append)
+    assert len(states) == len(res.records) == 4
+    for rec, state in zip(res.records, states):
         # each state still gives the norm recorded when it was sampled
         assert compute_record(state, 0.1, alpha, rec.vmax, p_list=(2.0,)).lp[2.0] == rec.lp[2.0]
-    arrays = [state.t_hat.coeffs for state in res.states] + [res.final_state.t_hat.coeffs]
+    arrays = [state.t_hat.coeffs for state in states] + [res.final_state.t_hat.coeffs]
     assert not any(np.may_share_memory(a, b) for i, a in enumerate(arrays)
                    for b in arrays[i + 1:])
     assert np.array_equal(arrays[-1], arrays[-2])

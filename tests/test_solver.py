@@ -115,10 +115,11 @@ class TestStep:
         forcing = forward_transform(phys(d2, nu * np.sin(x[0])))
         t0 = phys(d2, np.sin(x[0]))
         params = SolverParams(nu=nu, alpha=1.5, dt=5e-3, t_end=1.0)
-        res = run(t0, params, forcing, sample_every=5e-3, p_list=(2.0,), keep_states=True)
-        assert len(res.states) == 201
+        states = []
+        run(t0, params, forcing, sample_every=5e-3, p_list=(2.0,), on_sample=states.append)
+        assert len(states) == 201
         ref = dealias(forward_transform(t0)).coeffs
-        drift = max(np.abs(state.t_hat.coeffs - ref).max() for state in res.states)
+        drift = max(np.abs(state.t_hat.coeffs - ref).max() for state in states)
         assert drift <= 1e-9
 
     def test_ifeuler_converges_at_first_order(self, d2):
@@ -226,6 +227,12 @@ class TestRun:
             params = SolverParams(nu=0.1, alpha=1.5, dt=0.1, t_end=1.0, adaptive=adaptive)
             with pytest.raises(ValueError, match="sample_every"):
                 run(random_field(d2, seed=4), params, sample_every=sample_every)
+
+    def test_rejects_a_nan_start_time(self, d2):
+        # no step would be taken, and one record returned for the whole run
+        params = SolverParams(nu=0.1, alpha=1.5, dt=0.1, t_end=1.0)
+        with pytest.raises(ValueError, match="start time"):
+            run(random_field(d2, seed=4), params, start_time=math.nan)
 
     def test_adaptive_run_reaches_t_end(self, d2):
         t0 = random_field(d2, seed=14)
