@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import CheckResult
+from .diagnostics import attach_checks
 from .solver import IFRK4, SampleClock
 from .spectral import Domain, PhysicalField, SpectralField, hs_seminorm, k_power
 
@@ -308,6 +308,8 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
         raise ValueError("dt must be positive and t_end must exceed the start time")
     if not sample_every > 0:
         raise ValueError(f"sample_every must be positive, got {sample_every}")
+    if not 0 < threshold < math.inf:  # at NaN no step would flag blow-up
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     d = w0.domain
     ops = _StreamOps(d, reg)
     x = ops.start(w0, start_g)
@@ -466,14 +468,7 @@ def check_max_bound(records, slack: float = 1e-6):
     if q0 <= 0:
         raise ValueError("the bound applies to a positive initial max w + g")
     horizon = 1.0 / q0
-    results = []
-    for rec in records:
-        if rec.t - first.t >= horizon:
-            continue
-        bound = q0 / (1.0 - q0 * (rec.t - first.t))
-        value = rec.max_w + rec.g
-        ok = value <= bound * (1.0 + slack) + 1e-14 * q0
-        res = CheckResult("max_bound", bound, value, ok)
-        rec.checks.append(res)
-        results.append(res)
-    return results
+    return attach_checks("max_bound", ((rec, q0 / (1.0 - q0 * (rec.t - first.t)),
+                                        rec.max_w + rec.g)
+                                       for rec in records if rec.t - first.t < horizon),
+                         slack, 1e-14 * q0)

@@ -18,12 +18,12 @@ import traceback
 import warnings
 
 from . import blowup1d
-from .config import (ConfigError, RunConfig, build_domain, build_forcing,
+from .config import (ConfigError, RunConfig, _checked, build_domain, build_forcing,
                      build_initial, build_regularization, build_solver_params,
                      build_stream_initial)
 from .diagnostics import (check_absorbing_ball, check_decay_torus,
                           check_dissipation_budget, records_to_csv, write_csv)
-from .snapshots import atomic_open, read_snapshot, write_snapshot
+from .snapshots import atomic_open, write_snapshot
 from .solver import run as run_dpm
 from .spectral import inverse_transform
 
@@ -42,12 +42,14 @@ def _outdir(cfg):
     return path
 
 
-def _tolerance(cfg, key, default):
-    """A check's relative tolerance: finite and >= 0, as a NaN passes or fails every check."""
-    tol = cfg.get_float(key, default=default)
-    if not 0 <= tol < math.inf:
-        raise ConfigError(f"{key} = {tol} must be finite and >= 0")
-    return tol
+def _in_range(cfg, key, default, positive=False):
+    """The number at key: finite, and positive or >= 0 (a tolerance, which at
+    NaN would pass or fail every check)."""
+    val = cfg.get_float(key, default=default)
+    if not (0 < val < math.inf or (val == 0 and not positive)):
+        raise ConfigError(f"{key} = {val} must be "
+                          + ("positive and finite" if positive else "finite and >= 0"))
+    return val
 
 
 def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
@@ -64,10 +66,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
     for p in p_list:
         if not p >= 1:
             raise ConfigError(f"diagnostics.p_list: {p:g} is not an L^p exponent (p >= 1)")
-    sample_every = cfg.get_float("diagnostics.sample_every", default=0.1)
-    if not 0 < sample_every < math.inf:
-        raise ConfigError(f"diagnostics.sample_every = {sample_every} must be positive "
-                          "and finite")
+    sample_every = _in_range(cfg, "diagnostics.sample_every", 0.1, positive=True)
     stride = sample_every / params.dt
     if not params.adaptive and (round(stride) < 1
                                 or abs(stride - round(stride)) > 1e-9 * stride):
@@ -75,7 +74,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         # another size: keep every step at solver.dt
         raise ConfigError(f"diagnostics.sample_every = {sample_every} is not an "
                           f"integer multiple of solver.dt = {params.dt}")
-    slack = _tolerance(cfg, "diagnostics.slack", 1e-6)
+    slack = _in_range(cfg, "diagnostics.slack", 1e-6)
     if "diagnostics.linf_refine" in cfg.values:
         warnings.warn("diagnostics.linf_refine is ignored: the linf column is the sup "
                       "of the trigonometric interpolant", stacklevel=2)
@@ -92,11 +91,8 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         raise ConfigError("diagnostics.checks: the decay bound applies to "
                           "unforced runs only")
     if "decay" in checks:
-        try:
-            blowup1d._check_mean_zero(t0_field)
-        except ValueError as exc:
-            raise ConfigError(f"diagnostics.checks: the decay bound applies to "
-                              f"mean-zero data: {exc}") from exc
+        _checked("diagnostics.checks: the decay bound applies to mean-zero data",
+                 blowup1d._check_mean_zero, t0_field)
     decay_p = cfg.get_float("diagnostics.decay_p", default=2.0)
     if "decay" in checks and decay_p not in p_list:
         raise ConfigError(f"diagnostics.decay_p = {decay_p:g} is not in diagnostics.p_list")
@@ -151,53 +147,27 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
 
 def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     reg = build_regularization(cfg)
-    initial_kind = cfg.get_str("blowup.initial", default="cos",
-                               choices=("cos", "random", "file"))
-    start_time = 0.0
-    start_g = 0.0
-    if initial_kind == "file":
-        path = cfg.get_str("blowup.path")
-        try:
-            start_time, w0, g = read_snapshot(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"blowup.path: {exc}") from exc
-        start_g = g or 0.0
-        if w0.domain.dim != 1:
-            raise ConfigError(f"blowup.path: snapshot is {w0.domain.dim}D, need 1D")
-        try:
-            blowup1d._check_mean_zero(w0)
-        except ValueError as exc:
-            raise ConfigError(f"blowup.path: {exc}") from exc
-    else:
-        w0 = build_stream_initial(cfg)
-    dt = cfg.get_float("blowup.dt", default=1e-4)
+    w0, start_time, start_g = build_stream_initial(cfg)
+    dt = _in_range(cfg, "blowup.dt", 1e-4, positive=True)
     t_end = cfg.get_float("blowup.t_end")
-    if not 0 < dt < math.inf:
-        raise ConfigError(f"blowup.dt = {dt} must be positive and finite")
     if not start_time < t_end < math.inf:
         raise ConfigError(f"blowup.t_end = {t_end} must be finite and exceed the "
                           f"start time {start_time}")
-    sample_every = cfg.get_float("blowup.sample_every", default=0.01)
-    if not 0 < sample_every < math.inf:
-        raise ConfigError(f"blowup.sample_every = {sample_every} must be positive "
-                          "and finite")
-    threshold = cfg.get_float("blowup.threshold", default=1e8)
-    if not 0 < threshold < math.inf:
-        raise ConfigError(f"blowup.threshold = {threshold} must be positive and finite")
+    sample_every = _in_range(cfg, "blowup.sample_every", 0.01, positive=True)
+    threshold = _in_range(cfg, "blowup.threshold", 1e8, positive=True)
     adaptive = cfg.get_bool("blowup.adaptive", default=True)
     oracle_mode = cfg.get_str("blowup.oracle", default="auto",
                               choices=("auto", "on", "off"))
-    oracle_rtol = _tolerance(cfg, "blowup.oracle_rtol", 1e-5)
-    tstar_rtol = _tolerance(cfg, "blowup.tstar_rtol", 0.01)
+    oracle_rtol = _in_range(cfg, "blowup.oracle_rtol", 1e-5)
+    tstar_rtol = _in_range(cfg, "blowup.tstar_rtol", 0.01)
     bound_check = cfg.get_bool("blowup.max_bound_check", default=False)
-    slack = _tolerance(cfg, "blowup.slack", 1e-6)
+    slack = _in_range(cfg, "blowup.slack", 1e-6)
 
     if bound_check:
-        # Q(t0) is that of the run's first record: refuse a bad one before stepping
-        try:
-            blowup1d.check_max_bound([blowup1d.start_record(w0, start_time, start_g)])
-        except ValueError as exc:  # a restart whose g outweighs max w
-            raise ConfigError(f"blowup.max_bound_check: {exc}") from exc
+        # Q(t0) is that of the run's first record: refuse a bad one (a
+        # restart whose g outweighs max w) before stepping
+        _checked("blowup.max_bound_check", blowup1d.check_max_bound,
+                 [blowup1d.start_record(w0, start_time, start_g)])
     result = blowup1d.run_stream_slope(w0, reg, dt, t_end,
                                        sample_every=sample_every,
                                        threshold=threshold, adaptive=adaptive,
@@ -205,7 +175,7 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
 
     # the closed-form oracle applies to pure-cosine data evolved without
     # regularization, or with the half-Laplacian term under the oracle sign
-    ansatz = initial_kind == "cos" and start_time == 0.0
+    ansatz = cfg.values.get("blowup.initial", "cos") == "cos"
     compatible = reg.mode == "none" or (reg.mode == "spectral" and reg.sign == "oracle")
     applicable = ansatz and compatible
     if oracle_mode == "on" and not applicable:
@@ -218,10 +188,7 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     if use_oracle:
         r0 = cfg.get_float("blowup.amplitude", default=1.0)
         nu_eff = reg.nu if reg.mode == "spectral" else 0.0
-        try:
-            params = blowup1d.OracleParams(r0=r0, nu=nu_eff)
-        except ValueError as exc:
-            raise ConfigError(f"blowup oracle: {exc}") from exc
+        params = _checked("blowup oracle", blowup1d.OracleParams, r0=r0, nu=nu_eff)
         t_star_analytic = blowup1d.blowup_time(params)
 
     # the oracle columns of each record, nan at and beyond the singular time
@@ -345,17 +312,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # a fork-context pool starts all its workers at the first submit
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         futures = [pool.submit(_sweep_worker, job) for job in jobs]
-        for idx, (combo, fut) in enumerate(zip(combos, futures)):
-            try:
-                _, code, metrics = fut.result()
-            except concurrent.futures.BrokenExecutor as exc:  # a worker process died
-                code, metrics = EXIT_POINT_FAILED, {"error": _error_line(exc)}
-            codes.append(code)
-            metric_text = ";".join(f"{k}={v}" for k, v in sorted(metrics.items()))
-            rows.append([f"pt{idx:04d}", *combo, str(code), metric_text])
-            with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8",
-                             newline="") as fh:
-                csv.writer(fh, lineterminator="\n").writerows(rows)
+        try:
+            for idx, (combo, fut) in enumerate(zip(combos, futures)):
+                try:
+                    _, code, metrics = fut.result()
+                except concurrent.futures.BrokenExecutor as exc:  # a worker process died
+                    code, metrics = EXIT_POINT_FAILED, {"error": _error_line(exc)}
+                codes.append(code)
+                metric_text = ";".join(f"{k}={v}" for k, v in sorted(metrics.items()))
+                rows.append([f"pt{idx:04d}", *combo, str(code), metric_text])
+                with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8",
+                                 newline="") as fh:
+                    csv.writer(fh, lineterminator="\n").writerows(rows)
+        except BaseException:
+            # start no queued point; those the pool has handed on still finish
+            pool.shutdown(cancel_futures=True)
+            raise
 
     for severity in (EXIT_POINT_FAILED, EXIT_CONFIG_ERROR, EXIT_UNEXPECTED_BLOWUP,
                      EXIT_CHECK_FAILED):
@@ -385,15 +357,11 @@ def main(argv=None) -> int:
 
     try:
         cfg = RunConfig.load(args.config)
-        if args.command == "run":
-            code, metrics = cmd_run(cfg)
-            print(f"exit={code} " + " ".join(f"{k}={v}" for k, v in sorted(metrics.items())))
-            return code
-        if args.command == "blowup1d":
-            code, metrics = cmd_blowup(cfg)
-            print(f"exit={code} " + " ".join(f"{k}={v}" for k, v in sorted(metrics.items())))
-            return code
-        return cmd_sweep(cfg)
+        if args.command == "sweep":
+            return cmd_sweep(cfg)
+        code, metrics = (cmd_run if args.command == "run" else cmd_blowup)(cfg)
+        print(f"exit={code} " + " ".join(f"{k}={v}" for k, v in sorted(metrics.items())))
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

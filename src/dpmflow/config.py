@@ -8,13 +8,12 @@ and report the offending key (and line, at parse time) in their messages.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blowup1d import Regularization
+from .blowup1d import Regularization, _check_mean_zero
 from .snapshots import read_snapshot
 from .solver import SolverParams
 from .spectral import (Domain, PhysicalField, SpectralField, dealias,
@@ -64,76 +63,64 @@ class RunConfig:
         return "".join(f"{k} = {self.values[k]}\n" for k in sorted(self.values))
 
     # typed accessors -----------------------------------------------------
-    def get_str(self, key, default=None, choices=None):
-        val = self.values.get(key, default)
+    def _get(self, key, default, parse, what):
+        """parse(value of key), or parse(default) when key is unset."""
+        val = self.values.get(key)
         if val is None:
-            raise ConfigError(f"missing required key {key!r}")
+            if default is None:
+                raise ConfigError(f"missing required key {key!r}")
+            val = default
+        try:
+            return parse(val)
+        except ValueError:
+            raise ConfigError(f"{key}: not {what}: {val!r}") from None
+
+    def get_str(self, key, default=None, choices=None):
+        val = self._get(key, default, str, "a string")
         if choices is not None and val not in choices:
             raise ConfigError(f"{key}: expected one of {sorted(choices)}, got {val!r}")
         return val
 
     def get_float(self, key, default=None):
-        val = self.values.get(key)
-        if val is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return float(default)
-        try:
-            return float(val)
-        except ValueError:
-            raise ConfigError(f"{key}: not a number: {val!r}") from None
+        return self._get(key, default, float, "a number")
 
     def get_int(self, key, default=None):
-        val = self.values.get(key)
-        if val is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return int(default)
-        try:
-            return int(val)
-        except ValueError:
-            raise ConfigError(f"{key}: not an integer: {val!r}") from None
+        return self._get(key, default, int, "an integer")
 
     def get_bool(self, key, default=None):
-        val = self.values.get(key)
-        if val is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return bool(default)
-        low = val.lower()
-        if low in ("true", "on", "yes", "1"):
-            return True
-        if low in ("false", "off", "no", "0"):
-            return False
-        raise ConfigError(f"{key}: not a boolean: {val!r}")
+        return self._get(key, default, _bool, "a boolean")
 
     def get_float_list(self, key, default=""):
-        val = self.values.get(key, default)
-        out = []
-        for item in val.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if item in ("inf", "infinity"):
-                out.append(math.inf)
-                continue
-            try:
-                out.append(float(item))
-            except ValueError:
-                raise ConfigError(f"{key}: not a number: {item!r}") from None
-        return out
+        return self._get(key, default, lambda v: _list(v, float), "a number list")
 
     def get_int_list(self, key, default=None):
-        val = self.values.get(key, default)
-        if val is None:
-            raise ConfigError(f"missing required key {key!r}")
-        try:
-            return [int(item) for item in val.split(",") if item.strip()]
-        except ValueError:
-            raise ConfigError(f"{key}: not an integer list: {val!r}") from None
+        return self._get(key, default, lambda v: _list(v, int), "an integer list")
+
+
+_BOOLS = {**dict.fromkeys(("true", "on", "yes", "1"), True),
+          **dict.fromkeys(("false", "off", "no", "0"), False)}
+
+
+def _bool(val):
+    try:
+        return _BOOLS[str(val).lower()]
+    except KeyError:
+        raise ValueError(val) from None
+
+
+def _list(val, parse):
+    return [parse(item) for item in val.split(",") if item.strip()]
 
 
 # builders ----------------------------------------------------------------
+
+def _checked(prefix, make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError (such as non-finite data) as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}: {exc}") from exc
+
 
 def build_domain(cfg: RunConfig) -> Domain:
     dim = cfg.get_int("domain.dim")
@@ -143,36 +130,21 @@ def build_domain(cfg: RunConfig) -> Domain:
     if len(n) != dim:
         raise ConfigError(f"domain.n: expected {dim} entries, got {len(n)}")
     baxis = cfg.get_int("domain.buoyancy_axis", default=dim - 1)
-    try:
-        return Domain(tuple(n), baxis)
-    except ValueError as exc:
-        raise ConfigError(f"domain: {exc}") from exc
+    return _checked("domain", Domain, tuple(n), baxis)
 
 
 def build_solver_params(cfg: RunConfig) -> SolverParams:
     if not cfg.get_bool("solver.dealias", default=True):
         raise ConfigError("solver.dealias = false: the 2/3 rule is always applied")
-    try:
-        return SolverParams(
-            nu=cfg.get_float("solver.nu"),
-            alpha=cfg.get_float("solver.alpha"),
-            dt=cfg.get_float("solver.dt"),
-            t_end=cfg.get_float("solver.t_end"),
-            scheme=cfg.get_str("solver.scheme", default="ifrk4",
-                               choices=("ifrk4", "ifeuler")),
-            adaptive=cfg.get_bool("solver.adaptive", default=False),
-            cfl_safety=cfg.get_float("solver.cfl_safety", default=0.9),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-
-def _field(prefix, make, *args, **kwargs) -> PhysicalField:
-    """make(*args, **kwargs), a ValueError (such as non-finite data) as a ConfigError."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}: {exc}") from exc
+    return _checked(
+        "solver", SolverParams,
+        nu=cfg.get_float("solver.nu"),
+        alpha=cfg.get_float("solver.alpha"),
+        dt=cfg.get_float("solver.dt"),
+        t_end=cfg.get_float("solver.t_end"),
+        scheme=cfg.get_str("solver.scheme", default="ifrk4", choices=("ifrk4", "ifeuler")),
+        adaptive=cfg.get_bool("solver.adaptive", default=False),
+        cfl_safety=cfg.get_float("solver.cfl_safety", default=0.9))
 
 
 def _mode_field(cfg, prefix, domain) -> PhysicalField:
@@ -190,8 +162,21 @@ def _mode_field(cfg, prefix, domain) -> PhysicalField:
         kvec[axis] = cfg.get_int(f"{prefix}.wavenumber", default=1)
     phase = sum(k * x for k, x in zip(kvec, domain.grid))
     fn = np.sin if shape == "sin" else np.cos
-    return _field(prefix, PhysicalField, domain, np.ascontiguousarray(
+    return _checked(prefix, PhysicalField, domain, np.ascontiguousarray(
         np.broadcast_to(amplitude * fn(phase), domain.n)))
+
+
+def _snapshot_input(cfg, key, grid=None, grid_key="domain.n"):
+    """(time, field, g) of the snapshot named by key, its grid checked against
+    grid (that of grid_key) when given; any failure is a ConfigError on key."""
+    try:
+        time, fld, g = read_snapshot(cfg.get_str(key))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    if grid is not None and fld.domain.n != grid:
+        raise ConfigError(f"{key}: snapshot grid {fld.domain.n} "
+                          f"does not match {grid_key} {grid}")
+    return time, fld, g
 
 
 def build_initial(cfg: RunConfig, domain: Domain):
@@ -201,20 +186,13 @@ def build_initial(cfg: RunConfig, domain: Domain):
     if kind == "single_mode":
         return _mode_field(cfg, "initial", domain), 0.0
     if kind == "random":
-        return _field(
+        return _checked(
             "initial", random_field, domain,
             spectrum_decay=cfg.get_float("initial.spectrum_decay", default=3.0),
             cutoff=cfg.get_float("initial.cutoff", default=5.0),
             seed=cfg.get_int("initial.seed", default=0),
             l2_norm=cfg.get_float("initial.l2_norm", default=1.0)), 0.0
-    path = cfg.get_str("initial.path")
-    try:
-        time, fld, _ = read_snapshot(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"initial.path: {exc}") from exc
-    if fld.domain.n != domain.n:
-        raise ConfigError(f"initial.path: snapshot grid {fld.domain.n} "
-                          f"does not match domain.n {domain.n}")
+    time, fld, _ = _snapshot_input(cfg, "initial.path", domain.n)
     return PhysicalField(domain, fld.values), time
 
 
@@ -227,46 +205,39 @@ def build_forcing(cfg: RunConfig, domain: Domain) -> SpectralField | None:
     if kind == "single_mode":
         fld = _mode_field(cfg, "forcing", domain)
     else:
-        path = cfg.get_str("forcing.path")
-        try:
-            _, fld, _ = read_snapshot(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"forcing.path: {exc}") from exc
-        if fld.domain.n != domain.n:
-            raise ConfigError(f"forcing.path: snapshot grid {fld.domain.n} "
-                              f"does not match domain.n {domain.n}")
-        fld = PhysicalField(domain, fld.values)
+        fld = PhysicalField(domain, _snapshot_input(cfg, "forcing.path", domain.n)[1].values)
     return dealias(forward_transform(fld))
 
 
 def build_regularization(cfg: RunConfig) -> Regularization:
-    try:
-        return Regularization(
-            mode=cfg.get_str("blowup.mode", default="none",
-                             choices=("none", "spectral", "quasilinear")),
-            nu=cfg.get_float("blowup.nu", default=0.0),
-            alpha=cfg.get_float("blowup.alpha", default=2.0),
-            sign=cfg.get_str("blowup.sign", default="oracle",
-                             choices=("oracle", "dissipative")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"blowup: {exc}") from exc
+    return _checked(
+        "blowup", Regularization,
+        mode=cfg.get_str("blowup.mode", default="none",
+                         choices=("none", "spectral", "quasilinear")),
+        nu=cfg.get_float("blowup.nu", default=0.0),
+        alpha=cfg.get_float("blowup.alpha", default=2.0),
+        sign=cfg.get_str("blowup.sign", default="oracle", choices=("oracle", "dissipative")))
 
 
-def build_stream_initial(cfg: RunConfig) -> PhysicalField:
-    kind = cfg.get_str("blowup.initial", default="cos", choices=("cos", "random"))
+def build_stream_initial(cfg: RunConfig):
+    """The 1D start state (w0, start time, start g); nonzero times from a checkpoint."""
+    kind = cfg.get_str("blowup.initial", default="cos", choices=("cos", "random", "file"))
+    if kind == "file":
+        grid = (cfg.get_int("blowup.n"),) if "blowup.n" in cfg.values else None
+        time, w0, g = _snapshot_input(cfg, "blowup.path", grid, "blowup.n")
+        if w0.domain.dim != 1:
+            raise ConfigError(f"blowup.path: snapshot is {w0.domain.dim}D, need 1D")
+        _checked("blowup.path", _check_mean_zero, w0)
+        return w0, time, g or 0.0
     # single-mode studies are spectrally trivial; generic data is not
     n = cfg.get_int("blowup.n", default=256 if kind == "cos" else 2048)
-    try:
-        domain = Domain((n,))
-    except ValueError as exc:
-        raise ConfigError(f"blowup.n: {exc}") from exc
+    domain = _checked("blowup.n", Domain, (n,))
     if kind == "cos":
         amp = cfg.get_float("blowup.amplitude", default=1.0)
-        return _field("blowup", PhysicalField, domain, amp * np.cos(domain.grid[0]))
-    return _field(
+        return _checked("blowup", PhysicalField, domain, amp * np.cos(domain.grid[0])), 0.0, 0.0
+    return _checked(
         "blowup", random_field, domain,
         spectrum_decay=cfg.get_float("blowup.spectrum_decay", default=3.0),
         cutoff=cfg.get_float("blowup.cutoff", default=5.0),
         seed=cfg.get_int("blowup.seed", default=0),
-        l2_norm=cfg.get_float("blowup.l2_norm", default=1.0))
+        l2_norm=cfg.get_float("blowup.l2_norm", default=1.0)), 0.0, 0.0

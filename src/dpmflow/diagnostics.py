@@ -75,6 +75,17 @@ def _norm_from_record(rec, p):
         raise KeyError(f"record at t={rec.t} does not carry the L^{p} norm") from None
 
 
+def attach_checks(name, rows, slack, floor):
+    """Judge value <= bound * (1 + slack) + floor for each (record, bound,
+    value) row, attaching the CheckResult to its record; returns the results."""
+    results = []
+    for rec, bound, value in rows:
+        res = CheckResult(name, bound, value, value <= bound * (1.0 + slack) + floor)
+        rec.checks.append(res)
+        results.append(res)
+    return results
+
+
 def check_decay_torus(records, p, nu, q=None, slack=1e-6, forcing=None):
     """Exponential decay of unforced mean-zero solutions on the torus.
 
@@ -100,15 +111,9 @@ def check_decay_torus(records, p, nu, q=None, slack=1e-6, forcing=None):
         raise ValueError(f"decay check applies to mean-zero data, got mean {first.mean:.3e}")
     rate = 2.0 * nu / p
     volfac = first.volume ** (1.0 / q - 1.0 / p)
-    results = []
-    for rec in records:
-        bound = volfac * n0 * math.exp(-rate * (rec.t - first.t))
-        value = _norm_from_record(rec, q)
-        ok = value <= bound * (1.0 + slack) + 1e-14 * n0
-        res = CheckResult("decay", bound, value, ok)
-        rec.checks.append(res)
-        results.append(res)
-    return results
+    return attach_checks("decay", ((rec, volfac * n0 * math.exp(-rate * (rec.t - first.t)),
+                                    _norm_from_record(rec, q)) for rec in records),
+                         slack, 1e-14 * n0)
 
 
 def check_absorbing_ball(records, forcing, p, nu, slack=1e-6):
@@ -130,15 +135,10 @@ def check_absorbing_ball(records, forcing, p, nu, slack=1e-6):
     n0 = _norm_from_record(first, p)
     radius = 0.0 if forcing is None else p * lp_norm(inverse_transform(forcing), p) / nu
     rate = nu / p
-    results = []
-    for rec in records:
-        bound = (n0 - radius) * math.exp(-rate * (rec.t - first.t)) + radius
-        value = _norm_from_record(rec, p)
-        ok = value <= bound * (1.0 + slack) + 1e-14 * max(n0, radius)
-        res = CheckResult("absorbing_ball", bound, value, ok)
-        rec.checks.append(res)
-        results.append(res)
-    return results
+    return attach_checks("absorbing_ball",
+                         ((rec, (n0 - radius) * math.exp(-rate * (rec.t - first.t)) + radius,
+                           _norm_from_record(rec, p)) for rec in records),
+                         slack, 1e-14 * max(n0, radius))
 
 
 def check_dissipation_budget(records, slack=1e-6):
@@ -149,20 +149,17 @@ def check_dissipation_budget(records, slack=1e-6):
         <= ||T(t1)||_2^2 + 2 int (f, T) ds
     for every consecutive record pair, with the integrals from the solver's
     own step-resolution accumulation (the diss_integral / inj_integral
-    columns).
+    columns).  The residual's bound is slack itself.
     """
-    results = []
-    for prev, rec in zip(records, records[1:]):
-        e0 = _norm_from_record(prev, 2.0) ** 2
-        e1 = _norm_from_record(rec, 2.0) ** 2
-        diss = 2.0 * (rec.diss_integral - prev.diss_integral)
-        inj = 2.0 * (rec.inj_integral - prev.inj_integral)
-        residual = (e1 - e0 + diss - inj) / max(1.0, e0)
-        ok = residual <= slack
-        res = CheckResult("dissipation_budget", slack, residual, ok)
-        rec.checks.append(res)
-        results.append(res)
-    return results
+    def rows():
+        for prev, rec in zip(records, records[1:]):
+            e0 = _norm_from_record(prev, 2.0) ** 2
+            e1 = _norm_from_record(rec, 2.0) ** 2
+            diss = 2.0 * (rec.diss_integral - prev.diss_integral)
+            inj = 2.0 * (rec.inj_integral - prev.inj_integral)
+            yield rec, slack, (e1 - e0 + diss - inj) / max(1.0, e0)
+
+    return attach_checks("dissipation_budget", rows(), 0.0, 0.0)
 
 
 def norm_column(p):

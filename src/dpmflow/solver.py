@@ -451,6 +451,10 @@ def run(t0_field: PhysicalField, params: SolverParams,
     """
     from .diagnostics import compute_record  # local import avoids a cycle
 
+    if not start_time < params.t_end:
+        raise ValueError("t_end must exceed the start time")
+    if not sample_every > 0:
+        raise ValueError(f"sample_every must be positive, got {sample_every}")
     domain = t0_field.domain
     if params.alpha < 1.0 and params.nu > 0:
         warnings.warn(
@@ -473,11 +477,6 @@ def run(t0_field: PhysicalField, params: SolverParams,
     idx0 = (0,) * domain.dim
     mean0 = complex(c[idx0])
     f0 = 0.0 if forcing is None else complex(forcing.mean)
-
-    if not start_time < params.t_end:
-        raise ValueError("t_end must exceed the start time")
-    if not sample_every > 0:
-        raise ValueError(f"sample_every must be positive, got {sample_every}")
 
     def make_state(t, coeffs):
         # a new half spectrum: the stepping reuses the arrays of past states

@@ -257,6 +257,30 @@ class TestTrajectories:
             run_stream_slope(cos_field(d1), Regularization(), dt=1e-3, t_end=0.1,
                              start_time=math.nan)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_threshold_that_is_not_positive_and_finite(self, d1, threshold):
+        # at NaN no step flags blow-up; at 0 or -1 the first one does
+        with pytest.raises(ValueError, match="threshold"):
+            run_stream_slope(cos_field(d1), Regularization(), dt=1e-3, t_end=0.1,
+                             threshold=threshold)
+
+    @pytest.mark.parametrize("reg", [
+        Regularization("quasilinear", nu=0.1),
+        Regularization("spectral", nu=0.1, alpha=2.0, sign="dissipative"),
+        Regularization()])
+    def test_ifrk4_converges_at_fourth_order(self, reg):
+        # self-convergence on fixed steps: each halving of dt divides the
+        # change of the final slope by 2^4
+        d = Domain((64,))
+        x = d.grid[0]
+        w0 = PhysicalField(d, np.cos(x) + 0.3 * np.sin(2 * x))
+        finals = [run_stream_slope(w0, reg, dt, t_end=0.4, sample_every=0.4,
+                                   adaptive=False).final_state.w.values
+                  for dt in (0.04, 0.02, 0.01, 0.005)]
+        diffs = [np.abs(a - b).max() for a, b in zip(finals, finals[1:])]
+        for coarse, fine in zip(diffs, diffs[1:]):
+            assert 3.8 <= math.log2(coarse / fine) <= 4.2
+
 
 @pytest.mark.parametrize("reg", [Regularization(), Regularization("spectral", nu=0.1)])
 def test_step_allocates_nothing_of_state_size(reg):

@@ -523,6 +523,17 @@ blowup.sample_every = 0.02
         assert "blowup.path" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_restart_on_another_grid_than_blowup_n_exits_4(self, tmp_path, capsys):
+        # a 64-point checkpoint under blowup.n = 128: the key is not ignored
+        d = Domain((64,))
+        write_snapshot(tmp_path / "ck.dpmf", 0.0, PhysicalField(d, np.cos(d.grid[0])))
+        cfg = write_config(tmp_path / "r.cfg",
+                           BLOWUP_CFG.format(t_end=0.1, outdir=tmp_path / "o")
+                           + f"blowup.initial = file\nblowup.path = {tmp_path / 'ck.dpmf'}\n")
+        assert main(["blowup1d", cfg]) == 4
+        assert "blowup.n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unattainable_oracle_tolerance_exits_2(self, tmp_path):
         text = BLOWUP_CFG.format(t_end=0.4, outdir=tmp_path / "o")
         text = text.replace("blowup.oracle_rtol = 1e-4",
@@ -637,6 +648,64 @@ class TestSweep:
             workers=1, dts="1e-3 | 2e-3 | 3e-3", outdir=tmp_path / "o"))
         with pytest.raises(KeyboardInterrupt):
             main(["sweep", cfg])
+        rows = csv_rows(tmp_path / "o" / "summary.csv")
+        assert [(r["point"], r["exit_code"]) for r in rows] == [("pt0000", "0")]
+
+    def test_interrupted_sweep_starts_no_further_point(self, tmp_path, monkeypatch):
+        # the queued points are cancelled, not run before the interrupt is raised
+        ran = []
+
+        def worker(args):
+            ran.append(args[0])
+            if args[0] == 1:
+                raise KeyboardInterrupt
+            return args[0], 0, {}
+
+        class LazyFuture(concurrent.futures.Future):
+            """Runs its job when its result is read, or when the pool shuts down."""
+
+            def __init__(self, fn, args):
+                super().__init__()
+                self.job = fn, args
+
+            def run(self):
+                if self.set_running_or_notify_cancel():
+                    fn, args = self.job
+                    try:
+                        self.set_result(fn(*args))
+                    except BaseException as exc:
+                        self.set_exception(exc)
+
+            def result(self, timeout=None):
+                if not self.done():
+                    self.run()
+                return super().result(timeout)
+
+        class LazyPool(concurrent.futures.Executor):
+            """Queues each job; shutdown(wait=True) runs every job not cancelled,
+            as ProcessPoolExecutor does."""
+
+            def __init__(self, max_workers):
+                self.futures = []
+
+            def submit(self, fn, *args):
+                self.futures.append(LazyFuture(fn, args))
+                return self.futures[-1]
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                for fut in self.futures:
+                    if cancel_futures:
+                        fut.cancel()
+                    if wait and not fut.done():
+                        fut.run()
+
+        monkeypatch.setattr(cli, "_sweep_worker", worker)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyPool)
+        cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
+            workers=1, dts=" | ".join(f"{k}e-3" for k in range(1, 7)), outdir=tmp_path / "o"))
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", cfg])
+        assert ran == [0, 1]
         rows = csv_rows(tmp_path / "o" / "summary.csv")
         assert [(r["point"], r["exit_code"]) for r in rows] == [("pt0000", "0")]
 

@@ -147,7 +147,8 @@ class TestBuilders:
 
     def test_stream_initial(self):
         cfg = RunConfig.parse("blowup.n = 64\nblowup.amplitude = 2.0\n")
-        w0 = build_stream_initial(cfg)
+        w0, start_time, start_g = build_stream_initial(cfg)
+        assert (start_time, start_g) == (0.0, 0.0)
         assert w0.domain.n == (64,)
         assert w0.values.max() == pytest.approx(2.0)
 

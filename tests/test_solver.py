@@ -135,6 +135,18 @@ class TestStep:
                                - ref.final_state.t_hat.coeffs).max())
         assert 1.5 < errs[0] / errs[1] < 2.5  # halving dt roughly halves the error
 
+    @pytest.mark.parametrize("n", [(32, 32), (16, 16, 16)])
+    def test_ifrk4_converges_at_fourth_order(self, n):
+        # self-convergence on the nonlinear system: each halving of dt
+        # divides the change of the final state by 2^4
+        t0 = random_field(Domain(n), cutoff=4.0, seed=5, l2_norm=3.0)
+        finals = [run(t0, SolverParams(nu=0.05, alpha=1.5, dt=dt, t_end=0.4),
+                      sample_every=0.4, p_list=(2.0,)).final_state.t_hat.coeffs
+                  for dt in (0.04, 0.02, 0.01, 0.005)]
+        diffs = [np.abs(a - b).max() for a, b in zip(finals, finals[1:])]
+        for coarse, fine in zip(diffs, diffs[1:]):
+            assert 3.8 <= math.log2(coarse / fine) <= 4.2
+
 
 class TestCfl:
     """The step bound of adaptive runs, at the state of the last nonlinear evaluation."""
@@ -233,6 +245,16 @@ class TestRun:
         params = SolverParams(nu=0.1, alpha=1.5, dt=0.1, t_end=1.0)
         with pytest.raises(ValueError, match="start time"):
             run(random_field(d2, seed=4), params, start_time=math.nan)
+
+    @pytest.mark.parametrize("sample_every, start_time", [(0.0, 0.0), (0.1, 1.0)])
+    def test_checks_its_inputs_before_any_work(self, d2, sample_every, start_time):
+        # supercritical: a check made after the set-up would follow its warning
+        params = SolverParams(nu=0.1, alpha=0.5, dt=0.1, t_end=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                run(random_field(d2, seed=4), params, sample_every=sample_every,
+                    start_time=start_time)
 
     def test_adaptive_run_reaches_t_end(self, d2):
         t0 = random_field(d2, seed=14)
