@@ -16,6 +16,7 @@ import os
 import sys
 import traceback
 import warnings
+from dataclasses import replace
 
 from . import blowup1d
 from .config import (ConfigError, RunConfig, _checked, build_domain, build_forcing,
@@ -32,8 +33,6 @@ EXIT_POINT_FAILED = 1
 EXIT_CHECK_FAILED = 2
 EXIT_UNEXPECTED_BLOWUP = 3
 EXIT_CONFIG_ERROR = 4
-
-KNOWN_CHECKS = ("decay", "absorbing_ball", "dissipation_budget")
 
 
 def _outdir(cfg):
@@ -78,54 +77,50 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
     if "diagnostics.linf_refine" in cfg.values:
         warnings.warn("diagnostics.linf_refine is ignored: the linf column is the sup "
                       "of the trigonometric interpolant", stacklevel=2)
-    checks = [c.strip() for c in cfg.get_str("diagnostics.checks", default="").split(",")
-              if c.strip()]
-    for name in checks:
-        if name not in KNOWN_CHECKS:
+    decay_p = cfg.get_float("diagnostics.decay_p", default=2.0)
+    ball_p = cfg.get_float("diagnostics.ball_p", default=2.0)
+    # each check by name: its label in messages, and its call on a record list
+    table = {
+        "decay": (f"decay (diagnostics.decay_p = {decay_p:g})",
+                  lambda records: check_decay_torus(records, decay_p, params.nu, slack=slack,
+                                                    forcing=forcing)),
+        "absorbing_ball": (f"absorbing_ball (diagnostics.ball_p = {ball_p:g})",
+                           lambda records: check_absorbing_ball(records, forcing, ball_p,
+                                                                params.nu, slack=slack)),
+        "dissipation_budget": ("dissipation_budget",
+                               lambda records: check_dissipation_budget(records, slack=slack)),
+    }
+    names = [c.strip() for c in cfg.get_str("diagnostics.checks", default="").split(",")
+             if c.strip()]
+    for name in names:
+        if name not in table:
             raise ConfigError(f"diagnostics.checks: unknown check {name!r} "
-                              f"(known: {', '.join(KNOWN_CHECKS)})")
+                              f"(known: {', '.join(table)})")
+    checks = [check for name, check in table.items() if name in names]
     allow_blowup = cfg.get_bool("solver.allow_blowup", default=False)
     snapshots = cfg.get_bool("output.snapshots", default=False)
 
-    if "decay" in checks and forcing is not None:
-        raise ConfigError("diagnostics.checks: the decay bound applies to "
-                          "unforced runs only")
-    if "decay" in checks:
-        _checked("diagnostics.checks: the decay bound applies to mean-zero data",
-                 blowup1d._check_mean_zero, t0_field)
-    decay_p = cfg.get_float("diagnostics.decay_p", default=2.0)
-    if "decay" in checks and decay_p not in p_list:
-        raise ConfigError(f"diagnostics.decay_p = {decay_p:g} is not in diagnostics.p_list")
-    if "absorbing_ball" in checks and params.nu <= 0:
-        raise ConfigError("diagnostics.checks: the absorbing ball needs nu > 0")
-    ball_p = cfg.get_float("diagnostics.ball_p", default=2.0)
-    if "absorbing_ball" in checks and not (ball_p in p_list and ball_p < math.inf):
-        # at p = inf the ball radius p ||f||_p / nu is infinite
-        raise ConfigError(f"diagnostics.ball_p = {ball_p:g} must be finite and in "
-                          "diagnostics.p_list")
-
-    outdir = _outdir(cfg)
+    outdir = None
     taken = itertools.count()
 
-    def write_sample(state):
-        write_snapshot(os.path.join(outdir, f"snapshot_{next(taken):05d}.dpmf"),
-                       state.t, inverse_transform(state.t_hat))
+    def on_sample(state, record):
+        nonlocal outdir
+        if outdir is None:
+            # the first record, before the first step: each check's own input
+            # rules judge a copy of it that keeps no result
+            for label, call in checks:
+                _checked(f"diagnostics.checks: {label}", call, [replace(record, checks=[])])
+            outdir = _outdir(cfg)
+        if snapshots:
+            write_snapshot(os.path.join(outdir, f"snapshot_{next(taken):05d}.dpmf"),
+                           state.t, inverse_transform(state.t_hat))
 
     result = run_dpm(t0_field, params, forcing, sample_every=sample_every,
-                     p_list=p_list, s_list=s_list,
-                     on_sample=write_sample if snapshots else None, start_time=start_time)
+                     p_list=p_list, s_list=s_list, on_sample=on_sample, start_time=start_time)
 
     all_ok = True
-    if "decay" in checks:
-        res = check_decay_torus(result.records, decay_p, params.nu, slack=slack,
-                                forcing=forcing)
-        all_ok &= all(r.passed for r in res)
-    if "absorbing_ball" in checks:
-        res = check_absorbing_ball(result.records, forcing, ball_p, params.nu, slack=slack)
-        all_ok &= all(r.passed for r in res)
-    if "dissipation_budget" in checks:
-        res = check_dissipation_budget(result.records, slack=slack)
-        all_ok &= all(r.passed for r in res)
+    for _, call in checks:
+        all_ok &= all(r.passed for r in call(result.records))
 
     csv_name = cfg.get_str("output.csv", default="diagnostics.csv")
     with atomic_open(os.path.join(outdir, csv_name), encoding="utf-8", newline="") as fh:
@@ -135,7 +130,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         write_snapshot(os.path.join(outdir, ckpt), result.final_state.t,
                        inverse_transform(result.final_state.t_hat))
 
-    final_l2 = result.records[-1].lp.get(2.0, math.nan) if result.records else math.nan
+    final_l2 = result.records[-1].lp.get(2.0, math.nan)
     metrics = {"t_final": result.final_state.t, "final_l2": final_l2,
                "blew_up": result.blew_up, "checks_passed": all_ok}
     if result.blew_up and not allow_blowup:
@@ -163,16 +158,6 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     bound_check = cfg.get_bool("blowup.max_bound_check", default=False)
     slack = _in_range(cfg, "blowup.slack", 1e-6)
 
-    if bound_check:
-        # Q(t0) is that of the run's first record: refuse a bad one (a
-        # restart whose g outweighs max w) before stepping
-        _checked("blowup.max_bound_check", blowup1d.check_max_bound,
-                 [blowup1d.start_record(w0, start_time, start_g)])
-    result = blowup1d.run_stream_slope(w0, reg, dt, t_end,
-                                       sample_every=sample_every,
-                                       threshold=threshold, adaptive=adaptive,
-                                       start_time=start_time, start_g=start_g)
-
     # the closed-form oracle applies to pure-cosine data evolved without
     # regularization, or with the half-Laplacian term under the oracle sign
     ansatz = cfg.values.get("blowup.initial", "cos") == "cos"
@@ -181,15 +166,27 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     if oracle_mode == "on" and not applicable:
         raise ConfigError("blowup.oracle = on requires cosine initial data and "
                           "mode none or spectral with the oracle sign")
-    use_oracle = applicable and oracle_mode != "off"
-
     params = None
     t_star_analytic = math.nan
-    if use_oracle:
+    if applicable and oracle_mode != "off":
         r0 = cfg.get_float("blowup.amplitude", default=1.0)
         nu_eff = reg.nu if reg.mode == "spectral" else 0.0
-        params = _checked("blowup oracle", blowup1d.OracleParams, r0=r0, nu=nu_eff)
+        params = _checked("blowup.oracle", blowup1d.OracleParams, r0=r0, nu=nu_eff)
         t_star_analytic = blowup1d.blowup_time(params)
+
+    def vet_first(record):
+        # Q(t0) is that of the run's first record, the one at the start time:
+        # refuse a bad one (a restart whose g outweighs max w) before the
+        # first step
+        if record.t == start_time:
+            _checked("blowup.max_bound_check", blowup1d.check_max_bound,
+                     [replace(record, checks=[])])
+
+    result = blowup1d.run_stream_slope(w0, reg, dt, t_end,
+                                       sample_every=sample_every,
+                                       threshold=threshold, adaptive=adaptive,
+                                       start_time=start_time, start_g=start_g,
+                                       on_sample=vet_first if bound_check else None)
 
     # the oracle columns of each record, nan at and beyond the singular time
     oracle = []

@@ -72,7 +72,7 @@ def _norm_from_record(rec, p):
     try:
         return rec.lp[float(p)]
     except KeyError:
-        raise KeyError(f"record at t={rec.t} does not carry the L^{p} norm") from None
+        raise ValueError(f"record at t={rec.t} does not carry the L^{p:g} norm") from None
 
 
 def attach_checks(name, rows, slack, floor):
@@ -123,8 +123,9 @@ def check_absorbing_ball(records, forcing, p, nu, slack=1e-6):
       ||T(t)||_p <= (||T(t0)||_p - R) exp(-nu (t - t0) / p) + R,
     with t0 and ||T(t0)||_p from the first record and ball radius
     R = p ||f||_p / nu, f the forcing spectrum (None for no forcing).  With
-    f = 0 this degenerates to the unforced decay bound at q = p.  As in
-    check_decay_torus, lambda1^alpha = 1 on the 2 pi box.
+    f = 0 this is the unforced decay bound at q = p, but at the rate nu / p,
+    half the 2 nu / p of check_decay_torus.  As in check_decay_torus,
+    lambda1^alpha = 1 on the 2 pi box.
     """
     if nu <= 0:
         raise ValueError("absorbing ball requires nu > 0")
@@ -151,10 +152,11 @@ def check_dissipation_budget(records, slack=1e-6):
     own step-resolution accumulation (the diss_integral / inj_integral
     columns).  The residual's bound is slack itself.
     """
+    # read before any pair, so that a single record is refused without L^2 too
+    energy = [_norm_from_record(rec, 2.0) ** 2 for rec in records]
+
     def rows():
-        for prev, rec in zip(records, records[1:]):
-            e0 = _norm_from_record(prev, 2.0) ** 2
-            e1 = _norm_from_record(rec, 2.0) ** 2
+        for prev, rec, e0, e1 in zip(records, records[1:], energy, energy[1:]):
             diss = 2.0 * (rec.diss_integral - prev.diss_integral)
             inj = 2.0 * (rec.inj_integral - prev.inj_integral)
             yield rec, slack, (e1 - e0 + diss - inj) / max(1.0, e0)

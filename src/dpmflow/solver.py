@@ -297,39 +297,37 @@ class _Integrator(IFRK4):
         sq, vj = w.scratch[0], w.scratch[-1]
         if out is None:
             out = np.empty_like(c)
-        # overflow on the way to blow-up is expected; detection is explicit
-        with np.errstate(over="ignore", invalid="ignore"):
-            for view in w.zero:
-                view[...] = 0.0
-            for (inner, vel, _), view in zip(self.blocks, w.views):
-                cb = c[inner]
-                view[0] = cb
-                for j, m in enumerate(vel):
-                    np.multiply(m, cb, out=view[j + 1])
-            # irfftn's passes, done in place (irfftn allocates a copy per
-            # axis), the leading ones on the lines that can be nonzero
-            for ax, lines in w.inverse:
-                for line in lines:
-                    np.fft.ifft(line, axis=ax, norm="forward", out=line)
-            np.fft.irfft(spec, n=d.n[-1], axis=-1, norm="forward", out=phys)
-            if not _stage:
-                # |v|^2 = v_0^2 + v_1^2 (+ v_2^2), in spectrum rows that are
-                # free until the product spectrum lands; sqrt is monotone,
-                # so the sqrt of the max is the max of the sqrt
-                np.multiply(phys[1], phys[1], out=sq)
-                for j in range(2, d.dim + 1):
-                    np.multiply(phys[j], phys[j], out=vj)
-                    np.add(sq, vj, out=sq)
-                self.last_vmax = math.sqrt(sq.max())
-            # row by row: numpy copies an operand that overlaps the output
-            # whole, and buffers a cast or broadcast operand up to its size
-            for j in range(1, d.dim + 1):
-                np.multiply(phys[j], phys[0], out=phys[j])
-            # rfftn's passes, the leading ones on the lines the box reads
-            np.fft.rfft(phys[1:], axis=-1, norm="forward", out=spec[1:])
-            for ax, lines in w.forward:
-                for line in lines:
-                    np.fft.fft(line, axis=ax, norm="forward", out=line)
+        for view in w.zero:
+            view[...] = 0.0
+        for (inner, vel, _), view in zip(self.blocks, w.views):
+            cb = c[inner]
+            view[0] = cb
+            for j, m in enumerate(vel):
+                np.multiply(m, cb, out=view[j + 1])
+        # irfftn's passes, done in place (irfftn allocates a copy per
+        # axis), the leading ones on the lines that can be nonzero
+        for ax, lines in w.inverse:
+            for line in lines:
+                np.fft.ifft(line, axis=ax, norm="forward", out=line)
+        np.fft.irfft(spec, n=d.n[-1], axis=-1, norm="forward", out=phys)
+        if not _stage:
+            # |v|^2 = v_0^2 + v_1^2 (+ v_2^2), in spectrum rows that are
+            # free until the product spectrum lands; sqrt is monotone,
+            # so the sqrt of the max is the max of the sqrt
+            np.multiply(phys[1], phys[1], out=sq)
+            for j in range(2, d.dim + 1):
+                np.multiply(phys[j], phys[j], out=vj)
+                np.add(sq, vj, out=sq)
+            self.last_vmax = math.sqrt(sq.max())
+        # row by row: numpy copies an operand that overlaps the output
+        # whole, and buffers a cast or broadcast operand up to its size
+        for j in range(1, d.dim + 1):
+            np.multiply(phys[j], phys[0], out=phys[j])
+        # rfftn's passes, the leading ones on the lines the box reads
+        np.fft.rfft(phys[1:], axis=-1, norm="forward", out=spec[1:])
+        for ax, lines in w.forward:
+            for line in lines:
+                np.fft.fft(line, axis=ax, norm="forward", out=line)
         for (inner, _, neg_deriv), view in zip(self.blocks, w.views):
             prod, block = view[1:], out[inner]
             np.multiply(neg_deriv[0], prod[0], out=block)
@@ -345,15 +343,13 @@ class _Integrator(IFRK4):
     def advance(self, c, nl_a, dt, out=None):
         """One step of params.scheme from c, reusing nl_a = nonlinear(c); see rk4."""
         self._check(c)
-        # overflow on the way to blow-up is expected; detection is explicit
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.params.scheme == "ifrk4":
-                return self.rk4(c, nl_a, dt, out)
-            _, e_full, _ = self.propagators(dt)
-            if out is None:
-                out = np.empty_like(c)
-            mul, add = np.multiply, np.add
-            return mul(e_full, add(c, mul(dt, nl_a, out=out), out=out), out=out)
+        if self.params.scheme == "ifrk4":
+            return self.rk4(c, nl_a, dt, out)
+        _, e_full, _ = self.propagators(dt)
+        if out is None:
+            out = np.empty_like(c)
+        mul, add = np.multiply, np.add
+        return mul(e_full, add(c, mul(dt, nl_a, out=out), out=out), out=out)
 
     def cfl_dt(self):
         """Advective step bound at the state of the last nonlinear evaluation."""
@@ -443,8 +439,10 @@ def run(t0_field: PhysicalField, params: SolverParams,
     The one way to step the DPM system; a single step is a run with
     t_end = start_time + dt.  forcing is the spectrum of the time-independent
     source term, or None.  The state and the forcing are 2/3-truncated.
-    on_sample, when given, is called with each sampled SimulationState (a
-    half spectrum of its own) right after its record is computed.
+    on_sample, when given, is called as on_sample(state, record) with each
+    sampled SimulationState (a half spectrum of its own) and its
+    DiagnosticsRecord, right after the record is computed; the first call
+    comes before the first step.
     Deterministic given its inputs.  The mean mode is pinned to its exact
     linear-in-time law each step.  If a coefficient becomes non-finite the
     run stops and the result is flagged, keeping the last finite state.
@@ -504,35 +502,37 @@ def run(t0_field: PhysicalField, params: SolverParams,
                                       p_list=p_list, s_list=s_list,
                                       diss_integral=diss_int, inj_integral=inj_int))
         if on_sample is not None:
-            on_sample(state)
+            on_sample(state, records[-1])
 
-    nl = integ.nonlinear(c)
-    budget = integ.budget(c, integ.tendency(c, nl))
-    t = start_time
-    sample(t, c)
-
-    # fixed steps are the adaptive loop without the CFL bound: both shorten
-    # a step to land on a sample or on t_end
-    blew_up = False
-    clock = SampleClock(start_time, sample_every, params.t_end)
-    while t < params.t_end - clock.eps:
-        dt = params.dt
-        if params.adaptive:
-            dt = min(dt, integ.cfl_dt())
-        dt, t_new = clock.clip(t, dt)
-        c_new = integ.advance(c, nl, dt, out=spare)
-        c_new[idx0] = mean0 + (t_new - start_time) * f0
-        if not np.isfinite(np.abs(c_new).sum()):
-            blew_up = True  # c stays the last finite state
-            break
-        new = integ.budget(c_new, integ.tendency(c_new, integ.nonlinear(c_new, out=nl)))
-        diss_int += _corrected_trapezoid(dt, budget[0], new[0], budget[2], new[2])
-        inj_int += _corrected_trapezoid(dt, budget[1], new[1], budget[3], new[3])
-        c, spare, budget, t = c_new, c, new, t_new
-        if clock.due(t):
-            sample(t, c)
-    if not blew_up and records[-1].t < params.t_end - clock.eps:
+    # overflow on the way to blow-up is expected; detection is explicit
+    with np.errstate(over="ignore", invalid="ignore"):
+        nl = integ.nonlinear(c)
+        budget = integ.budget(c, integ.tendency(c, nl))
+        t = start_time
         sample(t, c)
+
+        # fixed steps are the adaptive loop without the CFL bound: both shorten
+        # a step to land on a sample or on t_end
+        blew_up = False
+        clock = SampleClock(start_time, sample_every, params.t_end)
+        while t < params.t_end - clock.eps:
+            dt = params.dt
+            if params.adaptive:
+                dt = min(dt, integ.cfl_dt())
+            dt, t_new = clock.clip(t, dt)
+            c_new = integ.advance(c, nl, dt, out=spare)
+            c_new[idx0] = mean0 + (t_new - start_time) * f0
+            if not np.isfinite(np.abs(c_new).sum()):
+                blew_up = True  # c stays the last finite state
+                break
+            new = integ.budget(c_new, integ.tendency(c_new, integ.nonlinear(c_new, out=nl)))
+            diss_int += _corrected_trapezoid(dt, budget[0], new[0], budget[2], new[2])
+            inj_int += _corrected_trapezoid(dt, budget[1], new[1], budget[3], new[3])
+            c, spare, budget, t = c_new, c, new, t_new
+            if clock.due(t):
+                sample(t, c)
+        if not blew_up and records[-1].t < params.t_end - clock.eps:
+            sample(t, c)
 
     final = make_state(t, c)
     return RunResult(records=records, final_state=final, blew_up=blew_up)

@@ -5,6 +5,8 @@ import signal
 import pytest
 from hypothesis import settings
 
+from dpmflow import blowup1d, solver
+
 # every property test draws the same examples on every run, with no
 # example database and no per-example deadline (the first example pays
 # for numpy's and the domain's caches)
@@ -24,3 +26,14 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def no_step(monkeypatch):
+    """Make a step of either runner fail the test, so that an input refused
+    with exit 4 is shown to be refused before the first step."""
+    def step(self, *args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(solver._Integrator, "advance", step)
+    monkeypatch.setattr(blowup1d._StreamOps, "advance", step)

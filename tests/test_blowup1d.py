@@ -198,6 +198,14 @@ class TestTrajectories:
         assert res.blew_up
         assert res.t_star_estimate == pytest.approx(math.pi / 2, rel=0.01)
 
+    def test_overflow_is_flagged_as_blowup_without_a_warning(self, d1):
+        # the amplifying sign at nu = 2 grows rounding noise like
+        # exp(2 k^2 t) and overflows within a few steps; warnings are errors
+        res = run_stream_slope(cos_field(d1), Regularization("spectral", nu=2.0), dt=1e-3,
+                               t_end=2.0)
+        assert res.blew_up
+        assert res.final_state.t < 0.1
+
     def test_quasilinear_is_globally_regular(self, d1):
         res = run_stream_slope(cos_field(d1, 5.0), Regularization(mode="quasilinear", nu=0.1),
                                dt=1e-3, t_end=1.0, sample_every=0.02)

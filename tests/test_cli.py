@@ -150,12 +150,12 @@ output.checkpoint = final.dpmf
         _, f_straight, _ = read_snapshot(tmp_path / "p3" / "final.dpmf")
         assert np.abs(f_resumed.values - f_straight.values).max() <= 1e-12
 
-    def test_malformed_config_exits_4(self, tmp_path, capsys):
+    def test_malformed_config_exits_4(self, tmp_path, capsys, no_step):
         cfg = write_config(tmp_path / "bad.cfg", "domain.dim: 2\n")
         assert main(["run", cfg]) == 4
         assert "config error" in capsys.readouterr().err
 
-    def test_inexact_sample_cadence_exits_4(self, tmp_path, capsys):
+    def test_inexact_sample_cadence_exits_4(self, tmp_path, capsys, no_step):
         # fixed steps of 0.1 cannot land samples every 0.25
         text = DECAY_RUN.format(t_end=1.0, outdir=tmp_path / "o")
         text = text.replace("solver.dt = 0.002", "solver.dt = 0.1")
@@ -191,7 +191,7 @@ output.dir = {outdir}
     @pytest.mark.parametrize("key, value", [("solver.t_end", "nan"), ("solver.nu", "nan"),
                                             ("solver.dt", "nan"),
                                             ("diagnostics.sample_every", "inf")])
-    def test_non_finite_number_exits_4(self, tmp_path, capsys, key, value):
+    def test_non_finite_number_exits_4(self, tmp_path, capsys, key, value, no_step):
         # not a config error, a NaN t_end takes no step, a NaN nu reads as
         # blow-up and an infinite cadence overflows the stride check
         text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
@@ -201,7 +201,7 @@ output.dir = {outdir}
         assert key.split(".")[1] in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_truncated_initial_snapshot_exits_4(self, tmp_path, capsys):
+    def test_truncated_initial_snapshot_exits_4(self, tmp_path, capsys, no_step):
         # 26 bytes of a 2D snapshot, cut inside the header's grid sizes; and
         # a whole one whose time is NaN, from which no step would be taken
         path = tmp_path / "cut.dpmf"
@@ -214,7 +214,7 @@ output.dir = {outdir}
             assert "initial.path" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
-    def test_out_of_range_buoyancy_axis_exits_4(self, tmp_path, capsys):
+    def test_out_of_range_buoyancy_axis_exits_4(self, tmp_path, capsys, no_step):
         # axis 2 of a 2D domain, which must not wrap round to axis 0
         text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
         cfg = write_config(tmp_path / "axis.cfg", text + "domain.buoyancy_axis = 2\n")
@@ -222,7 +222,7 @@ output.dir = {outdir}
         assert "buoyancy axis" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_ball_exponent_missing_from_p_list_exits_4(self, tmp_path):
+    def test_ball_exponent_missing_from_p_list_exits_4(self, tmp_path, no_step):
         text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
         text = text.replace("decay, dissipation_budget", "absorbing_ball")
         text = text.replace("p_list = 1, 2, 4, inf", "p_list = 2, 4")
@@ -230,7 +230,7 @@ output.dir = {outdir}
         assert main(["run", cfg]) == 4
         assert not (tmp_path / "o").exists()
 
-    def test_p_below_one_exits_4(self, tmp_path):
+    def test_p_below_one_exits_4(self, tmp_path, no_step):
         text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
         cfg = write_config(tmp_path / "p.cfg",
                            text.replace("p_list = 1, 2, 4, inf", "p_list = 0.5, 2"))
@@ -280,12 +280,11 @@ output.dir = {outdir}
         rows = csv_rows(tmp_path / "o" / "diagnostics.csv")
         assert rows[0]["decay_bound"] == rows[0]["decay_value"] == rows[0]["l4"]
 
-    def test_decay_on_data_whose_mean_is_not_zero_exits_4(self, tmp_path, capsys):
+    def test_decay_on_data_whose_mean_is_not_zero_exits_4(self, tmp_path, capsys, no_step):
         # the decay bound holds for mean-zero data only: 0.5 + 0.1 sin x1
-        # decays to its mean and fails it
+        # decays to its mean and fails it; at 5e-11 the mean's L^2 norm,
+        # 5e-11 (2 pi), is past the check's 1e-10 although the mean is not
         d = Domain((16, 16))
-        write_snapshot(tmp_path / "offset.dpmf", 0.0,
-                       PhysicalField(d, 0.5 + 0.1 * np.sin(d.grid[0]) + np.zeros(d.n)))
         text = f"""\
 domain.dim = 2
 domain.n = 16, 16
@@ -299,9 +298,21 @@ diagnostics.sample_every = 0.1
 diagnostics.checks = decay
 output.dir = {tmp_path / 'o'}
 """
-        assert main(["run", write_config(tmp_path / "m.cfg", text)]) == 4
-        assert "mean" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        for mean in (0.5, 5e-11):
+            write_snapshot(tmp_path / "offset.dpmf", 0.0,
+                           PhysicalField(d, mean + 0.1 * np.sin(d.grid[0]) + np.zeros(d.n)))
+            assert main(["run", write_config(tmp_path / "m.cfg", text)]) == 4
+            assert "mean" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
+    def test_decay_under_a_zero_forcing_runs(self, tmp_path):
+        # the decay check's own rule refuses a forcing that is not zero only
+        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
+        cfg = write_config(tmp_path / "zero.cfg", text + "forcing.kind = single_mode\n"
+                           "forcing.amplitude = 0\n")
+        assert main(["run", cfg]) == 0
+        rows = csv_rows(tmp_path / "o" / "diagnostics.csv")
+        assert rows and all(r["decay_pass"] == "1" for r in rows)
 
     def test_linf_refine_is_ignored_with_a_warning(self, tmp_path):
         text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "plain")
@@ -313,13 +324,13 @@ output.dir = {tmp_path / 'o'}
         assert ((tmp_path / "refine" / "diagnostics.csv").read_bytes()
                 == (tmp_path / "plain" / "diagnostics.csv").read_bytes())
 
-    def test_unknown_check_exits_4(self, tmp_path):
+    def test_unknown_check_exits_4(self, tmp_path, no_step):
         text = DECAY_RUN.format(t_end=0.5, outdir=tmp_path / "o")
         cfg = write_config(tmp_path / "bad.cfg",
                            text.replace("decay, dissipation_budget", "magic"))
         assert main(["run", cfg]) == 4
 
-    def test_decay_check_on_forced_run_exits_4(self, tmp_path):
+    def test_decay_check_on_forced_run_exits_4(self, tmp_path, no_step):
         text = DECAY_RUN.format(t_end=0.5, outdir=tmp_path / "o")
         cfg = write_config(tmp_path / "forced.cfg",
                            text + "forcing.kind = single_mode\nforcing.axis = 1\n")
@@ -493,7 +504,7 @@ blowup.sample_every = 0.02
         assert all(r["max_bound_pass"] == "1" for r in rows)
 
     def test_restart_with_non_positive_max_bound_start_exits_4(self, tmp_path, capsys,
-                                                                monkeypatch):
+                                                                monkeypatch, no_step):
         # max w + g = 1 - 2 at the restart: the bound needs a positive start,
         # and the run stops before its first step
         calls = []
@@ -511,7 +522,7 @@ blowup.sample_every = 0.02
         assert not (tmp_path / "o").exists()
         assert not calls
 
-    def test_restart_with_non_finite_g_exits_4(self, tmp_path, capsys):
+    def test_restart_with_non_finite_g_exits_4(self, tmp_path, capsys, no_step):
         # a NaN g would flag blow-up at once, after no step
         d = Domain((64,))
         write_snapshot(tmp_path / "nan.dpmf", 0.0, PhysicalField(d, np.cos(d.grid[0])),
@@ -523,7 +534,7 @@ blowup.sample_every = 0.02
         assert "blowup.path" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_restart_on_another_grid_than_blowup_n_exits_4(self, tmp_path, capsys):
+    def test_restart_on_another_grid_than_blowup_n_exits_4(self, tmp_path, capsys, no_step):
         # a 64-point checkpoint under blowup.n = 128: the key is not ignored
         d = Domain((64,))
         write_snapshot(tmp_path / "ck.dpmf", 0.0, PhysicalField(d, np.cos(d.grid[0])))
@@ -552,7 +563,7 @@ blowup.sample_every = 0.02
         assert "sample_every" in proc.stderr
         assert not (tmp_path / "o").exists()
 
-    def test_oracle_on_with_incompatible_mode_exits_4(self, tmp_path):
+    def test_oracle_on_with_incompatible_mode_exits_4(self, tmp_path, no_step):
         text = BLOWUP_CFG.format(t_end=0.4, outdir=tmp_path / "o")
         cfg = write_config(tmp_path / "b.cfg",
                            text + "blowup.mode = quasilinear\nblowup.nu = 0.1\n"
@@ -578,8 +589,14 @@ blowup.sample_every = 0.02
     ("run", {"forcing.kind": "single_mode", "diagnostics.checks": "absorbing_ball",
              "diagnostics.ball_p": "inf"}, "ball_p"),
     ("blowup1d", {"blowup.initial": "random", "blowup.l2_norm": "0"}, "blowup"),
+    ("run", {"diagnostics.checks": "dissipation_budget", "diagnostics.p_list": "4"},
+     "dissipation_budget"),
+    ("blowup1d", {"blowup.mode": "quasilinear", "blowup.nu": "0.1", "blowup.oracle": "on"},
+     "blowup.oracle"),
+    ("blowup1d", {"blowup.mode": "spectral", "blowup.nu": "2", "blowup.oracle": "on"},
+     "blowup.oracle"),
 ])
-def test_bad_input_exits_4(tmp_path, capsys, command, settings, named):
+def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else
     text = (DECAY_RUN if command == "run" else BLOWUP_CFG).format(
         t_end=0.2, outdir=tmp_path / "o")
@@ -710,7 +727,7 @@ class TestSweep:
         assert [(r["point"], r["exit_code"]) for r in rows] == [("pt0000", "0")]
 
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_non_positive_workers_exit_4(self, tmp_path, capsys, workers):
+    def test_non_positive_workers_exit_4(self, tmp_path, capsys, workers, no_step):
         cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
             workers=workers, dts="1e-3 | 2e-3", outdir=tmp_path / "o"))
         assert main(["sweep", cfg]) == 4
@@ -738,7 +755,7 @@ class TestSweep:
         assert sizes == [2]
         assert len(csv_rows(tmp_path / "o" / "summary.csv")) == 2
 
-    def test_sweep_without_axes_exits_4(self, tmp_path):
+    def test_sweep_without_axes_exits_4(self, tmp_path, no_step):
         cfg = write_config(tmp_path / "s.cfg",
                            DECAY_RUN.format(t_end=0.3, outdir=tmp_path / "o"))
         assert main(["sweep", cfg]) == 4

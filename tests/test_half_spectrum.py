@@ -255,7 +255,8 @@ def test_run_keeps_each_state_as_sampled(d, seed, alpha, adaptive):
     u0 = PhysicalField(d, values / np.abs(values).max())
     params = SolverParams(nu=0.1, alpha=alpha, dt=0.01, t_end=0.03, adaptive=adaptive)
     states = []
-    res = run(u0, params, sample_every=0.01, p_list=(2.0,), on_sample=states.append)
+    res = run(u0, params, sample_every=0.01, p_list=(2.0,),
+              on_sample=lambda state, record: states.append(state))
     assert len(states) == len(res.records) == 4
     for rec, state in zip(res.records, states):
         # each state still gives the norm recorded when it was sampled

@@ -116,7 +116,8 @@ class TestStep:
         t0 = phys(d2, np.sin(x[0]))
         params = SolverParams(nu=nu, alpha=1.5, dt=5e-3, t_end=1.0)
         states = []
-        run(t0, params, forcing, sample_every=5e-3, p_list=(2.0,), on_sample=states.append)
+        run(t0, params, forcing, sample_every=5e-3, p_list=(2.0,),
+            on_sample=lambda state, record: states.append(state))
         assert len(states) == 201
         ref = dealias(forward_transform(t0)).coeffs
         drift = max(np.abs(state.t_hat.coeffs - ref).max() for state in states)
