@@ -38,7 +38,7 @@ import numpy as np
 
 from .diagnostics import attach_checks
 from .solver import IFRK4, SampleClock
-from .spectral import Domain, PhysicalField, SpectralField, hs_seminorm, k_power
+from .spectral import Domain, PhysicalField, SpectralField, box_shape, hs_seminorm, k_power
 
 TWO_PI = 2.0 * math.pi
 
@@ -170,7 +170,7 @@ class _StreamOps(IFRK4):
         kd = domain.deriv_wavenumbers[0]
         self.k2 = k ** 2
         self.k2w = TWO_PI * self.weights * self.k2
-        self.kcut = n // 3 + 1  # the first mode past the 2/3 rule |k| <= n/3
+        self.kcut = box_shape(domain)[-1]  # the first mode past the 2/3 rule
         self.seam = n // 2
         # multipliers of the spectra of f and w_x: the antiderivative 1/(i k)
         # (the mean and Nyquist modes have none), and i k

@@ -65,6 +65,9 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
     for p in p_list:
         if not p >= 1:
             raise ConfigError(f"diagnostics.p_list: {p:g} is not an L^p exponent (p >= 1)")
+    for s in s_list:
+        if not math.isfinite(s):
+            raise ConfigError(f"diagnostics.s_list: {s:g} is not a finite Sobolev order")
     sample_every = _in_range(cfg, "diagnostics.sample_every", 0.1, positive=True)
     stride = sample_every / params.dt
     if not params.adaptive and (round(stride) < 1
@@ -171,8 +174,12 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     if applicable and oracle_mode != "off":
         r0 = cfg.get_float("blowup.amplitude", default=1.0)
         nu_eff = reg.nu if reg.mode == "spectral" else 0.0
-        params = _checked("blowup.oracle", blowup1d.OracleParams, r0=r0, nu=nu_eff)
-        t_star_analytic = blowup1d.blowup_time(params)
+        try:
+            params = _checked("blowup.oracle", blowup1d.OracleParams, r0=r0, nu=nu_eff)
+            t_star_analytic = blowup1d.blowup_time(params)
+        except ConfigError:
+            if oracle_mode == "on":  # auto goes without an oracle that has no closed form
+                raise
 
     def vet_first(record):
         # Q(t0) is that of the run's first record, the one at the start time:
@@ -251,10 +258,7 @@ def _sweep_worker(args):
     try:
         cfg = RunConfig.parse(text)
         cfg.values["output.dir"] = outdir
-        if command == "run":
-            code, metrics = cmd_run(cfg)
-        else:
-            code, metrics = cmd_blowup(cfg)
+        code, metrics = (cmd_run if command == "run" else cmd_blowup)(cfg)
     except ConfigError as exc:
         return idx, EXIT_CONFIG_ERROR, {"error": str(exc)}
     except Exception as exc:  # one failing point must not lose the others

@@ -166,6 +166,15 @@ def _mode_field(cfg, prefix, domain) -> PhysicalField:
         np.broadcast_to(amplitude * fn(phase), domain.n)))
 
 
+def _random_input(cfg, prefix, domain) -> PhysicalField:
+    return _checked(
+        prefix, random_field, domain,
+        spectrum_decay=cfg.get_float(f"{prefix}.spectrum_decay", default=3.0),
+        cutoff=cfg.get_float(f"{prefix}.cutoff", default=5.0),
+        seed=cfg.get_int(f"{prefix}.seed", default=0),
+        l2_norm=cfg.get_float(f"{prefix}.l2_norm", default=1.0))
+
+
 def _snapshot_input(cfg, key, grid=None, grid_key="domain.n"):
     """(time, field, g) of the snapshot named by key, its grid checked against
     grid (that of grid_key) when given; any failure is a ConfigError on key."""
@@ -186,12 +195,7 @@ def build_initial(cfg: RunConfig, domain: Domain):
     if kind == "single_mode":
         return _mode_field(cfg, "initial", domain), 0.0
     if kind == "random":
-        return _checked(
-            "initial", random_field, domain,
-            spectrum_decay=cfg.get_float("initial.spectrum_decay", default=3.0),
-            cutoff=cfg.get_float("initial.cutoff", default=5.0),
-            seed=cfg.get_int("initial.seed", default=0),
-            l2_norm=cfg.get_float("initial.l2_norm", default=1.0)), 0.0
+        return _random_input(cfg, "initial", domain), 0.0
     time, fld, _ = _snapshot_input(cfg, "initial.path", domain.n)
     return PhysicalField(domain, fld.values), time
 
@@ -235,9 +239,4 @@ def build_stream_initial(cfg: RunConfig):
     if kind == "cos":
         amp = cfg.get_float("blowup.amplitude", default=1.0)
         return _checked("blowup", PhysicalField, domain, amp * np.cos(domain.grid[0])), 0.0, 0.0
-    return _checked(
-        "blowup", random_field, domain,
-        spectrum_decay=cfg.get_float("blowup.spectrum_decay", default=3.0),
-        cutoff=cfg.get_float("blowup.cutoff", default=5.0),
-        seed=cfg.get_int("blowup.seed", default=0),
-        l2_norm=cfg.get_float("blowup.l2_norm", default=1.0)), 0.0, 0.0
+    return _random_input(cfg, "blowup", domain), 0.0, 0.0

@@ -26,8 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import (Domain, PhysicalField, SpectralField, darcy_multipliers,
-                       forward_transform, k_power, parseval_weights)
+from .spectral import (Domain, PhysicalField, SpectralField, _box_blocks, _box_runs,
+                       box_shape, darcy_multipliers, forward_transform, gather, k_power,
+                       parseval_weights, scatter)
 
 SCHEMES = ("ifrk4", "ifeuler")
 
@@ -86,48 +87,6 @@ class _Work(NamedTuple):
     zero: list           # the views of spec that must be zero for the inverse passes
     inverse: list        # per leading axis, in irfftn's order: (axis, lines)
     forward: list        # per leading axis, in rfftn's order: (axis, lines)
-
-
-def box_shape(domain: Domain) -> tuple:
-    """Shape of the 2/3 box: 2 (n//3) + 1 along a leading axis, n//3 + 1 along the last."""
-    return tuple(2 * (m // 3) + 1 for m in domain.n[:-1]) + (domain.n[-1] // 3 + 1,)
-
-
-def _box_runs(domain: Domain) -> list:
-    """Per axis, the (half-spectrum, box) index pair of each run of the 2/3 box.
-
-    The modes with |k| <= n/3 are k = 0..m, m = n//3, and along a leading
-    axis also k = -m..-1, at indices n-m..n-1 of the half spectrum; the box
-    packs them in that (fftfreq) order.
-    """
-    runs = [[(slice(0, m // 3 + 1),) * 2, (slice(m - m // 3, m), slice(m // 3 + 1, None))]
-            for m in domain.n[:-1]]
-    return runs + [[(slice(0, domain.n[-1] // 3 + 1),) * 2]]
-
-
-def _box_blocks(domain: Domain) -> list:
-    """(half-spectrum index, box index) of each of the 2^(dim-1) blocks of the 2/3 box.
-
-    Both indices start with an Ellipsis, so they index stacks as well.
-    """
-    return [tuple((Ellipsis,) + index for index in zip(*pairs))
-            for pairs in itertools.product(*_box_runs(domain))]
-
-
-def gather(c: np.ndarray, domain: Domain) -> np.ndarray:
-    """The 2/3 box of half spectrum c, as a new array of box_shape."""
-    box = np.empty(box_shape(domain), dtype=c.dtype)
-    for half, inner in _box_blocks(domain):
-        box[inner] = c[half]
-    return box
-
-
-def scatter(box: np.ndarray, domain: Domain) -> np.ndarray:
-    """A new half spectrum that holds box on the 2/3 box and zero elsewhere."""
-    c = np.zeros(domain.spectral_shape, dtype=np.complex128)
-    for half, inner in _box_blocks(domain):
-        c[half] = box[inner]
-    return c
 
 
 class IFRK4:
@@ -260,9 +219,9 @@ class _Integrator(IFRK4):
             # leading axes lie on box runs, and whose last one is on the box
             runs = [[half for half, _ in rs] for rs in _box_runs(d)]
             zero, inverse, forward = [spec[1:, ..., width:]], [], []
-            for j, m in enumerate(d.n[:-1]):
+            for j, (low, high) in enumerate(runs[:-1]):
                 later = [rest + (runs[-1][0],) for rest in itertools.product(*runs[j + 1:-1])]
-                gap = (slice(None),) * (j + 1) + (slice(m // 3 + 1, m - m // 3),)
+                gap = (slice(None),) * (j + 1) + (slice(low.stop, high.start),)
                 zero += [spec[gap + rest] for rest in later]
                 lines = [spec[(slice(None),) * (j + 2) + rest] for rest in later]
                 inverse.append((j + 1, lines))

@@ -165,14 +165,6 @@ class Domain:
         return tuple(np.where(k == -m // 2, 0.0, k) for k, m in zip(self.wavenumbers, self.n))
 
     @cached_property
-    def dealias_mask(self):
-        """2/3-rule mask: True where every |k_j| <= n_j/3."""
-        mask = np.ones(self.spectral_shape, dtype=bool)
-        for j, k in enumerate(self.wavenumbers):
-            mask &= np.abs(k) <= self.n[j] / 3.0
-        return mask
-
-    @cached_property
     def velocity_multipliers(self):
         """The Darcy multipliers (darcy_multipliers) of the half spectrum."""
         return darcy_multipliers(self.wavenumbers, self.buoyancy_axis, self.n)
@@ -229,6 +221,50 @@ class SpectralField:
     @property
     def mean(self):
         return self.coeffs[(0,) * self.domain.dim]
+
+
+def _box_runs(domain: Domain) -> list:
+    """Per axis, the (half-spectrum, box) index pair of each run of the 2/3 box.
+
+    The one statement of the 2/3 rule (Orszag, J. Atmos. Sci. 28, 1971):
+    the modes with |k| <= n/3 are k = 0..m, m = n//3, and along a leading
+    axis also k = -m..-1, at indices n-m..n-1 of the half spectrum; the box
+    packs them in that (fftfreq) order.
+    """
+    cuts = [m // 3 for m in domain.n]
+    runs = [[(slice(0, cut + 1),) * 2, (slice(m - cut, m), slice(cut + 1, None))]
+            for m, cut in zip(domain.n[:-1], cuts)]
+    return runs + [[(slice(0, cuts[-1] + 1),) * 2]]
+
+
+def box_shape(domain: Domain) -> tuple:
+    """Shape of the 2/3 box: 2 (n//3) + 1 along a leading axis, n//3 + 1 along the last."""
+    return tuple(sum(half.stop - half.start for half, _ in runs) for runs in _box_runs(domain))
+
+
+def _box_blocks(domain: Domain) -> list:
+    """(half-spectrum index, box index) of each of the 2^(dim-1) blocks of the 2/3 box.
+
+    Both indices start with an Ellipsis, so they index stacks as well.
+    """
+    return [tuple((Ellipsis,) + index for index in zip(*pairs))
+            for pairs in itertools.product(*_box_runs(domain))]
+
+
+def gather(c: np.ndarray, domain: Domain) -> np.ndarray:
+    """The 2/3 box of half spectrum c, as a new array of box_shape."""
+    box = np.empty(box_shape(domain), dtype=c.dtype)
+    for half, inner in _box_blocks(domain):
+        box[inner] = c[half]
+    return box
+
+
+def scatter(box: np.ndarray, domain: Domain) -> np.ndarray:
+    """A new half spectrum that holds box on the 2/3 box and zero elsewhere."""
+    c = np.zeros(domain.spectral_shape, dtype=np.complex128)
+    for half, inner in _box_blocks(domain):
+        c[half] = box[inner]
+    return c
 
 
 def _reflect(a, axes):
@@ -289,13 +325,13 @@ def riesz_potential(u_hat: SpectralField, beta: float) -> SpectralField:
 
 
 def dealias(u_hat: SpectralField) -> SpectralField:
-    """2/3-rule truncation: zero every mode with any |k_j| > n_j/3.
+    """2/3-rule truncation: keep the 2/3 box (_box_runs), zero every other mode.
 
     Idempotent orthogonal projection; quadratic products of truncated fields
     are then alias-free on the collocation grid.
     """
     d = u_hat.domain
-    return SpectralField(d, np.where(d.dealias_mask, u_hat.coeffs, 0.0))
+    return SpectralField(d, scatter(gather(u_hat.coeffs, d), d))
 
 
 def lp_norm(u: PhysicalField, p: float) -> float:
@@ -490,7 +526,7 @@ def random_field(domain: Domain, spectrum_decay: float = 3.0, cutoff: float = 5.
     theta = 0.5 * (theta - _reflect(theta, range(domain.dim)))[..., :domain.spectral_shape[-1]]
     amp = k_power(domain.k_squared, -spectrum_decay) * np.exp(-domain.k_squared / cutoff ** 2)
     coeffs = amp * np.exp(1j * theta)
-    coeffs = np.where(domain.dealias_mask, coeffs, 0.0)
+    coeffs = scatter(gather(coeffs, domain), domain)
     field = SpectralField(domain, coeffs)
     cur = lp_norm(inverse_transform(field), 2)
     if cur == 0.0:

@@ -563,6 +563,18 @@ blowup.sample_every = 0.02
         assert "sample_every" in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_auto_oracle_goes_without_a_closed_form_that_does_not_exist(self, tmp_path):
+        # r0 = 1 and nu = 2: the closed form needs r0^2 > nu^2, so auto runs
+        # without the oracle (oracle = on is refused: test_bad_input_exits_4)
+        text = BLOWUP_CFG.format(t_end=0.2, outdir=tmp_path / "o")
+        cfg = write_config(tmp_path / "b.cfg", text.replace("blowup.n = 128", "blowup.n = 64")
+                           + "blowup.mode = spectral\nblowup.nu = 2\n")
+        assert main(["blowup1d", cfg]) == 0
+        rows = csv_rows(tmp_path / "o" / "trajectory.csv")
+        assert rows and all(r["oracle_beta"] == r["oracle_r"] == "nan" for r in rows)
+        summary = csv_rows(tmp_path / "o" / "summary.csv")[0]
+        assert summary["t_star_analytic"] == summary["g_oracle_max_rel_err"] == "nan"
+
     def test_oracle_on_with_incompatible_mode_exits_4(self, tmp_path, no_step):
         text = BLOWUP_CFG.format(t_end=0.4, outdir=tmp_path / "o")
         cfg = write_config(tmp_path / "b.cfg",
@@ -595,6 +607,7 @@ blowup.sample_every = 0.02
      "blowup.oracle"),
     ("blowup1d", {"blowup.mode": "spectral", "blowup.nu": "2", "blowup.oracle": "on"},
      "blowup.oracle"),
+    ("run", {"diagnostics.s_list": "inf, nan"}, "diagnostics.s_list"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else

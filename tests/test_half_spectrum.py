@@ -8,7 +8,7 @@ on Hermitian data, dealiased except where a case needs energy on the
 Nyquist planes.  The examples are derandomized by the suite's hypothesis
 profile (conftest.py), so the suite stays reproducible.
 
-The solver's integrator steps on the 2/3 box (solver.gather and scatter
+The solver's integrator steps on the 2/3 box (spectral.gather and scatter
 move a half spectrum to it and back) and computes in work arrays of its
 own; the same properties check that no array handed to a caller is one of
 them.
@@ -27,8 +27,8 @@ from dpmflow import (Domain, PhysicalField, SolverParams, SpectralField,
                      pressure_from_temperature, refine, riesz_potential,
                      riesz_transform, run, velocity_from_temperature)
 from dpmflow.blowup1d import Regularization, _StreamOps
-from dpmflow.solver import _Integrator, gather, scatter
-from dpmflow.spectral import _reflect, k_power
+from dpmflow.solver import _Integrator
+from dpmflow.spectral import _reflect, gather, k_power, scatter
 from fft_reference import FullLayout, half, hermitian
 
 RTOL = 1e-12
@@ -101,7 +101,8 @@ def real_field(d, seed):
 
 def smooth_spectrum(d, seed):
     """Half spectrum of a random real field, dealiased and mean zero."""
-    c = np.where(d.dealias_mask, forward_transform(real_field(d, seed)).coeffs, 0.0)
+    mask = half(FullLayout(d).dealias_mask)
+    c = np.where(mask, forward_transform(real_field(d, seed)).coeffs, 0.0)
     c[(0,) * d.dim] = 0.0
     return SpectralField(d, c)
 
@@ -220,9 +221,10 @@ def work_arrays(integ):
 
 @given(d=grids(), seed=seeds)
 def test_box_holds_exactly_the_modes_of_the_two_thirds_rule(d, seed):
-    # every n from 8 to 32, multiples of 3 and not
-    mask = gather(d.dealias_mask, d)
-    assert mask.all() and mask.size == np.count_nonzero(d.dealias_mask)
+    # every n from 8 to 32, multiples of 3 and not, against the reference mask
+    mask = half(FullLayout(d).dealias_mask)
+    box = gather(mask, d)
+    assert box.all() and box.size == np.count_nonzero(mask)
     c = half(hermitian(d, seed))
     assert np.array_equal(scatter(gather(c, d), d), c)
 

@@ -1,0 +1,19 @@
+"""The README's examples run as written: every ```python block of README.md."""
+
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                    re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_python_block_runs(index):
+    exec(compile(BLOCKS[index], f"README.md, python block {index}", "exec"), {})

@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from dpmflow import (Domain, PhysicalField, SolverParams, dealias, forward_transform,
-                     hs_seminorm, inverse_transform, lp_norm, nonlinear_term,
-                     random_field, run)
-from dpmflow.solver import _Integrator, gather
+from dpmflow import (Domain, PhysicalField, SolverParams, SpectralField, dealias,
+                     forward_transform, hs_seminorm, inverse_transform, lp_norm,
+                     nonlinear_term, random_field, run)
+from dpmflow.solver import _Integrator
+from dpmflow.spectral import gather
 
 
 def phys(domain, values):
@@ -147,6 +148,34 @@ class TestStep:
         diffs = [np.abs(a - b).max() for a, b in zip(finals, finals[1:])]
         for coarse, fine in zip(diffs, diffs[1:]):
             assert 3.8 <= math.log2(coarse / fine) <= 4.2
+
+    def test_converges_in_n_on_the_box(self):
+        # the same data, restricted to each n^2 grid's 2/3 box (found here
+        # from fftfreq, not from the package's box), run to t = 0.4 and
+        # compared with the 96^2 run on the modes the two share: the error
+        # falls spectrally with n.  A box that loses or misplaces modes at
+        # some n breaks the fall; an operator that is wrong at every n does
+        # not, and is left to the identity table and test_half_spectrum.py
+        u = random_field(Domain((96, 96)), cutoff=4, seed=5, l2_norm=3)
+        data = forward_transform(u).coeffs
+        params = SolverParams(nu=0.05, alpha=1.5, dt=0.01, t_end=0.4)
+        ref = run(u, params, sample_every=0.4, p_list=(2.0,)).final_state.t_hat.coeffs
+        errs = []
+        for n in (16, 24, 32, 48, 64):
+            d = Domain((n, n))
+            k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+            # per axis: the kept modes' indices on the n grid, then on the 96 grid
+            lead = np.flatnonzero(np.abs(k) <= n / 3)
+            last = lead[k[lead] >= 0]
+            mine, theirs = np.ix_(lead, last), np.ix_(k[lead] % 96, k[last])
+            c = np.zeros(d.spectral_shape, dtype=np.complex128)
+            c[mine] = data[theirs]
+            final = run(inverse_transform(SpectralField(d, c)), params, sample_every=0.4,
+                        p_list=(2.0,)).final_state.t_hat.coeffs
+            errs.append(np.abs(final[mine] - ref[theirs]).max() / np.abs(ref).max())
+        for coarse, fine in zip(errs, errs[1:]):
+            assert fine <= coarse / 5
+        assert errs[-1] < 1e-12
 
 
 class TestCfl:
