@@ -13,6 +13,7 @@ from dpmflow import (Domain, PhysicalField, dealias,
                      forward_transform, fractional_laplacian, hs_seminorm,
                      inverse_transform, lp_norm, partial_derivative,
                      random_field, refine, riesz_potential, riesz_transform)
+from dpmflow.spectral import box_shape, gather, scatter
 from fft_reference import FullLayout, half
 
 
@@ -49,6 +50,15 @@ class TestDomain:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             Domain((8, 8, 8, 8))
+
+    def test_dealias_mask_cutoff(self, d2):
+        # the 2/3 box keeps exactly the modes with every |k_j| <= 32/3
+        k = np.fft.fftfreq(32, d=1.0 / 32)
+        inside = np.abs(k) <= 32 / 3
+        mask = np.outer(inside, inside[:17])
+        kept = scatter(gather(np.ones(d2.spectral_shape, dtype=complex), d2), d2) != 0
+        assert np.array_equal(kept, mask)
+        assert box_shape(d2) == (inside.sum(), inside[:17].sum())
 
     def test_wavenumbers_are_integers(self, d1):
         k = d1.wavenumbers[0]
