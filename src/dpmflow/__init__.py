@@ -8,7 +8,7 @@ infinite-energy blow-up solutions of the 1D stream-slope reduction.
 """
 
 from .blowup1d import (OracleParams, Regularization, StreamRecord,
-                       StreamResult, StreamSlopeState, antiderivative,
+                       StreamSlopeState, antiderivative,
                        blowup_time, check_max_bound, estimate_blowup_time,
                        integrate_amplitude_ode, oracle_beta, oracle_r,
                        run_stream_slope, stream_rhs)

@@ -30,14 +30,13 @@ exp(nu |k|^alpha t) on generic data; it is intended for single-mode studies.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diagnostics import attach_checks
-from .solver import IFRK4, SampleClock
+from .solver import IFRK4, RunResult, SampleClock
 from .spectral import Domain, PhysicalField, SpectralField, box_shape, hs_seminorm, k_power
 
 TWO_PI = 2.0 * math.pi
@@ -100,14 +99,6 @@ class StreamRecord:
     g: float
     h2: float
     checks: list = field(default_factory=list)
-
-
-@dataclass
-class StreamResult:
-    records: list
-    final_state: StreamSlopeState
-    blew_up: bool = False
-    t_star_estimate: float | None = None
 
 
 def _check_mean_zero(w: PhysicalField):
@@ -258,6 +249,11 @@ class _StreamOps(IFRK4):
         wh[0] = 0.0
         return np.append(wh, g)
 
+    def state(self, t, x):
+        """The StreamSlopeState of the packed state x at time t."""
+        return StreamSlopeState(t, PhysicalField(self.domain, np.fft.irfft(
+            x[:-1], n=self.n, norm="forward")), float(x[-1].real))
+
     def record(self, t, x):
         """The StreamRecord of the packed state x at time t."""
         wh = x[:-1]
@@ -292,7 +288,7 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
                      t_end: float, sample_every: float = 0.01,
                      threshold: float = 1e8, adaptive: bool = True,
                      start_time: float = 0.0, start_g: float = 0.0,
-                     on_sample=None) -> StreamResult:
+                     on_sample=None) -> RunResult:
     """Integrate the stream-slope system, watching for finite-time blow-up.
 
     The step size shrinks like 1/(1 + |w|_inf) as the solution steepens.
@@ -303,74 +299,56 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
     recording a blow-up time estimate extrapolated from the last decade of growth:
     1/|w|_inf is fitted against t and the zero crossing is returned.
     Blow-up is an expected outcome in many configurations, not a failure.
-    on_sample, when given, is called with each StreamRecord as it is
-    taken; the first call comes before the first step.
+    on_sample, when given, is called as on_sample(state, record) with each
+    sampled StreamSlopeState and its StreamRecord; the first call comes
+    before the first step.
     """
     _check_mean_zero(w0)
-    if not (dt > 0 and start_time < t_end):
-        raise ValueError("dt must be positive and t_end must exceed the start time")
-    if not sample_every > 0:
-        raise ValueError(f"sample_every must be positive, got {sample_every}")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    clock = SampleClock(start_time, sample_every, t_end)
     if not 0 < threshold < math.inf:  # at NaN no step would flag blow-up
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    d = w0.domain
-    ops = _StreamOps(d, reg)
-    x = ops.start(w0, start_g)
-    t = start_time
+    ops = _StreamOps(w0.domain, reg)
     m0_inf = float(np.abs(w0.values).max())
-    quasilinear = reg.mode == "quasilinear"
-
     records = []
     history_t = []
     history_m = []
+    quasilinear = reg.mode == "quasilinear"
+    nl = None
+    minf = size_m = m0_inf  # |w|_inf at the last evaluation, and the one that sizes the step
 
     def sample(t, x):
         records.append(ops.record(t, x))
         if on_sample is not None:
-            on_sample(records[-1])
+            on_sample(ops.state(t, x), records[-1])
 
-    sample(t, x)
-    minf = m0_inf
-    blew_up = False
-    clock = SampleClock(start_time, sample_every, t_end)
-    # the next state goes into the array of the state before the last
-    nl = spare = None
+    def evaluate(x):
+        """The nonlinear term at x; its slope's sup norm becomes minf."""
+        nonlocal nl, minf
+        if quasilinear:
+            ops.freeze(x)
+        nl = ops.nonlinear(x, out=nl)
+        minf = float(max(ops.w.max(), -ops.w.min()))
+        return nl
 
-    # overflow on the way to blow-up is expected; detection is explicit
-    with np.errstate(over="ignore", invalid="ignore"):
-        while t < t_end - clock.eps:
-            step_dt = dt * (1.0 + m0_inf) / (1.0 + minf) if adaptive else dt
-            step_dt, t_new = clock.clip(t, step_dt)
-            if quasilinear:
-                ops.freeze(x)
-            # the sup norm of this first stage sizes the next step
-            nl = ops.nonlinear(x, out=nl)
-            w = ops.w
-            minf = float(max(w.max(), -w.min()))
-            x_new = ops.advance(x, nl, step_dt, out=spare)
-            if not cmath.isfinite(x_new.sum()):  # a non-finite coefficient spoils the sum
-                blew_up = True
-                break
-            x, spare, t = x_new, x, t_new
-            history_t.append(t)
-            history_m.append(minf)
-            if minf > threshold:
-                blew_up = True
-                sample(t, x)
-                break
-            if clock.due(t):
-                sample(t, x)
-        else:
-            if records[-1].t < t_end - clock.eps:
-                sample(t, x)
+    def after_step(x, dt, t):
+        nonlocal size_m
+        history_t.append(t)
+        history_m.append(minf)
+        if minf > threshold:
+            return None
+        size_m = minf  # the sup norm at the start of a step sizes the next one
+        return evaluate(x)
 
-    t_star = None
-    if blew_up:
-        t_star = estimate_blowup_time(history_t, history_m, threshold)
-    final = StreamSlopeState(t, PhysicalField(d, np.fft.irfft(x[:-1], n=ops.n, norm="forward")),
-                             float(x[-1].real))
-    return StreamResult(records=records, final_state=final, blew_up=blew_up,
-                        t_star_estimate=t_star)
+    def step_size():
+        return dt * (1.0 + m0_inf) / (1.0 + size_m) if adaptive else dt
+
+    x = ops.start(w0, start_g)
+    x, t, blew_up = ops.march(x, evaluate(x), clock, step_size, after_step, sample)
+    t_star = estimate_blowup_time(history_t, history_m, threshold) if blew_up else None
+    return RunResult(records=records, final_state=ops.state(t, x), blew_up=blew_up,
+                     t_star_estimate=t_star)
 
 
 def estimate_blowup_time(times, maxima, threshold) -> float:

@@ -51,6 +51,45 @@ def _in_range(cfg, key, default, positive=False):
     return val
 
 
+def _execute(cfg, checks, solve, report, save, snapshots=False, allow_blowup=True):
+    """Run one command's solver between its checks and its outputs.
+
+    checks are (label, call) pairs, each call judging a record list.  At the
+    first record, before the first step, each check's own input rules judge
+    a copy of it that keeps no result, and output.dir is made; with
+    snapshots, save(path, state) writes each sampled state there.  After
+    solve(on_sample) the checks judge the records, report(result, ok, outdir)
+    gives the command's verdict, metrics, CSV name and CSV writer, and save
+    writes the final state to output.checkpoint.
+    """
+    outdir = None
+    taken = itertools.count()
+
+    def on_sample(state, record):
+        nonlocal outdir
+        if outdir is None:
+            for label, call in checks:
+                _checked(label, call, [replace(record, checks=[])])
+            outdir = _outdir(cfg)
+        if snapshots:
+            save(os.path.join(outdir, f"snapshot_{next(taken):05d}.dpmf"), state)
+
+    result = solve(on_sample)
+    ok = True
+    for _, call in checks:
+        ok &= all(r.passed for r in call(result.records))
+    ok, metrics, csv_name, write = report(result, ok, outdir)
+    with atomic_open(os.path.join(outdir, cfg.get_str("output.csv", default=csv_name)),
+                     encoding="utf-8", newline="") as fh:
+        write(fh)
+    if cfg.values.get("output.checkpoint"):
+        save(os.path.join(outdir, cfg.values["output.checkpoint"]), result.final_state)
+    metrics.update(blew_up=result.blew_up, checks_passed=ok)
+    if result.blew_up and not allow_blowup:
+        return EXIT_UNEXPECTED_BLOWUP, metrics
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), metrics
+
+
 def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
     domain = build_domain(cfg)
     params = build_solver_params(cfg)
@@ -99,48 +138,22 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         if name not in table:
             raise ConfigError(f"diagnostics.checks: unknown check {name!r} "
                               f"(known: {', '.join(table)})")
-    checks = [check for name, check in table.items() if name in names]
+    checks = [(f"diagnostics.checks: {label}", call)
+              for name, (label, call) in table.items() if name in names]
     allow_blowup = cfg.get_bool("solver.allow_blowup", default=False)
-    snapshots = cfg.get_bool("output.snapshots", default=False)
 
-    outdir = None
-    taken = itertools.count()
+    def report(result, ok, outdir):
+        metrics = {"t_final": result.final_state.t,
+                   "final_l2": result.records[-1].lp.get(2.0, math.nan)}
+        return ok, metrics, "diagnostics.csv", lambda fh: records_to_csv(result.records, fh)
 
-    def on_sample(state, record):
-        nonlocal outdir
-        if outdir is None:
-            # the first record, before the first step: each check's own input
-            # rules judge a copy of it that keeps no result
-            for label, call in checks:
-                _checked(f"diagnostics.checks: {label}", call, [replace(record, checks=[])])
-            outdir = _outdir(cfg)
-        if snapshots:
-            write_snapshot(os.path.join(outdir, f"snapshot_{next(taken):05d}.dpmf"),
-                           state.t, inverse_transform(state.t_hat))
-
-    result = run_dpm(t0_field, params, forcing, sample_every=sample_every,
-                     p_list=p_list, s_list=s_list, on_sample=on_sample, start_time=start_time)
-
-    all_ok = True
-    for _, call in checks:
-        all_ok &= all(r.passed for r in call(result.records))
-
-    csv_name = cfg.get_str("output.csv", default="diagnostics.csv")
-    with atomic_open(os.path.join(outdir, csv_name), encoding="utf-8", newline="") as fh:
-        records_to_csv(result.records, fh)
-    ckpt = cfg.values.get("output.checkpoint")
-    if ckpt:
-        write_snapshot(os.path.join(outdir, ckpt), result.final_state.t,
-                       inverse_transform(result.final_state.t_hat))
-
-    final_l2 = result.records[-1].lp.get(2.0, math.nan)
-    metrics = {"t_final": result.final_state.t, "final_l2": final_l2,
-               "blew_up": result.blew_up, "checks_passed": all_ok}
-    if result.blew_up and not allow_blowup:
-        return EXIT_UNEXPECTED_BLOWUP, metrics
-    if not all_ok:
-        return EXIT_CHECK_FAILED, metrics
-    return EXIT_OK, metrics
+    return _execute(
+        cfg, checks,
+        lambda on_sample: run_dpm(t0_field, params, forcing, sample_every=sample_every,
+                                  p_list=p_list, s_list=s_list, on_sample=on_sample,
+                                  start_time=start_time),
+        report, lambda path, state: write_snapshot(path, state.t, inverse_transform(state.t_hat)),
+        cfg.get_bool("output.snapshots", default=False), allow_blowup)
 
 
 def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
@@ -180,72 +193,56 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
         except ConfigError:
             if oracle_mode == "on":  # auto goes without an oracle that has no closed form
                 raise
+    # Q(t0) of the max bound is that of the run's first record: a bad one
+    # (a restart whose g outweighs max w) is refused before the first step
+    checks = ([("blowup.max_bound_check",
+                lambda records: blowup1d.check_max_bound(records, slack=slack))]
+              if bound_check else [])
 
-    def vet_first(record):
-        # Q(t0) is that of the run's first record, the one at the start time:
-        # refuse a bad one (a restart whose g outweighs max w) before the
-        # first step
-        if record.t == start_time:
-            _checked("blowup.max_bound_check", blowup1d.check_max_bound,
-                     [replace(record, checks=[])])
+    def report(result, ok, outdir):
+        # the oracle columns of each record, nan at and beyond the singular time
+        oracle = []
+        errs = []
+        for rec in result.records:
+            beta = r_oracle = math.nan
+            if params is not None and rec.t < t_star_analytic * (1 - 1e-12):
+                beta = blowup1d.oracle_beta(rec.t, params)
+                r_oracle = blowup1d.oracle_r(rec.t, params)
+                errs.append(abs(rec.g - beta) / max(abs(beta), 1.0))
+            oracle.append((beta, r_oracle))
+        g_err = max(errs) if errs else math.nan
+        if errs and not g_err <= oracle_rtol:
+            ok = False
+        # a NaN error (no blow-up, or no estimate of t*) fails its check
+        tstar_err = math.nan
+        if params is not None:
+            if t_star_analytic < t_end:
+                if result.blew_up:
+                    tstar_err = abs(result.t_star_estimate - t_star_analytic) / t_star_analytic
+                if not tstar_err <= tstar_rtol:
+                    ok = False
+            elif result.blew_up:
+                ok = False  # blew up although the closed form says it should not
 
-    result = blowup1d.run_stream_slope(w0, reg, dt, t_end,
-                                       sample_every=sample_every,
-                                       threshold=threshold, adaptive=adaptive,
-                                       start_time=start_time, start_g=start_g,
-                                       on_sample=vet_first if bound_check else None)
+        with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8",
+                         newline="") as fh:
+            write_csv(fh, ["blew_up", "t_final", "t_star_est", "t_star_analytic",
+                           "t_star_rel_err", "g_oracle_max_rel_err", "checks_passed"],
+                      [([result.blew_up, result.final_state.t, result.t_star_estimate,
+                         t_star_analytic, tstar_err, g_err, ok], [])])
+        return (ok, {"t_star_est": result.t_star_estimate}, "trajectory.csv",
+                lambda fh: write_csv(
+                    fh, ["t", "l2", "linf", "max", "g", "h2", "oracle_beta", "oracle_r"],
+                    (([rec.t, rec.l2, rec.linf, rec.max_w, rec.g, rec.h2, *columns],
+                      rec.checks) for rec, columns in zip(result.records, oracle)),
+                    ["max_bound"] if bound_check else []))
 
-    # the oracle columns of each record, nan at and beyond the singular time
-    oracle = []
-    errs = []
-    for rec in result.records:
-        beta = r_oracle = math.nan
-        if params is not None and rec.t < t_star_analytic * (1 - 1e-12):
-            beta = blowup1d.oracle_beta(rec.t, params)
-            r_oracle = blowup1d.oracle_r(rec.t, params)
-            errs.append(abs(rec.g - beta) / max(abs(beta), 1.0))
-        oracle.append((beta, r_oracle))
-    all_ok = True
-    g_err = max(errs) if errs else math.nan
-    if errs and g_err > oracle_rtol:
-        all_ok = False
-
-    tstar_err = math.nan
-    if params is not None:
-        if t_star_analytic < t_end:
-            if not result.blew_up:
-                all_ok = False
-            elif result.t_star_estimate is not None:
-                tstar_err = abs(result.t_star_estimate - t_star_analytic) / t_star_analytic
-                if tstar_err > tstar_rtol:
-                    all_ok = False
-        elif result.blew_up:
-            all_ok = False  # blew up although the closed form says it should not
-
-    if bound_check:
-        res = blowup1d.check_max_bound(result.records, slack=slack)
-        all_ok &= all(r.passed for r in res)
-
-    outdir = _outdir(cfg)
-    csv_name = cfg.get_str("output.csv", default="trajectory.csv")
-    with atomic_open(os.path.join(outdir, csv_name), encoding="utf-8", newline="") as fh:
-        write_csv(fh, ["t", "l2", "linf", "max", "g", "h2", "oracle_beta", "oracle_r"],
-                  (([rec.t, rec.l2, rec.linf, rec.max_w, rec.g, rec.h2, *columns], rec.checks)
-                   for rec, columns in zip(result.records, oracle)),
-                  ["max_bound"] if bound_check else [])
-    with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8", newline="") as fh:
-        write_csv(fh, ["blew_up", "t_final", "t_star_est", "t_star_analytic", "t_star_rel_err",
-                       "g_oracle_max_rel_err", "checks_passed"],
-                  [([result.blew_up, result.final_state.t, result.t_star_estimate,
-                     t_star_analytic, tstar_err, g_err, all_ok], [])])
-    ckpt = cfg.values.get("output.checkpoint")
-    if ckpt:
-        write_snapshot(os.path.join(outdir, ckpt), result.final_state.t,
-                       result.final_state.w, g=result.final_state.g)
-
-    metrics = {"blew_up": result.blew_up, "t_star_est": result.t_star_estimate,
-               "checks_passed": all_ok}
-    return (EXIT_OK if all_ok else EXIT_CHECK_FAILED), metrics
+    return _execute(
+        cfg, checks,
+        lambda on_sample: blowup1d.run_stream_slope(
+            w0, reg, dt, t_end, sample_every=sample_every, threshold=threshold,
+            adaptive=adaptive, start_time=start_time, start_g=start_g, on_sample=on_sample),
+        report, lambda path, state: write_snapshot(path, state.t, state.w, g=state.g))
 
 
 def _error_line(exc):

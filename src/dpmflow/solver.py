@@ -18,6 +18,7 @@ by the sampling cadence.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import warnings
@@ -69,11 +70,17 @@ class SimulationState:
 
 @dataclass
 class RunResult:
-    """Trajectory summary: diagnostics records plus the final spectral state."""
+    """What either runner returns: its records, final state and blow-up flag.
+
+    The final state is a SimulationState or a StreamSlopeState.
+    t_star_estimate is the 1D runner's estimate of the blow-up time, set
+    when it flags blow-up; the DPM runner leaves it None.
+    """
 
     records: list
-    final_state: SimulationState
+    final_state: object
     blew_up: bool = False
+    t_star_estimate: float | None = None
 
 
 class _Work(NamedTuple):
@@ -153,6 +160,39 @@ class IFRK4:
         add(add(mul(e_full, nl_a, out=out), p, out=out), q, out=out)
         mul(dt / 6.0, out, out=out)
         return add(mul(e_full, c, out=p), out, out=out)
+
+    def march(self, c, nl, clock, step_size, after_step, sample):
+        """Step c, at clock.start with nl = nonlinear(c), to clock.t_end.
+
+        Each step takes step_size(), shortened by the clock to land on a
+        sample or on t_end; after_step(c, dt, t) sees the new state and
+        returns the nonlinear term there, or None if the runner finds
+        blow-up.  sample(t, c) records c at t: before the first step, at
+        each sample time and at t_end.  A state with a non-finite
+        coefficient flags blow-up and is dropped; one at which after_step
+        finds blow-up is sampled.  Returns (c, t, blew_up) of the last state
+        kept.  The next state goes into the array of the state before the
+        last, so stepping allocates nothing of state size; that spare
+        array is released at each sample, which outweighs it.
+        """
+        t = clock.start
+        sample(t, c)
+        spare = None
+        blew_up = False
+        # overflow on the way to blow-up is expected; detection is explicit
+        with np.errstate(over="ignore", invalid="ignore"):
+            while not blew_up and t < clock.t_end - clock.eps:
+                dt, t_new = clock.clip(t, step_size())
+                c_new = self.advance(c, nl, dt, out=spare)
+                if not cmath.isfinite(c_new.sum()):  # a non-finite coefficient spoils the sum
+                    return c, t, True
+                c, spare, t = c_new, c, t_new
+                nl = after_step(c, dt, t)
+                blew_up = nl is None
+                if blew_up or clock.due(t) or t >= clock.t_end - clock.eps:
+                    spare = None
+                    sample(t, c)
+        return c, t, blew_up
 
 
 class _Integrator(IFRK4):
@@ -360,10 +400,15 @@ class SampleClock:
 
     Each sample time is computed from k, not accumulated, so the times do
     not drift, and a step that ends within eps of the next sample or of
-    t_end ends there exactly.
+    t_end ends there exactly.  The clock holds both runners' rules on these
+    inputs: a start below t_end and a positive cadence.
     """
 
     def __init__(self, start, every, t_end):
+        if not start < t_end:
+            raise ValueError("t_end must exceed the start time")
+        if not every > 0:
+            raise ValueError(f"sample_every must be positive, got {every}")
         self.start, self.every, self.t_end = start, every, t_end
         self.eps = 1e-12 * max(1.0, abs(t_end))
         self.k = 1
@@ -408,10 +453,7 @@ def run(t0_field: PhysicalField, params: SolverParams,
     """
     from .diagnostics import compute_record  # local import avoids a cycle
 
-    if not start_time < params.t_end:
-        raise ValueError("t_end must exceed the start time")
-    if not sample_every > 0:
-        raise ValueError(f"sample_every must be positive, got {sample_every}")
+    clock = SampleClock(start_time, sample_every, params.t_end)
     domain = t0_field.domain
     if params.alpha < 1.0 and params.nu > 0:
         warnings.warn(
@@ -440,10 +482,6 @@ def run(t0_field: PhysicalField, params: SolverParams,
         return SimulationState(t, SpectralField(domain, scatter(coeffs, domain)))
 
     records = []
-    # the next state goes into the array of the state before the last, and
-    # the nonlinear term into its own, so stepping allocates nothing of grid
-    # size; records drop both spare and work arrays, which they outweigh
-    spare = None
     diss_int = 0.0
     inj_int = 0.0
 
@@ -453,9 +491,7 @@ def run(t0_field: PhysicalField, params: SolverParams,
         on_sample runs here, while the work arrays are released, so what it
         allocates never adds to the stepping set.
         """
-        nonlocal spare
         integ.drop_work()
-        spare = None
         state = make_state(t, coeffs)
         records.append(compute_record(state, params.nu, params.alpha, integ.last_vmax,
                                       p_list=p_list, s_list=s_list,
@@ -463,38 +499,24 @@ def run(t0_field: PhysicalField, params: SolverParams,
         if on_sample is not None:
             on_sample(state, records[-1])
 
-    # overflow on the way to blow-up is expected; detection is explicit
-    with np.errstate(over="ignore", invalid="ignore"):
-        nl = integ.nonlinear(c)
-        budget = integ.budget(c, integ.tendency(c, nl))
-        t = start_time
-        sample(t, c)
+    def step_size():
+        # fixed steps are adaptive ones without the CFL bound
+        return min(params.dt, integ.cfl_dt()) if params.adaptive else params.dt
 
-        # fixed steps are the adaptive loop without the CFL bound: both shorten
-        # a step to land on a sample or on t_end
-        blew_up = False
-        clock = SampleClock(start_time, sample_every, params.t_end)
-        while t < params.t_end - clock.eps:
-            dt = params.dt
-            if params.adaptive:
-                dt = min(dt, integ.cfl_dt())
-            dt, t_new = clock.clip(t, dt)
-            c_new = integ.advance(c, nl, dt, out=spare)
-            c_new[idx0] = mean0 + (t_new - start_time) * f0
-            if not np.isfinite(np.abs(c_new).sum()):
-                blew_up = True  # c stays the last finite state
-                break
-            new = integ.budget(c_new, integ.tendency(c_new, integ.nonlinear(c_new, out=nl)))
-            diss_int += _corrected_trapezoid(dt, budget[0], new[0], budget[2], new[2])
-            inj_int += _corrected_trapezoid(dt, budget[1], new[1], budget[3], new[3])
-            c, spare, budget, t = c_new, c, new, t_new
-            if clock.due(t):
-                sample(t, c)
-        if not blew_up and records[-1].t < params.t_end - clock.eps:
-            sample(t, c)
+    def after_step(c, dt, t):
+        """Pin the mean, then take the budget integrals over the step."""
+        nonlocal budget, diss_int, inj_int
+        c[idx0] = mean0 + (t - start_time) * f0
+        new = integ.budget(c, integ.tendency(c, integ.nonlinear(c, out=nl)))
+        diss_int += _corrected_trapezoid(dt, budget[0], new[0], budget[2], new[2])
+        inj_int += _corrected_trapezoid(dt, budget[1], new[1], budget[3], new[3])
+        budget = new
+        return nl
 
-    final = make_state(t, c)
-    return RunResult(records=records, final_state=final, blew_up=blew_up)
+    nl = integ.nonlinear(c)
+    budget = integ.budget(c, integ.tendency(c, nl))
+    c, t, blew_up = integ.march(c, nl, clock, step_size, after_step, sample)
+    return RunResult(records=records, final_state=make_state(t, c), blew_up=blew_up)
 
 
 def _corrected_trapezoid(dt, f0, f1, df0, df1):

@@ -1,11 +1,20 @@
 """Fixtures and the hypothesis profile shared by the test modules."""
 
 import signal
+import warnings
 
 import pytest
 from hypothesis import settings
 
 from dpmflow import blowup1d, solver
+
+# hypothesis imports this module to report a failing property, and it
+# imports libcst, which warns of a deprecation; under filterwarnings =
+# error that warning would end the session inside pytest's report hook,
+# so it is imported once here with the warning ignored
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 # every property test draws the same examples on every run, with no
 # example database and no per-example deadline (the first example pays

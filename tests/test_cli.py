@@ -545,6 +545,23 @@ blowup.sample_every = 0.02
         assert "blowup.n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_nan_t_star_estimate_exits_2(self, tmp_path):
+        # the first step overflows, so no history is left to estimate t*
+        # from: its NaN error fails the t* check rather than passing it
+        text = """\
+blowup.n = 64
+blowup.amplitude = 1e100
+blowup.dt = 1
+blowup.t_end = 1
+blowup.sample_every = 1
+blowup.oracle = on
+output.dir = {outdir}
+"""
+        cfg = write_config(tmp_path / "b.cfg", text.format(outdir=tmp_path / "o"))
+        assert main(["blowup1d", cfg]) == 2
+        row = csv_rows(tmp_path / "o" / "summary.csv")[0]
+        assert (row["blew_up"], row["t_star_rel_err"], row["checks_passed"]) == ("1", "nan", "0")
+
     def test_unattainable_oracle_tolerance_exits_2(self, tmp_path):
         text = BLOWUP_CFG.format(t_end=0.4, outdir=tmp_path / "o")
         text = text.replace("blowup.oracle_rtol = 1e-4",
