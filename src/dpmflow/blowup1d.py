@@ -37,9 +37,8 @@ import numpy as np
 
 from .diagnostics import attach_checks
 from .solver import IFRK4, RunResult, SampleClock
-from .spectral import Domain, PhysicalField, SpectralField, box_shape, hs_seminorm, k_power
-
-TWO_PI = 2.0 * math.pi
+from .spectral import (TWO_PI, Domain, PhysicalField, SpectralField, box_shape, hs_seminorm,
+                       k_power)
 
 REG_MODES = ("none", "spectral", "quasilinear")
 SIGN_CONVENTIONS = ("oracle", "dissipative")
@@ -110,23 +109,19 @@ def _check_mean_zero(w: PhysicalField):
 def antiderivative(w: PhysicalField) -> PhysicalField:
     """Antiderivative pinned at the seam: f(x) = integral of w from -pi to x.
 
-    Computed as the mean-zero spectral antiderivative shifted so its value
-    at x = -pi (= pi on this grid) is exactly zero.  The constant part of f
-    multiplies w_x in the evolution and does not integrate away, so the
-    pinning convention is behaviorally significant.  Requires mean-zero
-    input; otherwise f would not be periodic.
+    Computed with the runner's own multiplier and seam (_StreamOps.inv_ik
+    and seam), so its value at x = -pi (= pi on this grid) is exactly
+    zero.  The constant part of f multiplies w_x in the evolution and does
+    not integrate away, so the pinning convention is behaviorally
+    significant.  Requires mean-zero input; otherwise f would not be periodic.
     """
     if w.domain.dim != 1:
         raise ValueError("antiderivative is defined on the circle")
     _check_mean_zero(w)
-    n = w.domain.n[0]
+    ops = _StreamOps(w.domain, Regularization())
     wh = np.fft.rfft(w.values, norm="forward")
-    k = w.domain.deriv_wavenumbers[0]
-    fh = np.zeros_like(wh)
-    nz = k != 0
-    fh[nz] = wh[nz] / (1j * k[nz])
-    f = np.fft.irfft(fh, n=n, norm="forward")
-    return PhysicalField(w.domain, f - f[n // 2])
+    f = np.fft.irfft(ops.inv_ik * wh, n=ops.n, norm="forward")
+    return PhysicalField(w.domain, f - f[ops.seam])
 
 
 class _StreamOps(IFRK4):
@@ -135,7 +130,7 @@ class _StreamOps(IFRK4):
     The state is packed into one complex array, np.append(wh, g): the rfft
     half spectrum of the slope (n//2 + 1 modes), then the accumulator g as
     one extra mode whose linear symbol is 0, so that g passes through the
-    same stage combination.  Sums over modes carry Domain.parseval_weights.
+    same stage combination.
 
     At n = 256 an evaluation costs numpy's per-call overhead, not transform
     work, so nonlinear makes as few calls as it can without allocating: the
@@ -156,11 +151,10 @@ class _StreamOps(IFRK4):
         self.reg = reg
         n = domain.n[0]
         self.n = n
-        self.weights = domain.parseval_weights
         k = domain.wavenumbers[0]
         kd = domain.deriv_wavenumbers[0]
         self.k2 = k ** 2
-        self.k2w = TWO_PI * self.weights * self.k2
+        self.k2w = TWO_PI * domain.parseval_weights * self.k2
         self.kcut = box_shape(domain)[-1]  # the first mode past the 2/3 rule
         self.seam = n // 2
         # multipliers of the spectra of f and w_x: the antiderivative 1/(i k)
@@ -186,10 +180,6 @@ class _StreamOps(IFRK4):
 
     def stages(self):
         return self._stages
-
-    def power(self, wh):
-        """sum over all modes of |w_k|^2, so ||w||_2^2 = 2 pi * power."""
-        return float(np.sum(self.weights * np.abs(wh) ** 2))
 
     def quasilinear_coeff(self, wh, g):
         """nu * (||w_x||_2^2 + g^2), the quasilinear diffusion coefficient."""
@@ -256,12 +246,11 @@ class _StreamOps(IFRK4):
 
     def record(self, t, x):
         """The StreamRecord of the packed state x at time t."""
-        wh = x[:-1]
-        w = np.fft.irfft(wh, n=self.n, norm="forward")
+        wh = SpectralField(self.domain, x[:-1])
+        w = np.fft.irfft(wh.coeffs, n=self.n, norm="forward")
         return StreamRecord(
-            t=t, l2=math.sqrt(TWO_PI * self.power(wh)),
-            linf=float(np.abs(w).max()), max_w=float(w.max()), g=float(x[-1].real),
-            h2=hs_seminorm(SpectralField(self.domain, wh), 2.0))
+            t=t, l2=hs_seminorm(wh, 0.0), linf=float(np.abs(w).max()), max_w=float(w.max()),
+            g=float(x[-1].real), h2=hs_seminorm(wh, 2.0))
 
 
 def stream_rhs(state: StreamSlopeState, reg: Regularization):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import itertools
 import math
 import os
@@ -304,8 +303,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     # the summary is rewritten as each point finishes, so that an
     # interrupted sweep keeps the rows of the points it has
-    keys = [t for t, _ in axes]
-    rows = [["point"] + keys + ["exit_code", "metrics"]]
+    header = ["point"] + [t for t, _ in axes] + ["exit_code", "metrics"]
+    rows = []
     codes = []
     # a fork-context pool starts all its workers at the first submit
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
@@ -318,10 +317,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     code, metrics = EXIT_POINT_FAILED, {"error": _error_line(exc)}
                 codes.append(code)
                 metric_text = ";".join(f"{k}={v}" for k, v in sorted(metrics.items()))
-                rows.append([f"pt{idx:04d}", *combo, str(code), metric_text])
+                rows.append(([f"pt{idx:04d}", *combo, code, metric_text], []))
                 with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8",
                                  newline="") as fh:
-                    csv.writer(fh, lineterminator="\n").writerows(rows)
+                    write_csv(fh, header, rows)
         except BaseException:
             # start no queued point; those the pool has handed on still finish
             pool.shutdown(cancel_futures=True)

@@ -15,6 +15,7 @@ as growth at that slack.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 
@@ -191,25 +192,28 @@ def records_to_csv(records, stream):
 
 
 def write_csv(stream, header, rows, check_names=()):
-    """Write the header, then one line per (numbers, checks) row.
+    """Write the header, then one line per (cells, checks) row, through csv.writer.
 
-    Numbers print with _fmt; after them come the bound, value and pass cells
+    Cells print with _fmt; after them come the bound, value and pass cells
     of each named check (columns <name>_bound, <name>_value, <name>_pass),
-    nan,nan,1 where the row has no check of that name.  Booleans print as
-    1 and 0.
+    nan,nan,1 where the row has no check of that name.  Only a text cell
+    holding a comma, a quote or a line break is quoted.
     """
-    stream.write(",".join(header + [f"{name}_{col}" for name in check_names
-                                    for col in ("bound", "value", "pass")]) + "\n")
-    for numbers, checks in rows:
+    out = csv.writer(stream, lineterminator="\n")
+    out.writerow(header + [f"{name}_{col}" for name in check_names
+                           for col in ("bound", "value", "pass")])
+    for cells, checks in rows:
         by_name = {c.name: c for c in checks}
-        row = [_fmt(x) for x in numbers]
+        row = [_fmt(x) for x in cells]
         for name in check_names:
             c = by_name.get(name)
             row += (["nan", "nan", "1"] if c is None
                     else [_fmt(c.bound), _fmt(c.value), _fmt(c.passed)])
-        stream.write(",".join(row) + "\n")
+        out.writerow(row)
 
 
 def _fmt(x):
-    """17 significant digits; None and NaN print as nan, booleans as 1 and 0."""
+    """Text as it is; 17 significant digits, None and NaN as nan, booleans as 1 and 0."""
+    if isinstance(x, str):
+        return x
     return "nan" if x is None else f"{x:.17g}"

@@ -31,8 +31,6 @@ from .spectral import (Domain, PhysicalField, SpectralField, _box_blocks, _box_r
                        box_shape, darcy_multipliers, forward_transform, gather, k_power,
                        parseval_weights, scatter)
 
-SCHEMES = ("ifrk4", "ifeuler")
-
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -42,7 +40,6 @@ class SolverParams:
     alpha: float
     dt: float
     t_end: float
-    scheme: str = "ifrk4"
     adaptive: bool = False
     cfl_safety: float = 0.9
 
@@ -56,8 +53,6 @@ class SolverParams:
             raise ValueError(f"alpha must lie in [0, 2], got {self.alpha}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
 
@@ -340,15 +335,9 @@ class _Integrator(IFRK4):
         return self.work().stages
 
     def advance(self, c, nl_a, dt, out=None):
-        """One step of params.scheme from c, reusing nl_a = nonlinear(c); see rk4."""
+        """One IF-RK4 step from c, reusing nl_a = nonlinear(c); see rk4."""
         self._check(c)
-        if self.params.scheme == "ifrk4":
-            return self.rk4(c, nl_a, dt, out)
-        _, e_full, _ = self.propagators(dt)
-        if out is None:
-            out = np.empty_like(c)
-        mul, add = np.multiply, np.add
-        return mul(e_full, add(c, mul(dt, nl_a, out=out), out=out), out=out)
+        return self.rk4(c, nl_a, dt, out)
 
     def cfl_dt(self):
         """Advective step bound at the state of the last nonlinear evaluation."""

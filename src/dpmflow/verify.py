@@ -20,7 +20,6 @@ def _cases():
     d3 = Domain((16, 16, 16))
     d1 = Domain((64,))
     x2 = d2.grid
-    x3 = d3.grid
     x1 = d1.grid[0]
 
     def fwd(field):

@@ -58,6 +58,16 @@ class TestStreamRhs:
         assert dg == pytest.approx(r0 ** 2, abs=1e-12)
         assert np.abs(dw.values - g0 * r0 * np.cos(x)).max() < 1e-12
 
+    def test_sin_mode_carries_the_seam_constant(self, d1):
+        # f = -r cos - r, pinned at the seam: its constant -r transports w,
+        # and adds r^2 cos to dw = -dg - f w_x + w^2 + g w
+        x = d1.grid[0]
+        r0, g0 = 1.7, 0.33
+        dw, dg = stream_rhs(StreamSlopeState(0.0, PhysicalField(d1, r0 * np.sin(x)), g0),
+                            Regularization())
+        assert dg == pytest.approx(r0 ** 2, abs=1e-12)
+        assert np.abs(dw.values - (r0 ** 2 * np.cos(x) + g0 * r0 * np.sin(x))).max() < 1e-12
+
     def test_zero_state(self, d1):
         dw, dg = stream_rhs(StreamSlopeState(0.0, PhysicalField(d1, np.zeros(d1.n)), 0.0),
                             Regularization())
@@ -180,6 +190,21 @@ class TestTrajectories:
                                dt=1e-3, t_end=0.2, sample_every=0.05)
         mean = abs(float(res.final_state.w.values.mean()))
         assert mean <= 1e-12
+
+    def test_records_hold_the_norms_of_their_states(self, d1):
+        # on data of many modes, where the order of the l2 seminorm matters
+        from dpmflow import forward_transform, hs_seminorm, lp_norm, random_field
+        samples = []
+        run_stream_slope(random_field(d1, seed=5, cutoff=8.0),
+                         Regularization(mode="quasilinear", nu=0.2), dt=1e-3, t_end=0.1,
+                         sample_every=0.05, on_sample=lambda *sample: samples.append(sample))
+        assert len(samples) == 3
+        for state, rec in samples:
+            w = state.w.values
+            assert rec.l2 == pytest.approx(lp_norm(state.w, 2), rel=1e-12)
+            assert (rec.linf, rec.max_w, rec.g) == (np.abs(w).max(), w.max(), state.g)
+            assert rec.h2 == pytest.approx(hs_seminorm(forward_transform(state.w), 2.0),
+                                           rel=1e-12)
 
     def test_g_equals_quadrature_of_l2(self, d1):
         res = run_stream_slope(cos_field(d1, 1.2),

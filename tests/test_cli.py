@@ -386,26 +386,28 @@ output.dir = {tmp_path / 'o'}
         assert peak(40) - peak(4) < half_spectrum
 
     def test_failing_bound_check_exits_2(self, tmp_path):
-        # inviscid first-order Euler grows energy (u + dt*N is never shorter
-        # than u for skew N), so the budget inequality must fail
+        # inviscid steps of 0.1 on large data are unstable: the L^2 norm, which
+        # the exact flow conserves, goes from 20 to 25.7 over the last step
+        # without blowing up, so the budget inequality must fail
         text = """\
 domain.dim = 2
 domain.n = 32, 32
 solver.nu = 0
 solver.alpha = 1.0
-solver.dt = 0.02
-solver.t_end = 2.0
-solver.scheme = ifeuler
+solver.dt = 0.1
+solver.t_end = 0.5
 initial.kind = random
 initial.seed = 1
-initial.l2_norm = 2.0
+initial.l2_norm = 20
 diagnostics.p_list = 2
-diagnostics.sample_every = 0.5
+diagnostics.sample_every = 0.1
 diagnostics.checks = dissipation_budget
 output.dir = {outdir}
 """
         cfg = write_config(tmp_path / "grow.cfg", text.format(outdir=tmp_path / "o"))
         assert main(["run", cfg]) == 2
+        rows = csv_rows(tmp_path / "o" / "diagnostics.csv")
+        assert [float(row["l2"]) for row in rows][::5] == pytest.approx([20.0, 25.7], rel=1e-2)
 
     def test_unexpected_blowup_exits_3(self, tmp_path, capsys):
         unstable = """\
@@ -625,6 +627,7 @@ output.dir = {outdir}
     ("blowup1d", {"blowup.mode": "spectral", "blowup.nu": "2", "blowup.oracle": "on"},
      "blowup.oracle"),
     ("run", {"diagnostics.s_list": "inf, nan"}, "diagnostics.s_list"),
+    ("run", {"solver.scheme": "ifeuler"}, "solver.scheme"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else

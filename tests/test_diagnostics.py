@@ -1,5 +1,6 @@
 """Bound checks against trajectories with known closed forms."""
 
+import csv
 import io
 import math
 
@@ -10,6 +11,7 @@ from dpmflow import (Domain, PhysicalField, SolverParams,
                      check_absorbing_ball, check_decay_torus,
                      check_dissipation_budget, dealias, forward_transform,
                      lp_norm, random_field, records_to_csv, run)
+from dpmflow.diagnostics import CheckResult, write_csv
 
 
 def phys(domain, values):
@@ -159,3 +161,20 @@ class TestCsv:
         # 17 significant digits survive a round trip
         assert float(row[2]) == res.records[0].lp[2.0]
         assert row[-1] == "1"
+
+    def test_text_cells_and_rows_without_a_check(self):
+        # a text cell with a comma and a quote is one quoted cell, read back
+        # as written; numbers stay unquoted, and a row with no result of a
+        # named check gets nan,nan,1 in its columns
+        buf = io.StringIO()
+        write_csv(buf, ["point", "code", "metrics"],
+                  [(["pt0000", 2, 'error=a, "b"'], [CheckResult("decay", 1.0, 0.5, True)]),
+                   (["pt0001", 0.5, "x=1"], [])], ["decay"])
+        text = buf.getvalue()
+        assert text.splitlines()[1:] == ['pt0000,2,"error=a, ""b""",1,0.5,1',
+                                         "pt0001,0.5,x=1,nan,nan,1"]
+        assert text.endswith("1\n") and "\r" not in text
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["point", "code", "metrics", "decay_bound", "decay_value", "decay_pass"],
+            ["pt0000", "2", 'error=a, "b"', "1", "0.5", "1"],
+            ["pt0001", "0.5", "x=1", "nan", "nan", "1"]]
