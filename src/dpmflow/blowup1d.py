@@ -130,7 +130,7 @@ class _StreamOps(IFRK4):
     The state is packed into one complex array, np.append(wh, g): the rfft
     half spectrum of the slope (n//2 + 1 modes), then the accumulator g as
     one extra mode whose linear symbol is 0, so that g passes through the
-    same stage combination.
+    same stage combination.  Sums over modes carry Domain.parseval_weights.
 
     At n = 256 an evaluation costs numpy's per-call overhead, not transform
     work, so nonlinear makes as few calls as it can without allocating: the

@@ -2,11 +2,13 @@
 
 Running the mutants takes minutes and stays outside this suite; this checks
 only that each entry's old text occurs exactly once in its file and that its
-killers' test files exist, so that the list cannot rot unnoticed.
+killers still exist (each name after a test file is a class or function
+defined in it), so that the list cannot rot unnoticed.
 """
 
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
@@ -22,4 +24,9 @@ def test_mutant_applies_once(mutant):
     assert (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1
     assert mutant.old != mutant.new
     for killer in mutant.killers:
-        assert (ROOT / killer.split("::")[0]).is_file()
+        path, *names = killer.split("::")
+        assert (ROOT / path).is_file(), killer
+        source = (ROOT / path).read_text(encoding="utf-8")
+        for name in names:
+            name = name.split("[")[0]
+            assert re.search(rf"^\s*(class|def) {name}\b", source, re.MULTILINE), killer

@@ -1,26 +1,27 @@
 #!/usr/bin/env python3
 """Planted bugs that the test suite must catch: a committed list of mutants.
 
-    python3 tools/mutants.py [--checkout DIR] [--only NAME ...] [--timeout S]
+    python3 tools/mutants.py
 
 Each entry of MUTANTS names one textual edit in one file under src/ and the
-tests that must catch it (its killers).  For each entry the checkout is
-copied to a temporary directory, the edit is made there, and the killers
-run there with pytest; the mutant is killed when at least one of them
-fails.  One line is printed per mutant:
+tests that must catch it (its killers).  For each entry the repository that
+holds this script is copied to a temporary directory, the edit is made
+there, and the killers run there with pytest; the mutant is killed when at
+least one of them fails or they run longer than TIMEOUT seconds.  One line
+is printed per mutant:
 
     <name> | killed by <first failing test> | <seconds>
 
 or `SURVIVED` in place of the killer.  The exit code is 0 when every mutant
 is killed and 1 otherwise.  The copies live in temporary directories, so
-DIR's files stay as they are.  The run takes minutes, so it is not part of
-the test suite; tests/test_mutants.py only checks, fast, that each entry's
-old text still occurs exactly once in its file.
+the repository's files stay as they are.  The run takes minutes, so it is
+not part of the test suite; tests/test_mutants.py only checks, fast, that
+each entry's old text still occurs exactly once in its file and that its
+killers still exist.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -93,14 +94,17 @@ MUTANTS = (
            ("tests/test_cli.py::TestRunCommand",)),
 )
 
+CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT = 600.0  # seconds a mutant's killers may run
+
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
 
 
-def run_mutant(checkout, mutant, timeout):
-    """(killer or None, seconds) of one mutant, run in a copy of checkout."""
+def run_mutant(mutant):
+    """(killer or None, seconds) of one mutant, run in a copy of CHECKOUT."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = os.path.join(tmp, "checkout")
-        shutil.copytree(checkout, copy, ignore=shutil.ignore_patterns(
+        shutil.copytree(CHECKOUT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work"))
         target = os.path.join(copy, mutant.path)
         with open(target, encoding="utf-8") as fh:
@@ -117,9 +121,9 @@ def run_mutant(checkout, mutant, timeout):
             proc = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                  *mutant.killers], cwd=copy, env=env, capture_output=True, text=True,
-                timeout=timeout)
+                timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
-            return f"(timeout after {timeout} s)", time.perf_counter() - start
+            return f"(timeout after {TIMEOUT:g} s)", time.perf_counter() - start
         seconds = time.perf_counter() - start
     if proc.returncode == 0:
         return None, seconds
@@ -130,20 +134,10 @@ def run_mutant(checkout, mutant, timeout):
     return (found.group(1) if found else "(a failing test)"), seconds
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--checkout", default=os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), help="repository checkout to mutate (default: this one)")
-    parser.add_argument("--only", nargs="+", metavar="NAME",
-                        help="run only the mutants whose names contain one of these")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds a mutant's killers may run (default 600)")
-    args = parser.parse_args(argv)
+def main():
     survivors = 0
     for mutant in MUTANTS:
-        if args.only and not any(word in mutant.name for word in args.only):
-            continue
-        killer, seconds = run_mutant(os.path.abspath(args.checkout), mutant, args.timeout)
+        killer, seconds = run_mutant(mutant)
         survivors += killer is None
         verdict = "SURVIVED" if killer is None else f"killed by {killer}"
         print(f"{mutant.name} | {verdict} | {seconds:.1f}", flush=True)
