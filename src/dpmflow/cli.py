@@ -8,12 +8,11 @@ where not expected, 4 malformed configuration.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import itertools
 import math
 import os
+import signal
 import sys
-import traceback
 import warnings
 from dataclasses import replace
 
@@ -34,12 +33,6 @@ EXIT_UNEXPECTED_BLOWUP = 3
 EXIT_CONFIG_ERROR = 4
 
 
-def _outdir(cfg):
-    path = cfg.get_str("output.dir", default="out")
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _in_range(cfg, key, default, positive=False):
     """The number at key: finite, and positive or >= 0 (a tolerance, which at
     NaN would pass or fail every check)."""
@@ -50,39 +43,44 @@ def _in_range(cfg, key, default, positive=False):
     return val
 
 
-def _execute(cfg, checks, solve, report, save, snapshots=False, allow_blowup=True):
+def _execute(cfg, checks, solve, report, save, csv_name, snapshots=False,
+             allow_blowup=True):
     """Run one command's solver between its checks and its outputs.
 
-    checks are (label, call) pairs, each call judging a record list.  At the
-    first record, before the first step, each check's own input rules judge
-    a copy of it that keeps no result, and output.dir is made; with
-    snapshots, save(path, state) writes each sampled state there.  After
-    solve(on_sample) the checks judge the records, report(result, ok, outdir)
-    gives the command's verdict, metrics, CSV name and CSV writer, and save
-    writes the final state to output.checkpoint.
+    The output keys are read first, and then a key that no read has taken
+    is refused.  checks are (label, call) pairs, each call judging a record
+    list.  At the first record, before the first step, each check's own
+    input rules judge a copy of it that keeps no result, and output.dir is
+    made; with snapshots, save(path, state) writes each sampled state there.
+    After solve(on_sample) the checks judge the records, report(result, ok,
+    outdir) gives the command's verdict, metrics and CSV writer, the CSV goes
+    to output.csv (csv_name by default), and save writes the final state to
+    output.checkpoint.
     """
-    outdir = None
+    outdir = cfg.get_str("output.dir", default="out")
+    csv_name = cfg.get_str("output.csv", default=csv_name)
+    checkpoint = cfg.get_str("output.checkpoint", default=None)
+    cfg.refuse_unread()
     taken = itertools.count()
 
     def on_sample(state, record):
-        nonlocal outdir
-        if outdir is None:
+        index = next(taken)
+        if index == 0:
             for label, call in checks:
                 _checked(label, call, [replace(record, checks=[])])
-            outdir = _outdir(cfg)
+            os.makedirs(outdir, exist_ok=True)
         if snapshots:
-            save(os.path.join(outdir, f"snapshot_{next(taken):05d}.dpmf"), state)
+            save(os.path.join(outdir, f"snapshot_{index:05d}.dpmf"), state)
 
     result = solve(on_sample)
     ok = True
     for _, call in checks:
         ok &= all(r.passed for r in call(result.records))
-    ok, metrics, csv_name, write = report(result, ok, outdir)
-    with atomic_open(os.path.join(outdir, cfg.get_str("output.csv", default=csv_name)),
-                     encoding="utf-8", newline="") as fh:
+    ok, metrics, write = report(result, ok, outdir)
+    with atomic_open(os.path.join(outdir, csv_name), encoding="utf-8", newline="") as fh:
         write(fh)
-    if cfg.values.get("output.checkpoint"):
-        save(os.path.join(outdir, cfg.values["output.checkpoint"]), result.final_state)
+    if checkpoint is not None:
+        save(os.path.join(outdir, checkpoint), result.final_state)
     metrics.update(blew_up=result.blew_up, checks_passed=ok)
     if result.blew_up and not allow_blowup:
         return EXIT_UNEXPECTED_BLOWUP, metrics
@@ -115,7 +113,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         raise ConfigError(f"diagnostics.sample_every = {sample_every} is not an "
                           f"integer multiple of solver.dt = {params.dt}")
     slack = _in_range(cfg, "diagnostics.slack", 1e-6)
-    if "diagnostics.linf_refine" in cfg.values:
+    if cfg.get_str("diagnostics.linf_refine", default=None) is not None:
         warnings.warn("diagnostics.linf_refine is ignored: the linf column is the sup "
                       "of the trigonometric interpolant", stacklevel=2)
     decay_p = cfg.get_float("diagnostics.decay_p", default=2.0)
@@ -144,7 +142,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
     def report(result, ok, outdir):
         metrics = {"t_final": result.final_state.t,
                    "final_l2": result.records[-1].lp.get(2.0, math.nan)}
-        return ok, metrics, "diagnostics.csv", lambda fh: records_to_csv(result.records, fh)
+        return ok, metrics, lambda fh: records_to_csv(result.records, fh)
 
     return _execute(
         cfg, checks,
@@ -152,7 +150,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
                                   p_list=p_list, s_list=s_list, on_sample=on_sample,
                                   start_time=start_time),
         report, lambda path, state: write_snapshot(path, state.t, inverse_transform(state.t_hat)),
-        cfg.get_bool("output.snapshots", default=False), allow_blowup)
+        "diagnostics.csv", cfg.get_bool("output.snapshots", default=False), allow_blowup)
 
 
 def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
@@ -175,7 +173,7 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
 
     # the closed-form oracle applies to pure-cosine data evolved without
     # regularization, or with the half-Laplacian term under the oracle sign
-    ansatz = cfg.values.get("blowup.initial", "cos") == "cos"
+    ansatz = cfg.get_str("blowup.initial", default="cos") == "cos"
     compatible = reg.mode == "none" or (reg.mode == "spectral" and reg.sign == "oracle")
     applicable = ansatz and compatible
     if oracle_mode == "on" and not applicable:
@@ -229,7 +227,7 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
                            "t_star_rel_err", "g_oracle_max_rel_err", "checks_passed"],
                       [([result.blew_up, result.final_state.t, result.t_star_estimate,
                          t_star_analytic, tstar_err, g_err, ok], [])])
-        return (ok, {"t_star_est": result.t_star_estimate}, "trajectory.csv",
+        return (ok, {"t_star_est": result.t_star_estimate},
                 lambda fh: write_csv(
                     fh, ["t", "l2", "linf", "max", "g", "h2", "oracle_beta", "oracle_r"],
                     (([rec.t, rec.l2, rec.linf, rec.max_w, rec.g, rec.h2, *columns],
@@ -241,25 +239,23 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
         lambda on_sample: blowup1d.run_stream_slope(
             w0, reg, dt, t_end, sample_every=sample_every, threshold=threshold,
             adaptive=adaptive, start_time=start_time, start_g=start_g, on_sample=on_sample),
-        report, lambda path, state: write_snapshot(path, state.t, state.w, g=state.g))
+        report, lambda path, state: write_snapshot(path, state.t, state.w, g=state.g),
+        "trajectory.csv")
 
 
-def _error_line(exc):
-    """The last line of the traceback exc would print."""
-    return traceback.format_exception_only(exc)[-1].strip()
-
-
-def _sweep_worker(args):
-    idx, command, text, outdir = args
-    try:
-        cfg = RunConfig.parse(text)
-        cfg.values["output.dir"] = outdir
-        code, metrics = (cmd_run if command == "run" else cmd_blowup)(cfg)
-    except ConfigError as exc:
-        return idx, EXIT_CONFIG_ERROR, {"error": str(exc)}
-    except Exception as exc:  # one failing point must not lose the others
-        return idx, EXIT_POINT_FAILED, {"error": _error_line(exc)}
-    return idx, code, metrics
+def _sweep_point(command, text, outdir, conn):
+    """Run one sweep point in this process and send over conn its exit code,
+    metrics and warnings, each warning as a 'Category: message' line."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            cfg = RunConfig.parse(text)
+            cfg.values["output.dir"] = outdir
+            code, metrics = (cmd_run if command == "run" else cmd_blowup)(cfg)
+        except ConfigError as exc:
+            code, metrics = EXIT_CONFIG_ERROR, {"error": str(exc)}
+        except Exception as exc:  # one failing point must not lose the others
+            code, metrics = EXIT_POINT_FAILED, {"error": f"{type(exc).__name__}: {exc}"}
+    conn.send((code, metrics, [f"{w.category.__name__}: {w.message}" for w in caught]))
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -267,23 +263,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
     workers = cfg.get_int("sweep.workers", default=min(4, os.cpu_count() or 1))
     if workers < 1:
         raise ConfigError(f"sweep.workers = {workers} must be >= 1")
+    base = {k: v for k, v in cfg.values.items() if not k.startswith("sweep.")}
     axes = []
-    base = dict(cfg.values)
-    for key in sorted(cfg.values):
-        if not key.startswith("sweep."):
-            continue
-        del base[key]
-        if key in ("sweep.command", "sweep.workers"):
-            continue
-        target = key[len("sweep."):]
+    for key in sorted(set(cfg.values) - set(base) - {"sweep.command", "sweep.workers"}):
         options = [v.strip() for v in cfg.values[key].split("|") if v.strip()]
         if not options:
             raise ConfigError(f"{key}: empty sweep axis")
-        axes.append((target, options))
+        axes.append((key[len("sweep."):], options))
     if not axes:
         raise ConfigError("sweep: no sweep.<key> axes given")
 
-    outdir = _outdir(cfg)
+    outdir = cfg.get_str("output.dir", default="out")
     combos = list(itertools.product(*(opts for _, opts in axes)))
     jobs = []
     for idx, combo in enumerate(combos):
@@ -295,37 +285,66 @@ def cmd_sweep(cfg: RunConfig) -> int:
         label = "__".join(label_parts).replace("/", "_").replace(" ", "")
         subdir = os.path.join(outdir, f"pt{idx:04d}__{label}")
         os.makedirs(subdir, exist_ok=True)
-        point = RunConfig(values)
-        text = point.serialize()
+        text = RunConfig(values).serialize()
         with atomic_open(os.path.join(subdir, "config.txt"), encoding="utf-8") as fh:
             fh.write(text)
-        jobs.append((idx, command, text, subdir))
+        jobs.append((command, text, subdir))
 
-    # the summary is rewritten as each point finishes, so that an
-    # interrupted sweep keeps the rows of the points it has
+    import multiprocessing.connection  # here: run and blowup1d need none of it
+    # forked, so a point inherits this process's imports and hooks; SIGINT is
+    # blocked save in wait(): an interrupt finds every point known, none takes it
+    context = multiprocessing.get_context("fork")
     header = ["point"] + [t for t, _ in axes] + ["exit_code", "metrics"]
-    rows = []
-    codes = []
-    # a fork-context pool starts all its workers at the first submit
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        futures = [pool.submit(_sweep_worker, job) for job in jobs]
-        try:
-            for idx, (combo, fut) in enumerate(zip(combos, futures)):
-                try:
-                    _, code, metrics = fut.result()
-                except concurrent.futures.BrokenExecutor as exc:  # a worker process died
-                    code, metrics = EXIT_POINT_FAILED, {"error": _error_line(exc)}
-                codes.append(code)
-                metric_text = ";".join(f"{k}={v}" for k, v in sorted(metrics.items()))
-                rows.append(([f"pt{idx:04d}", *combo, code, metric_text], []))
-                with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8",
-                                 newline="") as fh:
-                    write_csv(fh, header, rows)
-        except BaseException:
-            # start no queued point; those the pool has handed on still finish
-            pool.shutdown(cancel_futures=True)
-            raise
+    done = {}     # point index -> (exit code, summary row, warning lines)
+    running = {}  # receiving end of a point's pipe -> (point index, process)
 
+    def finish(idx, code, metrics, caught):
+        metric_text = ";".join(f"{k}={v}" for k, v in sorted(metrics.items()))
+        done[idx] = code, ([f"pt{idx:04d}", *combos[idx], code, metric_text], []), caught
+        with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8",
+                         newline="") as fh:
+            write_csv(fh, header, [done[i][1] for i in sorted(done)])
+
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        while len(done) < len(jobs):
+            idx = len(done) + len(running)  # the next point to start
+            if idx < len(jobs) and len(running) < workers:
+                reader, writer = context.Pipe(duplex=False)
+                proc = context.Process(target=_sweep_point, args=(*jobs[idx], writer))
+                proc.start()
+                running[reader] = idx, proc
+                writer.close()
+                continue
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            ready = multiprocessing.connection.wait(list(running))
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            for reader in ready:
+                idx, proc = running[reader]
+                try:
+                    result = reader.recv()
+                except EOFError:  # the process ended without sending a result
+                    proc.join()  # a negative exit code is the signal that ended it
+                    result = (EXIT_POINT_FAILED,
+                              {"error": f"no result, exit code {proc.exitcode}"}, [])
+                proc.join()
+                reader.close()
+                finish(idx, *result)
+                del running[reader]
+    except BaseException:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        for idx, proc in running.values():
+            proc.kill()
+            proc.join()
+            finish(idx, EXIT_POINT_FAILED, {"error": "interrupted"}, [])
+        raise
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for idx in sorted(done):
+            for line in done[idx][2]:
+                print(f"pt{idx:04d}: {line}", file=sys.stderr)
+
+    codes = {code for code, _, _ in done.values()}
     for severity in (EXIT_POINT_FAILED, EXIT_CONFIG_ERROR, EXIT_UNEXPECTED_BLOWUP,
                      EXIT_CHECK_FAILED):
         if severity in codes:

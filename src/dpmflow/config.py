@@ -4,6 +4,8 @@ The format is one `section.key = value` assignment per line, `#` comments,
 blank lines ignored.  RunConfig keeps the normalized key-value map, so
 serialize/parse round-trips losslessly; typed accessors validate on access
 and report the offending key (and line, at parse time) in their messages.
+Every read goes through one accessor, which records the key, so that a key
+no command reads (a misspelt one, say) is refused instead of ignored.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blowup1d import Regularization, _check_mean_zero
+from .blowup1d import REG_MODES, SIGN_CONVENTIONS, Regularization, _check_mean_zero
 from .snapshots import read_snapshot
 from .solver import SolverParams
 from .spectral import (Domain, PhysicalField, SpectralField, dealias,
                        forward_transform, random_field)
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
+REQUIRED = object()  # the default of an accessor whose key must be set
 
 
 class ConfigError(ValueError):
@@ -31,6 +34,7 @@ class RunConfig:
     """Normalized key-value configuration map."""
 
     values: dict = field(default_factory=dict)
+    read: set = field(default_factory=set, compare=False, repr=False)
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
@@ -64,37 +68,48 @@ class RunConfig:
 
     # typed accessors -----------------------------------------------------
     def _get(self, key, default, parse, what):
-        """parse(value of key), or parse(default) when key is unset."""
+        """parse(value of key) or, when key is unset, parse(default): an error
+        for the default REQUIRED and None for the default None."""
+        self.read.add(key)
         val = self.values.get(key)
         if val is None:
-            if default is None:
+            if default is REQUIRED:
                 raise ConfigError(f"missing required key {key!r}")
+            if default is None:
+                return None
             val = default
         try:
             return parse(val)
         except ValueError:
             raise ConfigError(f"{key}: not {what}: {val!r}") from None
 
-    def get_str(self, key, default=None, choices=None):
+    def get_str(self, key, default=REQUIRED, choices=None):
         val = self._get(key, default, str, "a string")
         if choices is not None and val not in choices:
             raise ConfigError(f"{key}: expected one of {sorted(choices)}, got {val!r}")
         return val
 
-    def get_float(self, key, default=None):
+    def get_float(self, key, default=REQUIRED):
         return self._get(key, default, float, "a number")
 
-    def get_int(self, key, default=None):
+    def get_int(self, key, default=REQUIRED):
         return self._get(key, default, int, "an integer")
 
-    def get_bool(self, key, default=None):
+    def get_bool(self, key, default=REQUIRED):
         return self._get(key, default, _bool, "a boolean")
 
     def get_float_list(self, key, default=""):
         return self._get(key, default, lambda v: _list(v, float), "a number list")
 
-    def get_int_list(self, key, default=None):
+    def get_int_list(self, key, default=REQUIRED):
         return self._get(key, default, lambda v: _list(v, int), "an integer list")
+
+    def refuse_unread(self):
+        """Raise a ConfigError naming every key that no accessor call has read."""
+        unread = sorted(set(self.values) - self.read)
+        if unread:
+            raise ConfigError(f"{', '.join(unread)}: not read by this command "
+                              "(misspelt, or unused with these settings)")
 
 
 _BOOLS = {**dict.fromkeys(("true", "on", "yes", "1"), True),
@@ -150,8 +165,8 @@ def build_solver_params(cfg: RunConfig) -> SolverParams:
 def _mode_field(cfg, prefix, domain) -> PhysicalField:
     amplitude = cfg.get_float(f"{prefix}.amplitude", default=1.0)
     shape = cfg.get_str(f"{prefix}.function", default="sin", choices=("sin", "cos"))
-    if f"{prefix}.wavevector" in cfg.values:
-        kvec = cfg.get_int_list(f"{prefix}.wavevector")
+    kvec = cfg.get_int_list(f"{prefix}.wavevector", default=None)
+    if kvec is not None:
         if len(kvec) != domain.dim:
             raise ConfigError(f"{prefix}.wavevector: expected {domain.dim} entries")
     else:
@@ -216,19 +231,19 @@ def build_forcing(cfg: RunConfig, domain: Domain) -> SpectralField | None:
 def build_regularization(cfg: RunConfig) -> Regularization:
     return _checked(
         "blowup", Regularization,
-        mode=cfg.get_str("blowup.mode", default="none",
-                         choices=("none", "spectral", "quasilinear")),
+        mode=cfg.get_str("blowup.mode", default="none", choices=REG_MODES),
         nu=cfg.get_float("blowup.nu", default=0.0),
         alpha=cfg.get_float("blowup.alpha", default=2.0),
-        sign=cfg.get_str("blowup.sign", default="oracle", choices=("oracle", "dissipative")))
+        sign=cfg.get_str("blowup.sign", default="oracle", choices=SIGN_CONVENTIONS))
 
 
 def build_stream_initial(cfg: RunConfig):
     """The 1D start state (w0, start time, start g); nonzero times from a checkpoint."""
     kind = cfg.get_str("blowup.initial", default="cos", choices=("cos", "random", "file"))
     if kind == "file":
-        grid = (cfg.get_int("blowup.n"),) if "blowup.n" in cfg.values else None
-        time, w0, g = _snapshot_input(cfg, "blowup.path", grid, "blowup.n")
+        n = cfg.get_int("blowup.n", default=None)
+        time, w0, g = _snapshot_input(cfg, "blowup.path", None if n is None else (n,),
+                                      "blowup.n")
         if w0.domain.dim != 1:
             raise ConfigError(f"blowup.path: snapshot is {w0.domain.dim}D, need 1D")
         _checked("blowup.path", _check_mean_zero, w0)

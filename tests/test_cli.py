@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, determinism, restart, sweep."""
 
-import concurrent.futures
+import contextlib
 import csv
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -55,17 +57,43 @@ def csv_rows(path):
         return list(csv.DictReader(fh))
 
 
-def run_cli(*argv):
-    """dpmflow in a process of its own, so that a hang fails the test."""
+def cli_command(*argv):
+    """The command line and environment that run dpmflow from this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "dpmflow.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=30)
+    return [sys.executable, "-m", "dpmflow.cli", *argv], env
+
+
+def run_cli(*argv):
+    """dpmflow in a process of its own, so that a hang fails the test."""
+    command, env = cli_command(*argv)
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=30)
+
+
+def interrupt_sweep_after_a_row(cfg, outdir):
+    """Run `dpmflow sweep cfg` in a process group of its own, send SIGINT to
+    the whole group once outdir/summary.csv has a row, and check that the
+    sweep then fails and leaves no process behind."""
+    command, env = cli_command("sweep", cfg)
+    proc = subprocess.Popen(command, env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 20
+        while not (outdir / "summary.csv").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=10) != 0
+        with pytest.raises(ProcessLookupError):  # no process of the sweep is left
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 _run_blowup = cli.cmd_blowup
-_run_point = cli._sweep_worker
 
 
 def _blowup_failing_on_dt_2e_3(cfg):
@@ -75,18 +103,22 @@ def _blowup_failing_on_dt_2e_3(cfg):
     return _run_blowup(cfg)
 
 
-def _worker_dying_on_point_1(args):
-    """The sweep worker, except that point 1 kills its process."""
-    if args[0] == 1:
+def _blowup_dying_on_dt_2e_3(cfg):
+    """cmd_blowup, except that blowup.dt = 2e-3 ends its process."""
+    if cfg.get_float("blowup.dt") == 2e-3:
         os._exit(9)
-    return _run_point(args)
+    return _run_blowup(cfg)
 
 
-def _worker_interrupted_on_point_1(args):
-    """The sweep worker, except that point 1 is interrupted."""
-    if args[0] == 1:
-        raise KeyboardInterrupt
-    return _run_point(args)
+def _blowup_noting_its_process(cfg):
+    """cmd_blowup, held open 0.2 s, noting its process id and the monotonic
+    times it ran between in output.dir/process.txt."""
+    start = time.monotonic()
+    result = _run_blowup(cfg)
+    time.sleep(0.2)
+    with open(os.path.join(cfg.get_str("output.dir"), "process.txt"), "w") as fh:
+        fh.write(f"{os.getpid()} {start} {time.monotonic()}\n")
+    return result
 
 
 class TestVerify:
@@ -274,6 +306,7 @@ output.dir = {outdir}
         text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
         text = text.replace("initial.kind = single_mode",
                             f"initial.kind = file\ninitial.path = {tmp_path / 'square.dpmf'}")
+        text = text.replace("initial.axis = 0\ninitial.function = sin\n", "")
         cfg = write_config(tmp_path / "sq.cfg", text + "diagnostics.decay_p = 4\n")
         with pytest.warns(UserWarning, match="marginally resolved"):
             assert main(["run", cfg]) == 0
@@ -486,12 +519,12 @@ output.dir = {outdir}
         text = """\
 blowup.n = 128
 blowup.dt = 0.001
-blowup.amplitude = 5.0
 blowup.mode = quasilinear
 blowup.nu = 2.0
 blowup.sample_every = 0.02
 """
         first = write_config(tmp_path / "a.cfg", text + "blowup.t_end = 0.1\n"
+                             "blowup.amplitude = 5.0\n"
                              f"output.dir = {tmp_path / 'a'}\noutput.checkpoint = ck.dpmf\n")
         assert main(["blowup1d", first]) == 0
         restart = write_config(tmp_path / "b.cfg", text + "blowup.t_end = 0.3\n"
@@ -516,7 +549,9 @@ blowup.sample_every = 0.02
         d = Domain((64,))
         write_snapshot(tmp_path / "neg.dpmf", 0.0, PhysicalField(d, np.cos(d.grid[0])), g=-2.0)
         text = BLOWUP_CFG.format(t_end=0.1, outdir=tmp_path / "o")
-        cfg = write_config(tmp_path / "n.cfg", text.replace("blowup.n = 128", "blowup.n = 64")
+        text = (text.replace("blowup.n = 128", "blowup.n = 64")
+                .replace("blowup.amplitude = 1.0\n", ""))  # read for cosine data only
+        cfg = write_config(tmp_path / "n.cfg", text
                            + f"blowup.initial = file\nblowup.path = {tmp_path / 'neg.dpmf'}\n"
                            "blowup.max_bound_check = true\n")
         assert main(["blowup1d", cfg]) == 4
@@ -628,6 +663,8 @@ output.dir = {outdir}
      "blowup.oracle"),
     ("run", {"diagnostics.s_list": "inf, nan"}, "diagnostics.s_list"),
     ("run", {"solver.scheme": "ifeuler"}, "solver.scheme"),
+    ("run", {"diagnostics.chekcs": "decay"}, "diagnostics.chekcs"),
+    ("run", {"solver.adaptve": "true"}, "solver.adaptve"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else
@@ -679,85 +716,68 @@ class TestSweep:
         assert [r["exit_code"] for r in rows] == ["0", "1", "0"]
         assert rows[1]["metrics"] == "error=RuntimeError: unexpected, at one point"
 
-    def test_points_lost_with_a_worker_exit_1(self, tmp_path, monkeypatch):
-        # one worker runs the points in order: point 0 finishes, point 1
-        # kills the process, and point 2 is lost with the pool
-        monkeypatch.setattr(cli, "_sweep_worker", _worker_dying_on_point_1)
+    def test_a_dead_point_process_loses_no_other_point(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_blowup", _blowup_dying_on_dt_2e_3)
         cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
-            workers=1, dts="1e-3 | 2e-3 | 3e-3", outdir=tmp_path / "o"))
+            workers=2, dts="1e-3 | 2e-3 | 3e-3 | 4e-3", outdir=tmp_path / "o"))
         assert main(["sweep", cfg]) == 1
         rows = csv_rows(tmp_path / "o" / "summary.csv")
-        assert [r["exit_code"] for r in rows] == ["0", "1", "1"]
-        assert all("BrokenProcessPool" in r["metrics"] for r in rows[1:])
+        assert [r["exit_code"] for r in rows] == ["0", "1", "0", "0"]
+        assert rows[1]["metrics"] == "error=no result, exit code 9"
+        kept = sorted(p.parent.name[:6] for p in (tmp_path / "o").glob("pt*/trajectory.csv"))
+        assert kept == ["pt0000", "pt0002", "pt0003"]
 
-    def test_interrupted_sweep_keeps_the_finished_points(self, tmp_path, monkeypatch):
-        # one worker runs the points in order: point 0 finishes, and point
-        # 1 is interrupted, which stops the sweep
-        monkeypatch.setattr(cli, "_sweep_worker", _worker_interrupted_on_point_1)
+    def test_interrupted_sweep_keeps_the_finished_points(self, tmp_path):
+        # one worker runs the points in order: point 0 finishes, and point 1
+        # is interrupted, which stops the sweep
         cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
-            workers=1, dts="1e-3 | 2e-3 | 3e-3", outdir=tmp_path / "o"))
-        with pytest.raises(KeyboardInterrupt):
-            main(["sweep", cfg])
+            workers=1, dts="1e-3 | 1e-7 | 1e-7", outdir=tmp_path / "o"))
+        interrupt_sweep_after_a_row(cfg, tmp_path / "o")
         rows = csv_rows(tmp_path / "o" / "summary.csv")
-        assert [(r["point"], r["exit_code"]) for r in rows] == [("pt0000", "0")]
+        assert [(r["point"], r["exit_code"]) for r in rows] == [("pt0000", "0"), ("pt0001", "1")]
+        assert rows[0]["metrics"] and not rows[0]["metrics"].startswith("error=")
+        (kept,) = (tmp_path / "o").glob("pt0000*/trajectory.csv")
+        assert len(csv_rows(kept)) == 3  # t = 0, 0.05, 0.1
 
-    def test_interrupted_sweep_starts_no_further_point(self, tmp_path, monkeypatch):
-        # the queued points are cancelled, not run before the interrupt is raised
-        ran = []
-
-        def worker(args):
-            ran.append(args[0])
-            if args[0] == 1:
-                raise KeyboardInterrupt
-            return args[0], 0, {}
-
-        class LazyFuture(concurrent.futures.Future):
-            """Runs its job when its result is read, or when the pool shuts down."""
-
-            def __init__(self, fn, args):
-                super().__init__()
-                self.job = fn, args
-
-            def run(self):
-                if self.set_running_or_notify_cancel():
-                    fn, args = self.job
-                    try:
-                        self.set_result(fn(*args))
-                    except BaseException as exc:
-                        self.set_exception(exc)
-
-            def result(self, timeout=None):
-                if not self.done():
-                    self.run()
-                return super().result(timeout)
-
-        class LazyPool(concurrent.futures.Executor):
-            """Queues each job; shutdown(wait=True) runs every job not cancelled,
-            as ProcessPoolExecutor does."""
-
-            def __init__(self, max_workers):
-                self.futures = []
-
-            def submit(self, fn, *args):
-                self.futures.append(LazyFuture(fn, args))
-                return self.futures[-1]
-
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                for fut in self.futures:
-                    if cancel_futures:
-                        fut.cancel()
-                    if wait and not fut.done():
-                        fut.run()
-
-        monkeypatch.setattr(cli, "_sweep_worker", worker)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyPool)
+    def test_interrupted_sweep_starts_no_further_point(self, tmp_path):
+        # point 0 takes 100 steps and the others 10^6: a SIGINT to the whole
+        # process group after point 0's row ends the two points running,
+        # gives each a row, and starts no other
         cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
-            workers=1, dts=" | ".join(f"{k}e-3" for k in range(1, 7)), outdir=tmp_path / "o"))
-        with pytest.raises(KeyboardInterrupt):
-            main(["sweep", cfg])
-        assert ran == [0, 1]
+            workers=2, dts="1e-3 | 1e-7 | 1e-7 | 1e-7", outdir=tmp_path / "o"))
+        interrupt_sweep_after_a_row(cfg, tmp_path / "o")
         rows = csv_rows(tmp_path / "o" / "summary.csv")
-        assert [(r["point"], r["exit_code"]) for r in rows] == [("pt0000", "0")]
+        assert [(r["point"], r["exit_code"]) for r in rows] == [
+            ("pt0000", "0"), ("pt0001", "1"), ("pt0002", "1")]
+        assert rows[1]["metrics"] == rows[2]["metrics"] == "error=interrupted"
+        written = sorted(p.parent.name[:6] for p in (tmp_path / "o").glob("pt*/*.csv"))
+        assert written == ["pt0000", "pt0000"]  # its summary and trajectory
+
+    def test_warnings_print_once_per_point_in_point_order(self, tmp_path):
+        # one process would warn once for both supercritical points
+        errs = []
+        for run in ("a", "b"):
+            text = DECAY_RUN.format(t_end=0.1, outdir=tmp_path / run)
+            cfg = write_config(tmp_path / f"{run}.cfg", text + "sweep.workers = 1\n"
+                               "sweep.solver.alpha = 0.5 | 0.8\n")
+            proc = run_cli("sweep", cfg)
+            assert proc.returncode == 0, proc.stderr
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1] and errs[0].count("supercritical regime") == 2
+        assert [line[:21] for line in errs[0].splitlines()] == [
+            "pt0000: UserWarning: ", "pt0001: UserWarning: "]
+
+    def test_each_point_runs_in_a_process_of_its_own(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_blowup", _blowup_noting_its_process)
+        cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
+            workers=2, dts="1e-3 | 2e-3 | 3e-3 | 4e-3 | 5e-3", outdir=tmp_path / "o"))
+        assert main(["sweep", cfg]) == 0
+        spans = [[float(v) for v in p.read_text().split()]
+                 for p in sorted((tmp_path / "o").glob("pt*/process.txt"))]
+        pids = {int(pid) for pid, _, _ in spans}
+        assert len(spans) == len(pids) == 5 and os.getpid() not in pids
+        # the most points running at one time: at a start, those begun and not ended
+        assert max(sum(s <= start < e for _, s, e in spans) for _, start, _ in spans) == 2
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_non_positive_workers_exit_4(self, tmp_path, capsys, workers, no_step):
@@ -766,27 +786,6 @@ class TestSweep:
         assert main(["sweep", cfg]) == 4
         assert "sweep.workers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
-
-    def test_pool_has_no_more_workers_than_points(self, tmp_path, monkeypatch):
-        sizes = []
-
-        class InlinePool(concurrent.futures.Executor):
-            """Runs each job when it is submitted, in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def submit(self, fn, *args):
-                fut = concurrent.futures.Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
-            workers=4, dts="1e-3 | 2e-3", outdir=tmp_path / "o"))
-        assert main(["sweep", cfg]) == 0
-        assert sizes == [2]
-        assert len(csv_rows(tmp_path / "o" / "summary.csv")) == 2
 
     def test_sweep_without_axes_exits_4(self, tmp_path, no_step):
         cfg = write_config(tmp_path / "s.cfg",

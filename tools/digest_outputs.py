@@ -6,9 +6,9 @@
 For each workload of DIR/perfbench/workloads.py and each seed, the workload
 is prepared in a temporary directory and its `dpmflow` command is run there
 from DIR/src.  One line is printed per file the command leaves behind and
-one for its standard output:
+one each for its standard output and standard error:
 
-    <workload> seed=<n> <relative path or "stdout"> <sha256>
+    <workload> seed=<n> <relative path, "stdout" or "stderr"> <sha256>
 
 followed by a line with the exit code.  The inputs the workload writes
 before the command runs are digested too, so that two checkouts are seen to
@@ -21,8 +21,8 @@ that a change keeps every output byte-identical:
 
 DIR defaults to the checkout holding this file.  The commands run in
 temporary directories, so they leave DIR's files as they are.  Standard
-error is not digested: a sweep's warnings depend on which worker ran which
-point.
+error is digested with the `file:line: ` prefix and the echoed source line
+of each Python warning removed, since both name the checkout's code.
 """
 
 from __future__ import annotations
@@ -30,9 +30,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
+
+
+# a warning as Python prints it: "<file>:<line>: <Category>: <message>",
+# then the source line that warned, indented by two spaces
+_WARNING = re.compile(rb"^.+?:\d+: (\w+: .*)(?:\n  .*)?$", re.MULTILINE)
 
 
 def digest(data):
@@ -75,6 +81,8 @@ def main(argv=None):
                 for path, sha in tree_digests(workdir):
                     print(f"{name} seed={seed} {path} {sha}")
                 print(f"{name} seed={seed} stdout {digest(proc.stdout)}")
+                stderr = _WARNING.sub(rb"\1", proc.stderr)
+                print(f"{name} seed={seed} stderr {digest(stderr)}")
                 print(f"{name} seed={seed} exit {proc.returncode}", flush=True)
     return 0
 

@@ -92,6 +92,15 @@ MUTANTS = (
     Mutant("stride rule tolerance 0.5", "src/dpmflow/cli.py",
            "> 1e-9 * stride", "> 0.5 * stride",
            ("tests/test_cli.py::TestRunCommand",)),
+    Mutant("sweep runs one point more than sweep.workers at once", "src/dpmflow/cli.py",
+           "len(running) < workers", "len(running) <= workers",
+           ("tests/test_cli.py::TestSweep::test_each_point_runs_in_a_process_of_its_own",)),
+    Mutant("interrupted sweep leaves its live points running", "src/dpmflow/cli.py",
+           "proc.kill()", "None",
+           ("tests/test_cli.py::TestSweep::test_interrupted_sweep_starts_no_further_point",)),
+    Mutant("unread config keys accepted", "src/dpmflow/cli.py",
+           "cfg.refuse_unread()", "None",
+           ("tests/test_cli.py::test_bad_input_exits_4",)),
 )
 
 CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
