@@ -243,13 +243,12 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
         "trajectory.csv")
 
 
-def _sweep_point(command, text, outdir, conn):
-    """Run one sweep point in this process and send over conn its exit code,
-    metrics and warnings, each warning as a 'Category: message' line."""
+def _sweep_point(command, path, conn):
+    """Run the sweep point of config file path in this process and send over
+    conn its exit code, metrics and warnings, each as 'Category: message'."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            cfg = RunConfig.parse(text)
-            cfg.values["output.dir"] = outdir
+            cfg = RunConfig.load(path)
             code, metrics = (cmd_run if command == "run" else cmd_blowup)(cfg)
         except ConfigError as exc:
             code, metrics = EXIT_CONFIG_ERROR, {"error": str(exc)}
@@ -284,11 +283,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
             label_parts.append(f"{target}={val}")
         label = "__".join(label_parts).replace("/", "_").replace(" ", "")
         subdir = os.path.join(outdir, f"pt{idx:04d}__{label}")
+        values["output.dir"] = subdir  # so that the point's config.txt reruns it alone
         os.makedirs(subdir, exist_ok=True)
-        text = RunConfig(values).serialize()
-        with atomic_open(os.path.join(subdir, "config.txt"), encoding="utf-8") as fh:
-            fh.write(text)
-        jobs.append((command, text, subdir))
+        path = os.path.join(subdir, "config.txt")
+        with atomic_open(path, encoding="utf-8") as fh:
+            fh.write(RunConfig(values).serialize())
+        jobs.append((command, path))
 
     import multiprocessing.connection  # here: run and blowup1d need none of it
     # forked, so a point inherits this process's imports and hooks; SIGINT is

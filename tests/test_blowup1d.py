@@ -1,4 +1,7 @@
-"""Stream-slope dynamics, closed-form oracles and blow-up detection."""
+"""Stream-slope dynamics, closed-form oracles and blow-up detection.
+
+Each identity of verify's table is one test in test_identities.py.
+"""
 
 import math
 import tracemalloc

@@ -187,16 +187,6 @@ output.checkpoint = final.dpmf
         assert main(["run", cfg]) == 4
         assert "config error" in capsys.readouterr().err
 
-    def test_inexact_sample_cadence_exits_4(self, tmp_path, capsys, no_step):
-        # fixed steps of 0.1 cannot land samples every 0.25
-        text = DECAY_RUN.format(t_end=1.0, outdir=tmp_path / "o")
-        text = text.replace("solver.dt = 0.002", "solver.dt = 0.1")
-        cfg = write_config(tmp_path / "cadence.cfg",
-                           text.replace("sample_every = 0.1", "sample_every = 0.25"))
-        assert main(["run", cfg]) == 4
-        assert "sample_every" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     @pytest.mark.parametrize("cadence", ["0", "-0.01"])
     def test_non_positive_cadence_exits_4(self, tmp_path, cadence):
         text = """\
@@ -220,19 +210,6 @@ output.dir = {outdir}
         assert "sample_every" in proc.stderr
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key, value", [("solver.t_end", "nan"), ("solver.nu", "nan"),
-                                            ("solver.dt", "nan"),
-                                            ("diagnostics.sample_every", "inf")])
-    def test_non_finite_number_exits_4(self, tmp_path, capsys, key, value, no_step):
-        # not a config error, a NaN t_end takes no step, a NaN nu reads as
-        # blow-up and an infinite cadence overflows the stride check
-        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
-        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
-                 for line in text.splitlines()]
-        assert main(["run", write_config(tmp_path / "c.cfg", "\n".join(lines) + "\n")]) == 4
-        assert key.split(".")[1] in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     def test_truncated_initial_snapshot_exits_4(self, tmp_path, capsys, no_step):
         # 26 bytes of a 2D snapshot, cut inside the header's grid sizes; and
         # a whole one whose time is NaN, from which no step would be taken
@@ -245,29 +222,6 @@ output.dir = {outdir}
             assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 4
             assert "initial.path" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
-
-    def test_out_of_range_buoyancy_axis_exits_4(self, tmp_path, capsys, no_step):
-        # axis 2 of a 2D domain, which must not wrap round to axis 0
-        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
-        cfg = write_config(tmp_path / "axis.cfg", text + "domain.buoyancy_axis = 2\n")
-        assert main(["run", cfg]) == 4
-        assert "buoyancy axis" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    def test_ball_exponent_missing_from_p_list_exits_4(self, tmp_path, no_step):
-        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
-        text = text.replace("decay, dissipation_budget", "absorbing_ball")
-        text = text.replace("p_list = 1, 2, 4, inf", "p_list = 2, 4")
-        cfg = write_config(tmp_path / "ball.cfg", text + "diagnostics.ball_p = 3\n")
-        assert main(["run", cfg]) == 4
-        assert not (tmp_path / "o").exists()
-
-    def test_p_below_one_exits_4(self, tmp_path, no_step):
-        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
-        cfg = write_config(tmp_path / "p.cfg",
-                           text.replace("p_list = 1, 2, 4, inf", "p_list = 0.5, 2"))
-        assert main(["run", cfg]) == 4
-        assert not (tmp_path / "o").exists()
 
     def test_sup_norm_decay_starts_from_the_refined_sup(self, tmp_path):
         # the linf column is the sup of the interpolant, which peaks above
@@ -356,18 +310,6 @@ output.dir = {tmp_path / 'o'}
             assert main(["run", cfg]) == 0
         assert ((tmp_path / "refine" / "diagnostics.csv").read_bytes()
                 == (tmp_path / "plain" / "diagnostics.csv").read_bytes())
-
-    def test_unknown_check_exits_4(self, tmp_path, no_step):
-        text = DECAY_RUN.format(t_end=0.5, outdir=tmp_path / "o")
-        cfg = write_config(tmp_path / "bad.cfg",
-                           text.replace("decay, dissipation_budget", "magic"))
-        assert main(["run", cfg]) == 4
-
-    def test_decay_check_on_forced_run_exits_4(self, tmp_path, no_step):
-        text = DECAY_RUN.format(t_end=0.5, outdir=tmp_path / "o")
-        cfg = write_config(tmp_path / "forced.cfg",
-                           text + "forcing.kind = single_mode\nforcing.axis = 1\n")
-        assert main(["run", cfg]) == 4
 
     def test_snapshot_output(self, tmp_path):
         text = DECAY_RUN.format(t_end=0.3, outdir=tmp_path / "o")
@@ -665,6 +607,21 @@ output.dir = {outdir}
     ("run", {"solver.scheme": "ifeuler"}, "solver.scheme"),
     ("run", {"diagnostics.chekcs": "decay"}, "diagnostics.chekcs"),
     ("run", {"solver.adaptve": "true"}, "solver.adaptve"),
+    # fixed steps of 0.1 cannot land samples every 0.25
+    ("run", {"solver.dt": "0.1", "diagnostics.sample_every": "0.25"}, "sample_every"),
+    # unrefused, a NaN t_end would take no step, a NaN nu would read as
+    # blow-up and an infinite cadence would overflow the stride check
+    ("run", {"solver.t_end": "nan"}, "t_end"),
+    ("run", {"solver.nu": "nan"}, "nu"),
+    ("run", {"solver.dt": "nan"}, "dt"),
+    ("run", {"diagnostics.sample_every": "inf"}, "sample_every"),
+    # axis 2 of a 2D domain, which must not wrap round to axis 0
+    ("run", {"domain.buoyancy_axis": "2"}, "buoyancy axis"),
+    ("run", {"diagnostics.checks": "absorbing_ball", "diagnostics.p_list": "2, 4",
+             "diagnostics.ball_p": "3"}, "L^3 norm"),
+    ("run", {"diagnostics.p_list": "0.5, 2"}, "diagnostics.p_list"),
+    ("run", {"diagnostics.checks": "magic"}, "unknown check"),
+    ("run", {"forcing.kind": "single_mode", "forcing.axis": "1"}, "unforced runs only"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else
@@ -726,6 +683,20 @@ class TestSweep:
         assert rows[1]["metrics"] == "error=no result, exit code 9"
         kept = sorted(p.parent.name[:6] for p in (tmp_path / "o").glob("pt*/trajectory.csv"))
         assert kept == ["pt0000", "pt0002", "pt0003"]
+
+    def test_a_point_config_reruns_that_point_alone(self, tmp_path):
+        cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
+            workers=1, dts="1e-3 | 2e-3", outdir=tmp_path / "o"))
+        assert main(["sweep", cfg]) == 0
+
+        def files():
+            return {p: p.read_bytes() for p in (tmp_path / "o").rglob("*") if p.is_file()}
+
+        before = files()
+        (point,) = (tmp_path / "o").glob("pt0000*")
+        (point / "trajectory.csv").unlink()
+        assert main(["blowup1d", str(point / "config.txt")]) == 0
+        assert files() == before  # the same point files again, and nothing else
 
     def test_interrupted_sweep_keeps_the_finished_points(self, tmp_path):
         # one worker runs the points in order: point 0 finishes, and point 1

@@ -11,3 +11,9 @@ CASES = _cases()
 def test_identity(check):
     ok, detail = check()
     assert ok, detail
+
+
+def test_case_names_are_unique():
+    # the names are the test ids, which tools/mutants.py names as killers
+    names = [name for name, _ in CASES]
+    assert len(set(names)) == len(names)

@@ -1,4 +1,7 @@
-"""DPM time integration: the IF-RK4 scheme, conservation, mean law, blow-up signal."""
+"""DPM time integration: the IF-RK4 scheme, conservation, mean law, blow-up signal.
+
+Each identity of verify's table is one test in test_identities.py.
+"""
 
 import math
 import tracemalloc

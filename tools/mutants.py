@@ -50,16 +50,16 @@ MUTANTS = (
             "tests/test_blowup1d.py::TestTrajectories::test_ifrk4_converges_at_fourth_order")),
     Mutant("1D seam at x = 0", "src/dpmflow/blowup1d.py",
            "self.seam = n // 2", "self.seam = 0",
-           ("tests/test_blowup1d.py::TestAntiderivative",
+           ("tests/test_identities.py", "tests/test_blowup1d.py::TestAntiderivative",
             "tests/test_blowup1d.py::TestStreamRhs")),
     Mutant("1D antiderivative sign", "src/dpmflow/blowup1d.py",
            "self.inv_ik[kd != 0] = 1.0 / self.ik[kd != 0]",
            "self.inv_ik[kd != 0] = -1.0 / self.ik[kd != 0]",
-           ("tests/test_blowup1d.py::TestAntiderivative",
+           ("tests/test_identities.py", "tests/test_blowup1d.py::TestAntiderivative",
             "tests/test_blowup1d.py::TestStreamRhs")),
     Mutant("1D dg factor", "src/dpmflow/blowup1d.py",
            "dg = (2.0 / self.n)", "dg = (1.0 / self.n)",
-           ("tests/test_blowup1d.py::TestStreamRhs",
+           ("tests/test_identities.py", "tests/test_blowup1d.py::TestStreamRhs",
             "tests/test_blowup1d.py::TestTrajectories::test_g_equals_quadrature_of_l2")),
     Mutant("1D record l2 of order 1", "src/dpmflow/blowup1d.py",
            "l2=hs_seminorm(wh, 0.0)", "l2=hs_seminorm(wh, 1.0)",
@@ -73,7 +73,7 @@ MUTANTS = (
            ("tests/test_velocity.py",)),
     Mutant("Parseval weight 2 on the last axis' Nyquist mode", "src/dpmflow/spectral.py",
            "(k_last == 0) | (k_last == -(n_last // 2))", "(k_last == 0)",
-           ("tests/test_spectral.py", "tests/test_half_spectrum.py")),
+           ("tests/test_identities.py", "tests/test_half_spectrum.py")),
     Mutant("budget quadrature slope term sign", "src/dpmflow/solver.py",
            "(dt * dt / 12.0) * (df0 - df1)", "(dt * dt / 12.0) * (df1 - df0)",
            ("tests/test_solver.py", "tests/test_diagnostics.py")),
@@ -91,7 +91,7 @@ MUTANTS = (
            ("tests/test_solver.py", "tests/test_blowup1d.py::TestTrajectories")),
     Mutant("stride rule tolerance 0.5", "src/dpmflow/cli.py",
            "> 1e-9 * stride", "> 0.5 * stride",
-           ("tests/test_cli.py::TestRunCommand",)),
+           ("tests/test_cli.py::test_bad_input_exits_4", "tests/test_cli.py::TestRunCommand")),
     Mutant("sweep runs one point more than sweep.workers at once", "src/dpmflow/cli.py",
            "len(running) < workers", "len(running) <= workers",
            ("tests/test_cli.py::TestSweep::test_each_point_runs_in_a_process_of_its_own",)),
@@ -101,12 +101,16 @@ MUTANTS = (
     Mutant("unread config keys accepted", "src/dpmflow/cli.py",
            "cfg.refuse_unread()", "None",
            ("tests/test_cli.py::test_bad_input_exits_4",)),
+    Mutant("sweep point config names the sweep's own output.dir", "src/dpmflow/cli.py",
+           'values["output.dir"] = subdir', 'values["output.dir"] = outdir',
+           ("tests/test_cli.py::TestSweep::test_a_point_config_reruns_that_point_alone",)),
 )
 
 CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT = 600.0  # seconds a mutant's killers may run
 
-_FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+# a node id, whose parameter ids may hold spaces, then " - <message>" or nothing
+_FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+?\[.*?\]|\S+)(?= - |$)", re.MULTILINE)
 
 
 def run_mutant(mutant):
