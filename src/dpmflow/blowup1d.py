@@ -43,6 +43,18 @@ from .spectral import (TWO_PI, Domain, PhysicalField, SpectralField, box_shape, 
 REG_MODES = ("none", "spectral", "quasilinear")
 SIGN_CONVENTIONS = ("oracle", "dissipative")
 
+# The adaptive 1D step (run_stream_slope) grows like (x/G)^(1/5) times dt/x
+# once |w|_inf has grown x > G = STEP_GROWTH_START fold.  In tangent blow-up
+# a relative error made at growth x reaches the threshold about 1/x as
+# amplified as one made at the start, and RK4's local error is fifth order
+# in h|w|, so past G the growth adds about 5/G to the final relative error
+# of g, while each late decade of |w| costs a bounded number of steps in
+# place of ln(10)/(dt (1 + |w0|_inf)).  G = 1, growth from the start, misses
+# the oracle's 1e-5 at amplitude 1.005 and dt = 6e-4 (2.1e-5); G = 100 keeps
+# the error of the plain dt/x rule there with 41% fewer steps.
+STEP_GROWTH_START = 100.0
+STEP_GROWTH_EXPONENT = 0.2  # 1/5: the order of RK4's local error
+
 
 @dataclass(frozen=True)
 class Regularization:
@@ -280,7 +292,12 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
                      on_sample=None) -> RunResult:
     """Integrate the stream-slope system, watching for finite-time blow-up.
 
-    The step size shrinks like 1/(1 + |w|_inf) as the solution steepens.
+    With adaptive steps and x = (1 + |w|_inf)/(1 + |w0|_inf), the step is
+    dt/x while x <= 100 and dt * 100^(-1/5) * x^(-4/5) beyond, continuous at
+    x = 100 (STEP_GROWTH_START).  An error made once |w| has grown x-fold
+    reaches the threshold about 1/x as amplified as one made at the start,
+    so the late growth of the step adds about 5/100 to the final relative
+    error of g.  With adaptive=False every step is dt.
     In quasilinear mode each step first freezes the diffusion coefficient
     into the integrating factor (_StreamOps.freeze), so the diffusion sets
     no stability bound on the step.  The run halts with the blow-up flag
@@ -331,7 +348,13 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
         return evaluate(x)
 
     def step_size():
-        return dt * (1.0 + m0_inf) / (1.0 + size_m) if adaptive else dt
+        if not adaptive:
+            return dt
+        growth = (1.0 + size_m) / (1.0 + m0_inf)
+        h = dt * (1.0 + m0_inf) / (1.0 + size_m)  # dt / growth, as the dt/x rule rounds it
+        if growth <= STEP_GROWTH_START:
+            return h
+        return h * (growth / STEP_GROWTH_START) ** STEP_GROWTH_EXPONENT
 
     x = ops.start(w0, start_g)
     x, t, blew_up = ops.march(x, evaluate(x), clock, step_size, after_step, sample)

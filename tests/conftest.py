@@ -46,3 +46,13 @@ def no_step(monkeypatch):
 
     monkeypatch.setattr(solver._Integrator, "advance", step)
     monkeypatch.setattr(blowup1d._StreamOps, "advance", step)
+
+
+@pytest.fixture
+def stream_steps(monkeypatch):
+    """A list that gains an entry per 1D stream-slope step."""
+    calls = []
+    advance = blowup1d._StreamOps.advance
+    monkeypatch.setattr(blowup1d._StreamOps, "advance",
+                        lambda self, *a, **kw: calls.append(1) or advance(self, *a, **kw))
+    return calls

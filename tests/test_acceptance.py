@@ -19,7 +19,6 @@ from dpmflow import (Domain, OracleParams, PhysicalField,
                      integrate_amplitude_ode, inverse_transform, lp_norm, oracle_beta,
                      random_field, read_snapshot, run, run_stream_slope,
                      velocity_from_temperature)
-from dpmflow.blowup1d import _StreamOps
 from dpmflow.cli import main as cli_main
 from fft_reference import FullLayout, half, real_velocity
 
@@ -27,16 +26,6 @@ from fft_reference import FullLayout, half, real_velocity
 def report(num, ok, detail):
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-@pytest.fixture
-def stream_steps(monkeypatch):
-    """A list that gains an entry per 1D stream-slope step."""
-    calls = []
-    advance = _StreamOps.advance
-    monkeypatch.setattr(_StreamOps, "advance",
-                        lambda self, *a, **kw: calls.append(1) or advance(self, *a, **kw))
-    return calls
 
 
 @pytest.fixture(scope="module")

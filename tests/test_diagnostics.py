@@ -43,7 +43,7 @@ class TestDecayCheck:
         res = single_mode_run
         check = check_decay_torus(res.records[:1], 2.0, 0.05)[0]
         assert check.bound == check.value == res.records[0].lp[2.0]
-        assert check.bound == pytest.approx(math.sqrt(2) * math.pi, rel=1e-15)
+        assert check.bound == pytest.approx(math.sqrt(2) * math.pi, rel=1e-15, abs=0)
         assert check.passed
 
     def test_lower_q_uses_the_volume_factor(self, d2, single_mode_run):

@@ -185,11 +185,12 @@ class TestDealias:
 
 class TestNorms:
     def test_unit_field_l2_is_two_pi(self, d2):
-        assert lp_norm(phys(d2, np.ones(d2.n)), 2) == pytest.approx(2 * math.pi, rel=1e-13)
+        assert lp_norm(phys(d2, np.ones(d2.n)), 2) == pytest.approx(2 * math.pi, rel=1e-13, abs=0)
 
     def test_sine_l2_is_sqrt_pi(self, d1):
         x = d1.grid[0]
-        assert lp_norm(phys(d1, np.sin(x)), 2) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+        assert lp_norm(phys(d1, np.sin(x)), 2) == pytest.approx(math.sqrt(math.pi), rel=1e-13,
+                                                                abs=0)
 
     def test_sine_sup_norm_exact_on_grids_divisible_by_four(self, d1):
         x = d1.grid[0]
@@ -204,9 +205,9 @@ class TestNorms:
         x = d1.grid[0]
         c = forward_transform(phys(d1, np.sin(x)))
         for s in (-1.0, 0.0, 0.3, 2.0):
-            assert hs_seminorm(c, s) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+            assert hs_seminorm(c, s) == pytest.approx(math.sqrt(math.pi), rel=1e-13, abs=0)
         c2 = forward_transform(phys(d1, np.sin(2 * x)))
-        assert hs_seminorm(c2, 1.0) == pytest.approx(2 * math.sqrt(math.pi), rel=1e-13)
+        assert hs_seminorm(c2, 1.0) == pytest.approx(2 * math.sqrt(math.pi), rel=1e-13, abs=0)
 
     def test_parseval(self, d2):
         for seed in range(5):

@@ -83,6 +83,14 @@ MUTANTS = (
     Mutant("1D seam pin dropped from the tendency", "src/dpmflow/blowup1d.py",
            "f -= f[self.seam]", "f -= 0.0",
            ("tests/test_blowup1d.py::TestStreamRhs",)),
+    Mutant("1D step growth anchored at the start", "src/dpmflow/blowup1d.py",
+           "STEP_GROWTH_START = 100.0", "STEP_GROWTH_START = 1.0",
+           ("tests/test_blowup1d.py::TestTrajectories"
+            "::test_late_steps_grow_within_the_oracle_tolerance",)),
+    Mutant("1D step growth never starts", "src/dpmflow/blowup1d.py",
+           "return h * (growth / STEP_GROWTH_START) ** STEP_GROWTH_EXPONENT", "return h",
+           ("tests/test_blowup1d.py::TestTrajectories"
+            "::test_late_steps_grow_within_the_oracle_tolerance",)),
     Mutant("decay rate 2.2 nu / p", "src/dpmflow/diagnostics.py",
            "rate = 2.0 * nu / p", "rate = 2.2 * nu / p",
            ("tests/test_diagnostics.py::TestDecayCheck",)),
