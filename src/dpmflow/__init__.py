@@ -7,6 +7,16 @@ absorbing-ball estimates at runtime, and reproduces the closed-form
 infinite-energy blow-up solutions of the 1D stream-slope reduction.
 """
 
+import os
+
+# One BLAS thread, unless the user has set another count; this must run
+# before numpy first loads.  numpy's bundled OpenBLAS otherwise starts a
+# worker thread at import that busy-waits on a second core: 0.13 s of CPU per
+# process for no work (2-core VM, numpy 2.4.6), since every transform is
+# pocketfft, every step operation a ufunc, and BLAS only sees small products.
+# A sweep then also forks its points from a process with one thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .blowup1d import (OracleParams, Regularization, StreamRecord,
                        StreamSlopeState, antiderivative,
                        blowup_time, check_max_bound, estimate_blowup_time,

@@ -417,7 +417,8 @@ def sup_norm(c: np.ndarray, domain: Domain, values: np.ndarray | None = None) ->
         values = np.fft.irfftn(c, s=d.n, axes=range(d.dim), norm="forward")
     a = np.abs(values)
     top = float(a.max())
-    # einsum, not vdot: a BLAS dot this long wakes OpenBLAS threads that then spin
+    # einsum, not vdot: BLAS sums in another order, which could move the starts
+    # picked below and so linf's last bits
     reach = 0.5 * float(np.einsum("i,i->", np.abs(c).ravel(), d.interpolant_reach.ravel()))
     if reach == 0.0:  # a constant
         return top

@@ -362,6 +362,18 @@ class TestMaxBound:
         assert len(checks) == len(covered)
         assert all(c.passed for c in checks)
 
+    def test_bound_is_the_closed_form_from_the_first_record(self, d1):
+        # inviscid cos data, whose Q = max w + g grows towards the bound
+        res = run_stream_slope(cos_field(d1), Regularization(), dt=1e-3, t_end=0.9,
+                               sample_every=0.1)
+        checks = check_max_bound(res.records)
+        first = res.records[0]
+        q0 = first.max_w + first.g
+        assert len(checks) == len(res.records) == 10
+        for rec, check in zip(res.records, checks):
+            assert check.bound == pytest.approx(q0 / (1.0 - q0 * (rec.t - first.t)),
+                                                rel=1e-14, abs=0)
+
     def test_requires_positive_initial_max(self, d1):
         # a restart whose g outweighs max w starts at Q = 1 - 2 < 0
         res = run_stream_slope(cos_field(d1), Regularization(), dt=1e-3, t_end=0.1,

@@ -121,6 +121,50 @@ def _blowup_noting_its_process(cfg):
     return result
 
 
+# notes OPENBLAS_NUM_THREADS as numpy is first imported, then prints it and
+# the process's thread count (-1 without /proc) once dpmflow.cli has loaded
+_BLAS_AT_NUMPY_IMPORT = """\
+import os, sys
+
+class NoteBlasThreads:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, NoteBlasThreads())
+import dpmflow.cli
+tasks = "/proc/self/task"
+print(NoteBlasThreads.seen[0], len(os.listdir(tasks)) if os.path.isdir(tasks) else -1)
+"""
+
+
+def blas_threads_at_numpy_import(user_setting):
+    """OPENBLAS_NUM_THREADS when a fresh `import dpmflow.cli` loads numpy, and
+    the thread count after it, with the variable unset or set to user_setting."""
+    command, env = cli_command()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if user_setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_setting
+    proc = subprocess.run([command[0], "-c", _BLAS_AT_NUMPY_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=30, check=True)
+    seen, threads = proc.stdout.split()
+    return seen, int(threads)
+
+
+class TestBlasThreads:
+    def test_numpy_loads_with_one_blas_thread(self):
+        seen, threads = blas_threads_at_numpy_import(None)
+        assert seen == "1"
+        if threads != -1:
+            assert threads == 1
+
+    def test_a_thread_count_the_user_set_wins(self):
+        assert blas_threads_at_numpy_import("3")[0] == "3"
+
+
 class TestVerify:
     def test_exit_zero_and_reports_enough_identities(self, capsys):
         assert main(["verify"]) == 0

@@ -296,6 +296,17 @@ class TestRun:
         with pytest.warns(UserWarning, match="resolved"):
             run(rough, params, sample_every=0.02, p_list=(2.0,))
 
+    @pytest.mark.parametrize("tail, warns", [(1e-8, True), (1e-12, False)])
+    def test_marginally_resolved_from_a_tail_of_1e_10(self, d2, tail, warns):
+        # cos(x1) and a mode beyond the 2/3 box (15 > 32 // 3) at tail of its size
+        x = d2.grid[0]
+        data = phys(d2, np.cos(x) + tail * np.cos(15 * x))
+        params = SolverParams(nu=0.5, alpha=2.0, dt=0.01, t_end=0.02)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(data, params, sample_every=0.02, p_list=(2.0,))
+        assert any("marginally resolved" in str(w.message) for w in caught) == warns
+
     def test_run_flags_blowup_and_keeps_last_finite_state(self, d2):
         t0 = random_field(d2, seed=0, l2_norm=50.0)
         params = SolverParams(nu=0.0, alpha=1.0, dt=50.0, t_end=5000.0)

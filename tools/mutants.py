@@ -112,6 +112,20 @@ MUTANTS = (
     Mutant("sweep point config names the sweep's own output.dir", "src/dpmflow/cli.py",
            'values["output.dir"] = subdir', 'values["output.dir"] = outdir',
            ("tests/test_cli.py::TestSweep::test_a_point_config_reruns_that_point_alone",)),
+    Mutant("max_bound denominator 1 - 0.9 q0 (t - t0)", "src/dpmflow/blowup1d.py",
+           "q0 / (1.0 - q0 * (rec.t - first.t))", "q0 / (1.0 - 0.9 * q0 * (rec.t - first.t))",
+           ("tests/test_blowup1d.py::TestMaxBound"
+            "::test_bound_is_the_closed_form_from_the_first_record",)),
+    Mutant("initial-tail warning at 1e-6 of the peak", "src/dpmflow/solver.py",
+           "if tail > 1e-10:", "if tail > 1e-6:",
+           ("tests/test_solver.py::TestRun::test_marginally_resolved_from_a_tail_of_1e_10",)),
+    Mutant("BLAS thread default dropped", "src/dpmflow/__init__.py",
+           'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")', "None",
+           ("tests/test_cli.py::TestBlasThreads::test_numpy_loads_with_one_blas_thread",)),
+    Mutant("BLAS thread default overrides the user", "src/dpmflow/__init__.py",
+           'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")',
+           'os.environ["OPENBLAS_NUM_THREADS"] = "1"',
+           ("tests/test_cli.py::TestBlasThreads::test_a_thread_count_the_user_set_wins",)),
 )
 
 CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
