@@ -256,13 +256,13 @@ class _StreamOps(IFRK4):
         return StreamSlopeState(t, PhysicalField(self.domain, np.fft.irfft(
             x[:-1], n=self.n, norm="forward")), float(x[-1].real))
 
-    def record(self, t, x):
-        """The StreamRecord of the packed state x at time t."""
+    def record(self, x, state):
+        """The StreamRecord of the packed state x, whose StreamSlopeState is state."""
         wh = SpectralField(self.domain, x[:-1])
-        w = np.fft.irfft(wh.coeffs, n=self.n, norm="forward")
+        w = state.w.values
         return StreamRecord(
-            t=t, l2=hs_seminorm(wh, 0.0), linf=float(np.abs(w).max()), max_w=float(w.max()),
-            g=float(x[-1].real), h2=hs_seminorm(wh, 2.0))
+            t=state.t, l2=hs_seminorm(wh, 0.0), linf=float(np.abs(w).max()),
+            max_w=float(w.max()), g=state.g, h2=hs_seminorm(wh, 2.0))
 
 
 def stream_rhs(state: StreamSlopeState, reg: Regularization):
@@ -325,9 +325,10 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
     minf = size_m = m0_inf  # |w|_inf at the last evaluation, and the one that sizes the step
 
     def sample(t, x):
-        records.append(ops.record(t, x))
+        state = ops.state(t, x)
+        records.append(ops.record(x, state))
         if on_sample is not None:
-            on_sample(ops.state(t, x), records[-1])
+            on_sample(state, records[-1])
 
     def evaluate(x):
         """The nonlinear term at x; its slope's sup norm becomes minf."""

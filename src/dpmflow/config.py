@@ -149,9 +149,6 @@ def build_domain(cfg: RunConfig) -> Domain:
 
 
 def build_solver_params(cfg: RunConfig) -> SolverParams:
-    if not cfg.get_bool("solver.dealias", default=True):
-        raise ConfigError("solver.dealias = false: the 2/3 rule is always applied")
-    cfg.get_str("solver.scheme", default="ifrk4", choices=("ifrk4",))  # the only scheme
     return _checked(
         "solver", SolverParams,
         nu=cfg.get_float("solver.nu"),

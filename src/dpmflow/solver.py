@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .diagnostics import compute_record
 from .spectral import (Domain, PhysicalField, SpectralField, _box_blocks, _box_runs,
                        box_shape, darcy_multipliers, forward_transform, gather, k_power,
                        parseval_weights, scatter)
@@ -440,8 +441,6 @@ def run(t0_field: PhysicalField, params: SolverParams,
     linear-in-time law each step.  If a coefficient becomes non-finite the
     run stops and the result is flagged, keeping the last finite state.
     """
-    from .diagnostics import compute_record  # local import avoids a cycle
-
     clock = SampleClock(start_time, sample_every, params.t_end)
     domain = t0_field.domain
     if params.alpha < 1.0 and params.nu > 0:

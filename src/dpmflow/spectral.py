@@ -173,8 +173,8 @@ class Domain:
     def pressure_multiplier(self):
         """p_hat(k) = i k_N T_hat(k) / |k|^2, zero at k = 0.
 
-        Odd in k, so, like every odd multiplier, zero on the unpaired
-        Nyquist plane of the buoyancy axis (deriv_wavenumbers).
+        Odd in k, so, like every odd multiplier, zero on the unpaired Nyquist plane
+        of the buoyancy axis (deriv_wavenumbers).  Kept for pressure_from_temperature.
         """
         kN = self.deriv_wavenumbers[self.buoyancy_axis]
         safe = np.where(self.k_squared > 0, self.k_squared, 1.0)
@@ -295,7 +295,8 @@ def fractional_laplacian(u_hat: SpectralField, alpha: float) -> SpectralField:
 
 
 def partial_derivative(u_hat: SpectralField, axis: int) -> SpectralField:
-    """Exact spectral derivative along one axis (multiplier i k_axis)."""
+    """Exact spectral derivative along one axis (multiplier i k_axis).  No run calls
+    it; it stays as library calculus, which the README names and verify checks."""
     d = u_hat.domain
     if not 0 <= axis < d.dim:
         raise ValueError(f"axis {axis} out of range for dim {d.dim}")
@@ -303,7 +304,8 @@ def partial_derivative(u_hat: SpectralField, axis: int) -> SpectralField:
 
 
 def riesz_transform(u_hat: SpectralField, axis: int) -> SpectralField:
-    """Riesz transform: multiplier i k_axis / |k|, zero on the mean mode."""
+    """Riesz transform: multiplier i k_axis / |k|, zero on the mean mode.  No run calls
+    it; it stays as library calculus, which the README names and verify checks."""
     d = u_hat.domain
     if not 0 <= axis < d.dim:
         raise ValueError(f"axis {axis} out of range for dim {d.dim}")
@@ -315,8 +317,8 @@ def riesz_transform(u_hat: SpectralField, axis: int) -> SpectralField:
 def riesz_potential(u_hat: SpectralField, beta: float) -> SpectralField:
     """Smoothing inverse of the half-Laplacian: |k|^(-beta) on mean-zero fields.
 
-    The mean mode is dropped, so composing with fractional_laplacian(.., beta)
-    is the identity on mean-zero fields.
+    The mean mode is dropped, so composing with fractional_laplacian(.., beta) is the
+    identity on mean-zero fields.  No run calls it; it stays as library calculus.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")

@@ -25,7 +25,7 @@ from .spectral import Domain, SpectralField
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Spectral components of the incompressible Darcy velocity."""
+    """Spectral components of the Darcy velocity; kept as velocity_from_temperature's result."""
 
     components: tuple
 
@@ -61,8 +61,8 @@ def velocity_from_temperature(t_hat: SpectralField) -> VelocityField:
 def pressure_from_temperature(t_hat: SpectralField) -> SpectralField:
     """Periodic pressure with Delta p = -d_N T, mean zero.
 
-    Reconstructing -(grad p + gamma T) recovers velocity_from_temperature
-    coefficientwise on mean-zero input.
+    Reconstructing -(grad p + gamma T) recovers velocity_from_temperature coefficientwise
+    on mean-zero input.  No run calls it; it stays as the library's Darcy pressure.
     """
     d = t_hat.domain
     return SpectralField(d, d.pressure_multiplier * t_hat.coeffs)

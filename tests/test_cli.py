@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dpmflow import (Domain, PhysicalField, RunConfig, cli, diagnostics, read_snapshot,
+from dpmflow import (Domain, PhysicalField, RunConfig, cli, read_snapshot, solver,
                      write_snapshot)
 from dpmflow.blowup1d import _StreamOps
 from dpmflow.cli import main
@@ -367,7 +367,7 @@ output.dir = {tmp_path / 'o'}
     def test_interrupted_run_keeps_the_snapshots_taken(self, tmp_path, monkeypatch):
         # the 4th record raises: the three samples before it are on disk
         times = []
-        record = diagnostics.compute_record
+        record = solver.compute_record
 
         def failing_on_the_4th(state, *args, **kwargs):
             if len(times) == 3:
@@ -375,7 +375,7 @@ output.dir = {tmp_path / 'o'}
             times.append(state.t)
             return record(state, *args, **kwargs)
 
-        monkeypatch.setattr(diagnostics, "compute_record", failing_on_the_4th)
+        monkeypatch.setattr(solver, "compute_record", failing_on_the_4th)
         text = DECAY_RUN.format(t_end=1.0, outdir=tmp_path / "o")
         cfg = write_config(tmp_path / "snap.cfg", text + "output.snapshots = true\n")
         with pytest.raises(RuntimeError, match="interrupted"):
@@ -628,7 +628,7 @@ output.dir = {outdir}
     ("run", {"forcing.kind": "single_mode", "forcing.amplitude": "nan"}, "forcing"),
     ("run", {"initial.kind": "random", "initial.l2_norm": "inf"}, "initial"),
     ("run", {"initial.kind": "random", "initial.cutoff": "0"}, "initial"),
-    ("run", {"solver.dealias": "false"}, "2/3 rule"),
+    ("run", {"solver.dealias": "false"}, "solver.dealias"),
     ("run", {"diagnostics.slack": "nan"}, "slack"),
     ("blowup1d", {"blowup.amplitude": "nan"}, "blowup"),
     ("blowup1d", {"blowup.initial": "random", "blowup.l2_norm": "inf"}, "blowup"),
@@ -666,6 +666,9 @@ output.dir = {outdir}
     ("run", {"diagnostics.p_list": "0.5, 2"}, "diagnostics.p_list"),
     ("run", {"diagnostics.checks": "magic"}, "unknown check"),
     ("run", {"forcing.kind": "single_mode", "forcing.axis": "1"}, "unforced runs only"),
+    # retired keys: IF-RK4 with the 2/3 rule is the one behaviour, so no value is read
+    ("run", {"solver.scheme": "ifrk4"}, "solver.scheme"),
+    ("run", {"solver.dealias": "true"}, "solver.dealias"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else

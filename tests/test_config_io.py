@@ -73,7 +73,7 @@ class TestBuilders:
         assert domain.n == (16, 16)
         params = build_solver_params(cfg)
         assert params.nu == 0.01
-        # the one scheme may still be named
+        # a retired key changes no parameter: builders leave it to refuse_unread
         assert build_solver_params(RunConfig.parse(GOOD + "solver.scheme = ifrk4\n")) == params
 
     def test_domain_errors_become_config_errors(self):

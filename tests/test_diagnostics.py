@@ -104,6 +104,24 @@ class TestAbsorbingBallCheck:
         radius = p * lp_norm(phys(d2, 0.2 * np.sin(x[0])), p) / nu
         assert all(c.bound <= radius * (1 + 1e-12) for c in checks)
 
+    @pytest.mark.parametrize("p, sin_norm", [
+        (2.0, math.pi * math.sqrt(2.0)),             # (int sin^2 x1 over the torus)^(1/2)
+        (4.0, (1.5 * math.pi ** 2) ** 0.25),         # (int sin^4 x1 = 3 pi^2 / 2)^(1/4)
+    ], ids=("p2", "p4"))
+    def test_bound_is_the_closed_form_of_the_radius(self, d2, p, sin_norm):
+        # the radius from the closed form of ||a sin x1||_p, not from lp_norm
+        x = d2.grid
+        nu, a, b = 0.5, 0.2, 1.0
+        forcing = dealias(forward_transform(phys(d2, a * np.sin(x[0]))))
+        params = SolverParams(nu=nu, alpha=1.5, dt=5e-3, t_end=1.0)
+        res = run(phys(d2, b * np.sin(x[0])), params, forcing, sample_every=0.25, p_list=(p,))
+        checks = check_absorbing_ball(res.records, forcing, p, nu)
+        assert all(c.passed for c in checks)
+        n0, radius = b * sin_norm, p * a * sin_norm / nu
+        for rec, c in zip(res.records, checks):
+            expected = (n0 - radius) * math.exp(-nu * rec.t / p) + radius
+            assert c.bound == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_requires_positive_nu(self, d2, single_mode_run):
         with pytest.raises(ValueError, match="nu"):
             check_absorbing_ball(single_mode_run.records, None, 2.0, 0.0)

@@ -119,6 +119,11 @@ MUTANTS = (
     Mutant("initial-tail warning at 1e-6 of the peak", "src/dpmflow/solver.py",
            "if tail > 1e-10:", "if tail > 1e-6:",
            ("tests/test_solver.py::TestRun::test_marginally_resolved_from_a_tail_of_1e_10",)),
+    Mutant("absorbing-ball radius 1.2 p ||f||_p / nu", "src/dpmflow/diagnostics.py",
+           "else p * lp_norm(inverse_transform(forcing), p) / nu",
+           "else 1.2 * p * lp_norm(inverse_transform(forcing), p) / nu",
+           ("tests/test_diagnostics.py::TestAbsorbingBallCheck"
+            "::test_bound_is_the_closed_form_of_the_radius",)),
     Mutant("BLAS thread default dropped", "src/dpmflow/__init__.py",
            'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")', "None",
            ("tests/test_cli.py::TestBlasThreads::test_numpy_loads_with_one_blas_thread",)),
