@@ -38,7 +38,7 @@ import numpy as np
 from .diagnostics import attach_checks
 from .solver import IFRK4, RunResult, SampleClock
 from .spectral import (TWO_PI, Domain, PhysicalField, SpectralField, box_shape, hs_seminorm,
-                       k_power)
+                       k_power, pocketfft)
 
 REG_MODES = ("none", "spectral", "quasilinear")
 SIGN_CONVENTIONS = ("oracle", "dissipative")
@@ -149,7 +149,12 @@ class _StreamOps(IFRK4):
     spectra of w, f and w_x are filled row by row (one multiply of the
     stacked multipliers would make numpy allocate an iterator buffer three
     states in size), one irfft takes them to owned grid rows, and the
-    product goes by rfft straight into the output.
+    product goes by rfft straight into the output.  The transforms call
+    numpy's pocketfft kernels (spectral.pocketfft) with np.fft's factors,
+    which gives np.fft's bits without its argument handling, and the copy
+    and the sum use indexing and ndarray.dot in place of the Python-level
+    np.copyto and np.dot.  In mode none the symbol is zero: the step is
+    classic RK4 and multiplies by no propagator (IFRK4.propagators).
 
     In quasilinear mode the diffusion coefficient c0 frozen by freeze() is
     the linear symbol -c0 k^2, propagated exactly, and only the change
@@ -215,17 +220,17 @@ class _StreamOps(IFRK4):
         """
         g = x[-1].real
         wh, fh, wxh, w, f, wx, prod = self._rows
-        np.copyto(wh, x[:-1])  # a copy: out may be x
+        wh[...] = x[:-1]  # a copy: out may be x
         np.multiply(self.inv_ik, wh, out=fh)
         np.multiply(self.ik, wh, out=wxh)
-        np.fft.irfft(self._spec, n=self.n, norm="forward", out=self._grid)
+        pocketfft.irfft(self._spec, 1.0, out=self._grid)
         f -= f[self.seam]
-        dg = (2.0 / self.n) * float(np.dot(w, w))  # (1/pi) ||w||_2^2, by grid Parseval
+        dg = (2.0 / self.n) * float(w.dot(w))  # (1/pi) ||w||_2^2, by grid Parseval
         np.multiply(w, w, out=prod)
         prod -= np.multiply(f, wx, out=f)
         if out is None:
             out = np.empty_like(x)
-        dwh = np.fft.rfft(prod, norm="forward", out=out[:-1])
+        dwh = pocketfft.rfft_n_even(prod, 1.0 / self.n, out=out[:-1])
         dwh[self.kcut:] = 0.0
         # g w in the spectrum, exactly zero past the data's modes: on the grid
         # it adds rounding there, which the amplifying spectral sign grows

@@ -43,6 +43,16 @@ def _in_range(cfg, key, default, positive=False):
     return val
 
 
+def _check_stride(every_key, sample_every, dt_key, dt):
+    """Refuse a sample cadence of fixed steps that is not an integer multiple
+    of the step: a step shortened to land on a sample would be a step of
+    another size than dt_key asks for."""
+    stride = sample_every / dt
+    if round(stride) < 1 or abs(stride - round(stride)) > 1e-9 * stride:
+        raise ConfigError(f"{every_key} = {sample_every} is not an integer multiple "
+                          f"of {dt_key} = {dt}")
+
+
 def _execute(cfg, checks, solve, report, save, csv_name, snapshots=False,
              allow_blowup=True):
     """Run one command's solver between its checks and its outputs.
@@ -105,13 +115,8 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         if not math.isfinite(s):
             raise ConfigError(f"diagnostics.s_list: {s:g} is not a finite Sobolev order")
     sample_every = _in_range(cfg, "diagnostics.sample_every", 0.1, positive=True)
-    stride = sample_every / params.dt
-    if not params.adaptive and (round(stride) < 1
-                                or abs(stride - round(stride)) > 1e-9 * stride):
-        # a fixed step shortened to land on each sample would be a step of
-        # another size: keep every step at solver.dt
-        raise ConfigError(f"diagnostics.sample_every = {sample_every} is not an "
-                          f"integer multiple of solver.dt = {params.dt}")
+    if not params.adaptive:
+        _check_stride("diagnostics.sample_every", sample_every, "solver.dt", params.dt)
     slack = _in_range(cfg, "diagnostics.slack", 1e-6)
     if cfg.get_str("diagnostics.linf_refine", default=None) is not None:
         warnings.warn("diagnostics.linf_refine is ignored: the linf column is the sup "
@@ -164,6 +169,8 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     sample_every = _in_range(cfg, "blowup.sample_every", 0.01, positive=True)
     threshold = _in_range(cfg, "blowup.threshold", 1e8, positive=True)
     adaptive = cfg.get_bool("blowup.adaptive", default=True)
+    if not adaptive:
+        _check_stride("blowup.sample_every", sample_every, "blowup.dt", dt)
     oracle_mode = cfg.get_str("blowup.oracle", default="auto",
                               choices=("auto", "on", "off"))
     oracle_rtol = _in_range(cfg, "blowup.oracle_rtol", 1e-5)

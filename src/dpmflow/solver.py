@@ -30,7 +30,7 @@ import numpy as np
 from .diagnostics import compute_record
 from .spectral import (Domain, PhysicalField, SpectralField, _box_blocks, _box_runs,
                        box_shape, darcy_multipliers, forward_transform, gather, k_power,
-                       parseval_weights, scatter)
+                       parseval_weights, pocketfft, scatter)
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,13 @@ class _Work(NamedTuple):
     stages: np.ndarray   # two box arrays for the RK4 stages
     views: list          # per block of the box (_box_blocks), its view in spec
     zero: list           # the views of spec that must be zero for the inverse passes
-    inverse: list        # per leading axis, in irfftn's order: (axis, lines)
-    forward: list        # per leading axis, in rfftn's order: (axis, lines)
+    inverse: list        # per leading axis, in irfftn's order: (axes, lines)
+    forward: list        # per leading axis, in rfftn's order: (axes, 1/n, lines)
+
+
+def _times(e, x, out):
+    """e x, into out, or x itself where e is None, a propagator that is exactly 1."""
+    return x if e is None else np.multiply(e, x, out=out)
 
 
 class IFRK4:
@@ -97,6 +102,9 @@ class IFRK4:
 
     The linear part is propagated exactly by exp(lam dt) (Kassam & Trefethen,
     "Fourth-order time-stepping for stiff PDEs", SIAM J. Sci. Comput. 2005).
+    For a zero symbol, as in 1D mode none and inviscid DPM runs, every
+    propagator is exactly 1 and the scheme is classic RK4: rk4 then skips
+    the multiplies by them, which would change no bit of a finite state.
     A subclass supplies nonlinear(c, out, _stage), which must read c fully
     before it writes out (the stages pass out=c), and stages(), two scratch
     arrays shaped like c.  The three evaluations inside a step pass
@@ -105,29 +113,41 @@ class IFRK4:
     """
 
     def __init__(self, lam):
+        self._props = None
         self.set_symbol(lam)
 
     def set_symbol(self, lam):
         """Take lam (which may be the array already held, changed) as the symbol."""
         self.lam = lam
-        # a zero symbol propagates by 1 whatever the step, so that adaptive
-        # steps, each of its own size, share its one set
-        self._dt_free = not lam.any()
-        self._props = None
+        self._identity = not lam.any()
+        self._dt = None  # the step size the held propagators are for
 
     def propagators(self, dt):
-        """exp(lam dt/2), exp(lam dt) and 2 exp(lam dt/2), kept for the last dt.
+        """exp(lam dt/2), exp(lam dt) and 2 exp(lam dt/2), held for the last dt.
 
-        Complex, like the state: a real operand would cost each multiply a
-        cast buffer of the state's size, for the same results.  Only the
-        last step size's set is kept, as an adaptive run rarely repeats one.
+        For a zero symbol: None, None and 2.0, where None marks a propagator
+        that is exactly 1, whatever the step.  Otherwise complex, like the
+        state: a real operand would cost each multiply a cast buffer of the
+        state's size, for the same results.  Each new dt is written into
+        the same three arrays, allocated on the first call, so an adaptive
+        step allocates nothing; only the last step size's set is kept, as an
+        adaptive run rarely repeats one.
         """
-        key = 0.0 if self._dt_free else dt
-        if self._props is None or self._props[0] != key:
-            e_half, e_full = (np.exp(self.lam * h).astype(np.complex128)
-                              for h in (0.5 * dt, dt))
-            self._props = key, (e_half, e_full, 2.0 * e_half)
-        return self._props[1]
+        if self._identity:
+            return None, None, 2.0
+        if self._props is None:
+            self._props = np.empty((3,) + self.lam.shape, dtype=np.complex128)
+        if dt != self._dt:
+            e_half, e_full, two_e_half = self._props
+            # each exp is np.exp(lam h) on a contiguous real array, the first
+            # half of two_e_half's buffer, which is written last
+            real = two_e_half.reshape(-1).view(np.float64)[:self.lam.size].reshape(
+                self.lam.shape)
+            for e, h in ((e_half, 0.5 * dt), (e_full, dt)):
+                e[...] = np.exp(np.multiply(self.lam, h, out=real), out=real)
+            np.multiply(2.0, e_half, out=two_e_half)
+            self._dt = dt
+        return self._props
 
     def rk4(self, c, nl_a, dt, out=None):
         """One step from c, reusing nl_a = nonlinear(c).
@@ -143,19 +163,19 @@ class IFRK4:
             out = np.empty_like(c)
         mul, add = np.multiply, np.add
         # b = N(e_half (c + (dt/2) a)), in p
-        self.nonlinear(mul(e_half, add(c, mul(0.5 * dt, nl_a, out=p), out=p), out=p), out=p,
+        self.nonlinear(_times(e_half, add(c, mul(0.5 * dt, nl_a, out=p), out=p), p), out=p,
                        _stage=True)
         # c' = N(e_half c + (dt/2) b), in q
-        self.nonlinear(add(mul(e_half, c, out=q), mul(0.5 * dt, p, out=out), out=q), out=q,
+        self.nonlinear(add(_times(e_half, c, q), mul(0.5 * dt, p, out=out), out=q), out=q,
                        _stage=True)
         add(p, q, out=p)  # b + c'
         # d = N(e_full c + dt (e_half c')), in q
-        mul(dt, mul(e_half, q, out=out), out=out)
-        self.nonlinear(add(mul(e_full, c, out=q), out, out=q), out=q, _stage=True)
+        mul(dt, _times(e_half, q, out), out=out)
+        self.nonlinear(add(_times(e_full, c, q), out, out=q), out=q, _stage=True)
         mul(two_e_half, p, out=p)
-        add(add(mul(e_full, nl_a, out=out), p, out=out), q, out=out)
+        add(add(_times(e_full, nl_a, out), p, out=out), q, out=out)
         mul(dt / 6.0, out, out=out)
-        return add(mul(e_full, c, out=p), out, out=out)
+        return add(_times(e_full, c, p), out, out=out)
 
     def march(self, c, nl, clock, step_size, after_step, sample):
         """Step c, at clock.start with nl = nonlinear(c), to clock.t_end.
@@ -208,7 +228,9 @@ class _Integrator(IFRK4):
     along a leading axis transforms only the lines that can be nonzero: a
     pruned FFT (Frigo & Johnson, "The Design and Implementation of FFTW3",
     Proc. IEEE 93, 2005).  Each line it transforms holds what it holds in
-    the full transforms, so the results are theirs bit for bit.
+    the full transforms, so the results are theirs bit for bit.  The passes
+    call numpy's pocketfft kernels (spectral.pocketfft) with the factors
+    np.fft would pass, and so give np.fft's bits without its per-call cost.
 
     The integrator owns its work arrays, allocated on first use, so that the
     steps of run allocate nothing of grid size: at 256^2 each half-spectrum
@@ -260,8 +282,9 @@ class _Integrator(IFRK4):
                 gap = (slice(None),) * (j + 1) + (slice(low.stop, high.start),)
                 zero += [spec[gap + rest] for rest in later]
                 lines = [spec[(slice(None),) * (j + 2) + rest] for rest in later]
-                inverse.append((j + 1, lines))
-                forward.insert(0, (j + 1, [line[1:] for line in lines]))
+                axes = [(j + 1,), (), (j + 1,)]  # a kernel's data, factor and out axes
+                inverse.append((axes, lines))
+                forward.insert(0, (axes, 1.0 / d.n[j], [line[1:] for line in lines]))
             self._work = _Work(spec, np.empty((d.dim + 1,) + d.n), scratch.reshape((-1,) + d.n),
                                np.empty((2,) + self.box_shape, dtype=np.complex128),
                                [spec[half] for half, _ in _box_blocks(d)], zero, inverse,
@@ -301,10 +324,10 @@ class _Integrator(IFRK4):
                 np.multiply(m, cb, out=view[j + 1])
         # irfftn's passes, done in place (irfftn allocates a copy per
         # axis), the leading ones on the lines that can be nonzero
-        for ax, lines in w.inverse:
+        for axes, lines in w.inverse:
             for line in lines:
-                np.fft.ifft(line, axis=ax, norm="forward", out=line)
-        np.fft.irfft(spec, n=d.n[-1], axis=-1, norm="forward", out=phys)
+                pocketfft.ifft(line, 1.0, axes=axes, out=line)
+        pocketfft.irfft(spec, 1.0, out=phys)
         if not _stage:
             # |v|^2 = v_0^2 + v_1^2 (+ v_2^2), in spectrum rows that are
             # free until the product spectrum lands; sqrt is monotone,
@@ -319,10 +342,10 @@ class _Integrator(IFRK4):
         for j in range(1, d.dim + 1):
             np.multiply(phys[j], phys[0], out=phys[j])
         # rfftn's passes, the leading ones on the lines the box reads
-        np.fft.rfft(phys[1:], axis=-1, norm="forward", out=spec[1:])
-        for ax, lines in w.forward:
+        pocketfft.rfft_n_even(phys[1:], 1.0 / d.n[-1], out=spec[1:])
+        for axes, fct, lines in w.forward:
             for line in lines:
-                np.fft.fft(line, axis=ax, norm="forward", out=line)
+                pocketfft.fft(line, fct, axes=axes, out=line)
         for (inner, _, neg_deriv), view in zip(self.blocks, w.views):
             prod, block = view[1:], out[inner]
             np.multiply(neg_deriv[0], prod[0], out=block)

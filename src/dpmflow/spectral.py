@@ -31,6 +31,16 @@ from functools import cached_property
 
 import numpy as np
 
+# numpy's planned pocketfft kernels, the gufuncs np.fft wraps, called as
+# kernel(data, factor, out=...).  The steps of both runners call them
+# directly: at n = 256 np.fft's argument handling costs as much as a
+# transform (3-6 us a call).  Each call passes the factor np.fft passes for
+# norm="forward" (1/n forward, 1 inverse), so the results are np.fft's bits.
+# The module is private, so tests/test_spectral.py checks each call against
+# np.fft, and a numpy that changes it fails there by name.  One-off
+# transforms (start, records, refine) stay on np.fft.
+from numpy.fft import _pocketfft_umath as pocketfft
+
 TWO_PI = 2.0 * math.pi
 
 

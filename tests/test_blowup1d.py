@@ -332,25 +332,28 @@ class TestTrajectories:
 @pytest.mark.parametrize("reg", [Regularization(), Regularization("spectral", nu=0.1)])
 def test_step_allocates_nothing_of_state_size(reg):
     # a step at these sizes costs numpy's per-call overhead; the operator
-    # computes in arrays of its own and steps into the ones it is handed.
-    # (Quasilinear steps rebuild their propagators, so they allocate.)
+    # computes in arrays of its own and steps into the ones it is handed,
+    # and an adaptive step of a new size writes its propagators into the
+    # arrays of the last size.  (Quasilinear steps compute the change of
+    # their diffusion coefficient in new arrays, so they allocate.)
     d = Domain((1024,))
     x = np.append(np.fft.rfft(0.5 * np.cos(d.grid[0]) + 0.3 * np.sin(3 * d.grid[0]),
                               norm="forward"), 0.2)
     ops = _StreamOps(d, reg)
     nl, spare = np.empty_like(x), np.empty_like(x)
 
-    def step(x, spare):
-        return ops.advance(x, ops.nonlinear(x, out=nl), 1e-3, out=spare), x
+    def step(x, spare, dt):
+        return ops.advance(x, ops.nonlinear(x, out=nl), dt, out=spare), x
 
-    x, spare = step(x, spare)  # caches the propagators
-    tracemalloc.start()
-    try:
-        step(x, spare)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < x.nbytes
+    x, spare = step(x, spare, 1e-3)  # allocates the propagators
+    for dt in (1e-3, 7e-4):  # the same size, then a new one
+        tracemalloc.start()
+        try:
+            x, spare = step(x, spare, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes, dt
 
 
 class TestMaxBound:

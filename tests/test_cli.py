@@ -482,6 +482,18 @@ class TestBlowupCommand:
         assert abs(float(row["t_star_est"]) - math.pi / 2) / (math.pi / 2) < 0.01
         assert row["checks_passed"] == "1"
 
+    def test_fixed_steps_are_all_blowup_dt(self, tmp_path, monkeypatch):
+        # a cadence that is a multiple of blowup.dt shortens no step
+        sizes = []
+        advance = _StreamOps.advance
+        monkeypatch.setattr(_StreamOps, "advance", lambda self, x, nl, dt, out=None:
+                            sizes.append(dt) or advance(self, x, nl, dt, out))
+        text = BLOWUP_CFG.format(t_end=0.2, outdir=tmp_path / "o")
+        cfg = write_config(tmp_path / "b.cfg", text.replace("blowup.n = 128", "blowup.n = 64")
+                           + "blowup.adaptive = false\n")
+        assert main(["blowup1d", cfg]) == 0
+        assert sizes == [0.001] * 200
+
     def test_quasilinear_run_with_max_bound(self, tmp_path):
         text = """\
 blowup.n = 128
@@ -669,6 +681,10 @@ output.dir = {outdir}
     # retired keys: IF-RK4 with the 2/3 rule is the one behaviour, so no value is read
     ("run", {"solver.scheme": "ifrk4"}, "solver.scheme"),
     ("run", {"solver.dealias": "true"}, "solver.dealias"),
+    # fixed 1D steps cannot land samples every 0.05 either: 6e-4 does not
+    # divide it, and 0.1 exceeds it
+    ("blowup1d", {"blowup.adaptive": "false", "blowup.dt": "6e-4"}, "blowup.sample_every"),
+    ("blowup1d", {"blowup.adaptive": "false", "blowup.dt": "0.1"}, "blowup.sample_every"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else

@@ -13,6 +13,7 @@ import pytest
 from dpmflow import (Domain, PhysicalField, SolverParams, SpectralField, dealias,
                      forward_transform, hs_seminorm, inverse_transform, lp_norm,
                      nonlinear_term, random_field, run)
+from dpmflow.blowup1d import Regularization, _StreamOps
 from dpmflow.solver import _Integrator
 from dpmflow.spectral import gather
 
@@ -93,6 +94,28 @@ class TestStep:
             tracemalloc.stop()
         # one set: exp(lam dt/2), exp(lam dt) and 2 exp(lam dt/2), complex
         assert 3 * c.nbytes <= held <= 3 * c.nbytes + 4096
+
+    @pytest.mark.parametrize("system", ["dpm", "stream"])
+    def test_zero_symbol_step_is_the_step_with_unit_propagators(self, system):
+        # a zero symbol skips every multiply by its propagators, which are
+        # exactly 1: the step is the one with explicit all-ones complex ones
+        if system == "dpm":
+            d = Domain((32, 32))
+            ops = _Integrator(d, SolverParams(nu=0.0, alpha=1.5, dt=0.01, t_end=1.0), None)
+            x = gather(forward_transform(random_field(d, seed=2)).coeffs, d)
+        else:
+            ops = _StreamOps(Domain((256,)), Regularization())
+            rng = np.random.default_rng(7)
+            x = rng.standard_normal(130) + 1j * rng.standard_normal(130)
+            x[0] = 0.0
+        nl = ops.nonlinear(x)
+        assert ops.propagators(0.01)[0] is None
+        fast = ops.advance(x, nl, 0.01)
+        ones = np.ones(x.shape, dtype=np.complex128)
+        ops.propagators = lambda dt: (ones, ones, 2.0 * ones)
+        slow = ops.advance(x, nl, 0.01)
+        assert np.all(np.isfinite(fast))
+        assert np.array_equal(fast, slow)
 
     def test_single_mode_decay_is_exact(self, d2):
         x = d2.grid

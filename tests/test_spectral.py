@@ -13,7 +13,9 @@ from dpmflow import (Domain, PhysicalField, dealias,
                      forward_transform, fractional_laplacian, hs_seminorm,
                      inverse_transform, lp_norm, partial_derivative,
                      random_field, refine, riesz_potential, riesz_transform)
-from dpmflow.spectral import box_shape, gather, scatter
+from dpmflow.blowup1d import Regularization, _StreamOps
+from dpmflow.solver import SolverParams, _Integrator
+from dpmflow.spectral import box_shape, gather, pocketfft, scatter
 from fft_reference import FullLayout, half
 
 
@@ -240,3 +242,51 @@ class TestRefineAndRandomField:
     def test_random_field_is_dealiased(self, d2):
         c = forward_transform(random_field(d2, seed=2)).coeffs
         assert np.abs(c[~half(FullLayout(d2).dealias_mask)]).max() < 1e-16
+
+
+def _random_complex(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestPocketfftKernels:
+    """Each direct kernel call of a step gives np.fft's bits on the operands the step passes.
+
+    The kernels are numpy's private pocketfft gufuncs, so a numpy that
+    changes them fails here, by name, before any run changes.
+    """
+
+    def test_stream_step_transforms(self):
+        # the (3, 129) -> (3, 256) inverse and the (256,) forward of nonlinear
+        ops = _StreamOps(Domain((256,)), Regularization())
+        ops._spec[...] = _random_complex(ops._spec.shape, 1)
+        want = np.fft.irfft(ops._spec, n=256, norm="forward", out=np.empty((3, 256)))
+        assert pocketfft.irfft(ops._spec, 1.0, out=ops._grid).tobytes() == want.tobytes()
+        prod = ops._rows[-1]
+        prod[...] = ops._grid[0]
+        out = np.empty(130, dtype=np.complex128)
+        want = np.fft.rfft(prod, norm="forward", out=np.empty(129, dtype=np.complex128))
+        assert pocketfft.rfft_n_even(prod, 1.0 / 256, out=out[:-1]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [(64, 48), (16, 24, 20)])
+    def test_dpm_step_transforms(self, n):
+        # the stacks along the last axis, then each pruned line view of the
+        # pass plan along a leading axis, in place as the step transforms them
+        d = Domain(n)
+        w = _Integrator(d, SolverParams(nu=0.1, alpha=1.5, dt=0.01, t_end=1.0), None).work()
+        w.spec[...] = _random_complex(w.spec.shape, 2)
+        want = np.fft.irfft(w.spec, n=n[-1], axis=-1, norm="forward")
+        assert pocketfft.irfft(w.spec, 1.0, out=w.phys).tobytes() == want.tobytes()
+        want = np.fft.rfft(w.phys[1:], axis=-1, norm="forward")
+        pocketfft.rfft_n_even(w.phys[1:], 1.0 / n[-1], out=w.spec[1:])
+        assert w.spec[1:].tobytes() == want.tobytes()
+        calls = [(np.fft.ifft, pocketfft.ifft, axes, 1.0, lines) for axes, lines in w.inverse]
+        calls += [(np.fft.fft, pocketfft.fft, axes, fct, lines)
+                  for axes, fct, lines in w.forward]
+        assert len(calls) == 2 * (d.dim - 1)
+        for twin, kernel, axes, fct, lines in calls:
+            for line in lines:
+                before = line.copy()
+                want = twin(line, axis=axes[0][0], norm="forward", out=line).copy()
+                line[...] = before
+                assert kernel(line, fct, axes=axes, out=line).tobytes() == want.tobytes()

@@ -45,9 +45,22 @@ MUTANTS = (
            "cuts = [m // 3 for m in domain.n]", "cuts = [m // 3 + 1 for m in domain.n]",
            ("tests/test_half_spectrum.py", "tests/test_spectral.py")),
     Mutant("IF-RK4 weight of the middle stages", "src/dpmflow/solver.py",
-           "(e_half, e_full, 2.0 * e_half)", "(e_half, e_full, 2.1 * e_half)",
+           "np.multiply(2.0, e_half, out=two_e_half)", "np.multiply(2.1, e_half, out=two_e_half)",
            ("tests/test_solver.py::TestStep::test_ifrk4_converges_at_fourth_order",
             "tests/test_blowup1d.py::TestTrajectories::test_ifrk4_converges_at_fourth_order")),
+    Mutant("zero-symbol RK4 weight of the middle stages", "src/dpmflow/solver.py",
+           "return None, None, 2.0", "return None, None, 2.1",
+           ("tests/test_solver.py::TestStep"
+            "::test_zero_symbol_step_is_the_step_with_unit_propagators",
+            "tests/test_blowup1d.py::TestTrajectories::test_ifrk4_converges_at_fourth_order")),
+    Mutant("1D forward kernel without its 1/n", "src/dpmflow/blowup1d.py",
+           "pocketfft.rfft_n_even(prod, 1.0 / self.n,", "pocketfft.rfft_n_even(prod, 1.0,",
+           ("tests/test_identities.py", "tests/test_blowup1d.py::TestStreamRhs")),
+    Mutant("DPM forward kernel without its 1/n", "src/dpmflow/solver.py",
+           "pocketfft.rfft_n_even(phys[1:], 1.0 / d.n[-1],",
+           "pocketfft.rfft_n_even(phys[1:], 1.0,",
+           ("tests/test_half_spectrum.py::test_nonlinear_term_matches_fftn",
+            "tests/test_solver.py::TestStep::test_ifrk4_converges_at_fourth_order")),
     Mutant("1D seam at x = 0", "src/dpmflow/blowup1d.py",
            "self.seam = n // 2", "self.seam = 0",
            ("tests/test_identities.py", "tests/test_blowup1d.py::TestAntiderivative",
