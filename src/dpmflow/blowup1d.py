@@ -49,9 +49,9 @@ SIGN_CONVENTIONS = ("oracle", "dissipative")
 # amplified as one made at the start, and RK4's local error is fifth order
 # in h|w|, so past G the growth adds about 5/G to the final relative error
 # of g, while each late decade of |w| costs a bounded number of steps in
-# place of ln(10)/(dt (1 + |w0|_inf)).  G = 1, growth from the start, misses
-# the oracle's 1e-5 at amplitude 1.005 and dt = 6e-4 (2.1e-5); G = 100 keeps
-# the error of the plain dt/x rule there with 41% fewer steps.
+# place of ln(10)/(dt (1 + |w0|_inf)).  At amplitude 1.005 and dt = 6e-4, G = 1
+# misses the oracle's 1e-5 (1.9e-5); G = 100 takes 10,139 steps for 4.2e-6,
+# the plain dt/x rule 17,190 for 3.6e-6.
 STEP_GROWTH_START = 100.0
 STEP_GROWTH_EXPONENT = 0.2  # 1/5: the order of RK4's local error
 
@@ -193,7 +193,7 @@ class _StreamOps(IFRK4):
         super().__init__(lam)
         self.c0 = 0.0
         self._stages = np.empty((2, lam.size), dtype=np.complex128)
-        self.w = None
+        self.last_wmax = 0.0
 
     def stages(self):
         return self._stages
@@ -215,8 +215,8 @@ class _StreamOps(IFRK4):
         """Tendency (dwh, dg) of the packed state x, less the linear symbol.
 
         Written into out (which may be x) when given, else into a new array.
-        Leaves the slope of x on the grid as self.w until the next call.
-        Stage evaluations (_stage) compute the same as any other.
+        Sets last_wmax, the grid maximum of |w| at x, unless _stage: the
+        stages inside a step skip it, since nothing reads it.
         """
         g = x[-1].real
         wh, fh, wxh, w, f, wx, prod = self._rows
@@ -224,6 +224,8 @@ class _StreamOps(IFRK4):
         np.multiply(self.inv_ik, wh, out=fh)
         np.multiply(self.ik, wh, out=wxh)
         pocketfft.irfft(self._spec, 1.0, out=self._grid)
+        if not _stage:
+            self.last_wmax = float(max(w.max(), -w.min()))
         f -= f[self.seam]
         dg = (2.0 / self.n) * float(w.dot(w))  # (1/pi) ||w||_2^2, by grid Parseval
         np.multiply(w, w, out=prod)
@@ -239,7 +241,6 @@ class _StreamOps(IFRK4):
         if self.reg.mode == "quasilinear":
             dwh -= (self.quasilinear_coeff(wh, g) - self.c0) * self.k2 * wh
         out[-1] = dg
-        self.w = w
         return out
 
     def advance(self, x, nl_a, dt, out=None):
@@ -297,22 +298,22 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
                      on_sample=None) -> RunResult:
     """Integrate the stream-slope system, watching for finite-time blow-up.
 
-    With adaptive steps and x = (1 + |w|_inf)/(1 + |w0|_inf), the step is
-    dt/x while x <= 100 and dt * 100^(-1/5) * x^(-4/5) beyond, continuous at
-    x = 100 (STEP_GROWTH_START).  An error made once |w| has grown x-fold
-    reaches the threshold about 1/x as amplified as one made at the start,
-    so the late growth of the step adds about 5/100 to the final relative
-    error of g.  With adaptive=False every step is dt.
+    With adaptive steps and x = (1 + |w|_inf)/(1 + |w0|_inf) at the state a
+    step starts from, the step is dt/x while x <= 100 and dt * 100^(-1/5) *
+    x^(-4/5) beyond, continuous at x = 100 (STEP_GROWTH_START).  An error made once |w| has grown x-fold reaches the
+    threshold about 1/x as amplified as one made at the start, so the late
+    growth of the step adds about 5/100 to the final relative error of g.
+    With adaptive=False every step is dt.
     In quasilinear mode each step first freezes the diffusion coefficient
     into the integrating factor (_StreamOps.freeze), so the diffusion sets
-    no stability bound on the step.  The run halts with the blow-up flag
-    once |w|_inf exceeds the threshold or a coefficient goes non-finite,
-    recording a blow-up time estimate extrapolated from the last decade of growth:
-    1/|w|_inf is fitted against t and the zero crossing is returned.
+    no stability bound on the step.  The run halts with the blow-up flag at
+    the first state whose |w|_inf exceeds the threshold, or at a non-finite
+    coefficient, and sets t_star_estimate from the last decade of growth:
+    1/|w|_inf of each state is fitted against its t, and the zero crossing
+    is returned.
     Blow-up is an expected outcome in many configurations, not a failure.
-    on_sample, when given, is called as on_sample(state, record) with each
-    sampled StreamSlopeState and its StreamRecord; the first call comes
-    before the first step.
+    Samples, on_sample and the result follow IFRK4.march, with
+    StreamSlopeState states and StreamRecord records.
     """
     _check_mean_zero(w0)
     if not dt > 0:
@@ -322,51 +323,39 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
     ops = _StreamOps(w0.domain, reg)
     m0_inf = float(np.abs(w0.values).max())
-    records = []
     history_t = []
     history_m = []
-    quasilinear = reg.mode == "quasilinear"
-    nl = None
-    minf = size_m = m0_inf  # |w|_inf at the last evaluation, and the one that sizes the step
-
-    def sample(t, x):
-        state = ops.state(t, x)
-        records.append(ops.record(x, state))
-        if on_sample is not None:
-            on_sample(state, records[-1])
+    x = ops.start(w0, start_g)
+    nl = np.empty_like(x)
 
     def evaluate(x):
-        """The nonlinear term at x; its slope's sup norm becomes minf."""
-        nonlocal nl, minf
-        if quasilinear:
+        """The nonlinear term at x, into nl; it sets ops.last_wmax."""
+        if reg.mode == "quasilinear":
             ops.freeze(x)
-        nl = ops.nonlinear(x, out=nl)
-        minf = float(max(ops.w.max(), -ops.w.min()))
-        return nl
+        return ops.nonlinear(x, out=nl)
 
     def after_step(x, dt, t):
-        nonlocal size_m
+        """Evaluate at the new state, then judge it by its own sup norm."""
+        tendency = evaluate(x)
+        wmax = ops.last_wmax
         history_t.append(t)
-        history_m.append(minf)
-        if minf > threshold:
-            return None
-        size_m = minf  # the sup norm at the start of a step sizes the next one
-        return evaluate(x)
+        history_m.append(wmax)
+        return None if wmax > threshold else tendency
 
     def step_size():
         if not adaptive:
             return dt
-        growth = (1.0 + size_m) / (1.0 + m0_inf)
-        h = dt * (1.0 + m0_inf) / (1.0 + size_m)  # dt / growth, as the dt/x rule rounds it
+        wmax = ops.last_wmax  # at the state the step starts from
+        growth = (1.0 + wmax) / (1.0 + m0_inf)
+        h = dt * (1.0 + m0_inf) / (1.0 + wmax)  # dt / growth, as the dt/x rule rounds it
         if growth <= STEP_GROWTH_START:
             return h
         return h * (growth / STEP_GROWTH_START) ** STEP_GROWTH_EXPONENT
 
-    x = ops.start(w0, start_g)
-    x, t, blew_up = ops.march(x, evaluate(x), clock, step_size, after_step, sample)
-    t_star = estimate_blowup_time(history_t, history_m, threshold) if blew_up else None
-    return RunResult(records=records, final_state=ops.state(t, x), blew_up=blew_up,
-                     t_star_estimate=t_star)
+    result = ops.march(x, evaluate(x), clock, step_size, after_step, ops.record, on_sample)
+    if result.blew_up:
+        result.t_star_estimate = estimate_blowup_time(history_t, history_m, threshold)
+    return result
 
 
 def estimate_blowup_time(times, maxima, threshold) -> float:

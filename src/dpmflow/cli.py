@@ -160,7 +160,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
 
 def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     reg = build_regularization(cfg)
-    w0, start_time, start_g = build_stream_initial(cfg)
+    w0, start_time, start_g, amplitude = build_stream_initial(cfg)
     dt = _in_range(cfg, "blowup.dt", 1e-4, positive=True)
     t_end = cfg.get_float("blowup.t_end")
     if not start_time < t_end < math.inf:
@@ -178,21 +178,20 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     bound_check = cfg.get_bool("blowup.max_bound_check", default=False)
     slack = _in_range(cfg, "blowup.slack", 1e-6)
 
-    # the closed-form oracle applies to pure-cosine data evolved without
-    # regularization, or with the half-Laplacian term under the oracle sign
-    ansatz = cfg.get_str("blowup.initial", default="cos") == "cos"
-    compatible = reg.mode == "none" or (reg.mode == "spectral" and reg.sign == "oracle")
-    applicable = ansatz and compatible
+    # the closed-form oracle applies to pure-cosine data (those with an
+    # amplitude) evolved without regularization, or with the half-Laplacian
+    # term under the oracle sign
+    applicable = amplitude is not None and (
+        reg.mode == "none" or (reg.mode == "spectral" and reg.sign == "oracle"))
     if oracle_mode == "on" and not applicable:
         raise ConfigError("blowup.oracle = on requires cosine initial data and "
                           "mode none or spectral with the oracle sign")
     params = None
     t_star_analytic = math.nan
     if applicable and oracle_mode != "off":
-        r0 = cfg.get_float("blowup.amplitude", default=1.0)
         nu_eff = reg.nu if reg.mode == "spectral" else 0.0
         try:
-            params = _checked("blowup.oracle", blowup1d.OracleParams, r0=r0, nu=nu_eff)
+            params = _checked("blowup.oracle", blowup1d.OracleParams, r0=amplitude, nu=nu_eff)
             t_star_analytic = blowup1d.blowup_time(params)
         except ConfigError:
             if oracle_mode == "on":  # auto goes without an oracle that has no closed form

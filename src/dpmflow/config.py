@@ -235,7 +235,8 @@ def build_regularization(cfg: RunConfig) -> Regularization:
 
 
 def build_stream_initial(cfg: RunConfig):
-    """The 1D start state (w0, start time, start g); nonzero times from a checkpoint."""
+    """The 1D start state (w0, start time, start g) and the amplitude of cosine
+    data (None for random or file data); nonzero times from a checkpoint."""
     kind = cfg.get_str("blowup.initial", default="cos", choices=("cos", "random", "file"))
     if kind == "file":
         n = cfg.get_int("blowup.n", default=None)
@@ -244,11 +245,12 @@ def build_stream_initial(cfg: RunConfig):
         if w0.domain.dim != 1:
             raise ConfigError(f"blowup.path: snapshot is {w0.domain.dim}D, need 1D")
         _checked("blowup.path", _check_mean_zero, w0)
-        return w0, time, g or 0.0
+        return w0, time, g or 0.0, None
     # single-mode studies are spectrally trivial; generic data is not
     n = cfg.get_int("blowup.n", default=256 if kind == "cos" else 2048)
     domain = _checked("blowup.n", Domain, (n,))
     if kind == "cos":
         amp = cfg.get_float("blowup.amplitude", default=1.0)
-        return _checked("blowup", PhysicalField, domain, amp * np.cos(domain.grid[0])), 0.0, 0.0
-    return _random_input(cfg, "blowup", domain), 0.0, 0.0
+        return (_checked("blowup", PhysicalField, domain, amp * np.cos(domain.grid[0])),
+                0.0, 0.0, amp)
+    return _random_input(cfg, "blowup", domain), 0.0, 0.0, None

@@ -106,8 +106,9 @@ class IFRK4:
     propagator is exactly 1 and the scheme is classic RK4: rk4 then skips
     the multiplies by them, which would change no bit of a finite state.
     A subclass supplies nonlinear(c, out, _stage), which must read c fully
-    before it writes out (the stages pass out=c), and stages(), two scratch
-    arrays shaped like c.  The three evaluations inside a step pass
+    before it writes out (the stages pass out=c); stages(), two scratch
+    arrays shaped like c; and state(t, c), the state object of c at t with
+    arrays of its own.  The three evaluations inside a step pass
     _stage=True: what only the caller of the first evaluation reads, such
     as the DPM velocity maximum, is skipped there.
     """
@@ -177,20 +178,30 @@ class IFRK4:
         mul(dt / 6.0, out, out=out)
         return add(_times(e_full, c, p), out, out=out)
 
-    def march(self, c, nl, clock, step_size, after_step, sample):
-        """Step c, at clock.start with nl = nonlinear(c), to clock.t_end.
+    def march(self, c, nl, clock, step_size, after_step, record, on_sample=None):
+        """Step c, at clock.start with nl = nonlinear(c), to clock.t_end: the
+        runner contract of both systems.
 
         Each step takes step_size(), shortened by the clock to land on a
         sample or on t_end; after_step(c, dt, t) sees the new state and
         returns the nonlinear term there, or None if the runner finds
-        blow-up.  sample(t, c) records c at t: before the first step, at
-        each sample time and at t_end.  A state with a non-finite
-        coefficient flags blow-up and is dropped; one at which after_step
-        finds blow-up is sampled.  Returns (c, t, blew_up) of the last state
-        kept.  The next state goes into the array of the state before the
-        last, so stepping allocates nothing of state size; that spare
-        array is released at each sample, which outweighs it.
+        blow-up.  A state is sampled before the first step, at each sample
+        time, at t_end and where after_step finds blow-up: its record is
+        record(c, state(t, c)), and on_sample(state, record), when given,
+        follows.  A state with a non-finite coefficient flags blow-up and is
+        dropped.  Returns the RunResult of the records, the last state kept
+        and the flag.  The next state goes into the array of the state
+        before the last, so stepping allocates nothing of state size; that
+        spare array is released at each sample, which outweighs it.
         """
+        records = []
+
+        def sample(t, c):
+            state = self.state(t, c)
+            records.append(record(c, state))
+            if on_sample is not None:
+                on_sample(state, records[-1])
+
         t = clock.start
         sample(t, c)
         spare = None
@@ -201,14 +212,14 @@ class IFRK4:
                 dt, t_new = clock.clip(t, step_size())
                 c_new = self.advance(c, nl, dt, out=spare)
                 if not cmath.isfinite(c_new.sum()):  # a non-finite coefficient spoils the sum
-                    return c, t, True
+                    return RunResult(records, self.state(t, c), True)
                 c, spare, t = c_new, c, t_new
                 nl = after_step(c, dt, t)
                 blew_up = nl is None
                 if blew_up or clock.due(t) or t >= clock.t_end - clock.eps:
                     spare = None
                     sample(t, c)
-        return c, t, blew_up
+        return RunResult(records, self.state(t, c), blew_up)
 
 
 class _Integrator(IFRK4):
@@ -291,9 +302,12 @@ class _Integrator(IFRK4):
                                forward)
         return self._work
 
-    def drop_work(self):
-        """Free the work arrays; the next call that needs them allocates them."""
+    def state(self, t, c):
+        """The SimulationState of c at t, a half spectrum of its own.  The work
+        arrays are freed first, so what a sample's caller allocates never adds
+        to the stepping set; the next call that needs them allocates them."""
         self._work = None
+        return SimulationState(t, SpectralField(self.domain, scatter(c, self.domain)))
 
     def _check(self, c):
         """Refuse a state that is not on the box (a half spectrum, say)."""
@@ -456,13 +470,10 @@ def run(t0_field: PhysicalField, params: SolverParams,
     The one way to step the DPM system; a single step is a run with
     t_end = start_time + dt.  forcing is the spectrum of the time-independent
     source term, or None.  The state and the forcing are 2/3-truncated.
-    on_sample, when given, is called as on_sample(state, record) with each
-    sampled SimulationState (a half spectrum of its own) and its
-    DiagnosticsRecord, right after the record is computed; the first call
-    comes before the first step.
+    Samples, on_sample and the result follow IFRK4.march, with
+    SimulationState states and DiagnosticsRecord records.
     Deterministic given its inputs.  The mean mode is pinned to its exact
-    linear-in-time law each step.  If a coefficient becomes non-finite the
-    run stops and the result is flagged, keeping the last finite state.
+    linear-in-time law each step.
     """
     clock = SampleClock(start_time, sample_every, params.t_end)
     domain = t0_field.domain
@@ -488,27 +499,14 @@ def run(t0_field: PhysicalField, params: SolverParams,
     mean0 = complex(c[idx0])
     f0 = 0.0 if forcing is None else complex(forcing.mean)
 
-    def make_state(t, coeffs):
-        # a new half spectrum: the stepping reuses the arrays of past states
-        return SimulationState(t, SpectralField(domain, scatter(coeffs, domain)))
-
-    records = []
     diss_int = 0.0
     inj_int = 0.0
 
-    def sample(t, coeffs):
-        """Record the state of the last nonlinear evaluation, whose vmax it takes.
-
-        on_sample runs here, while the work arrays are released, so what it
-        allocates never adds to the stepping set.
-        """
-        integ.drop_work()
-        state = make_state(t, coeffs)
-        records.append(compute_record(state, params.nu, params.alpha, integ.last_vmax,
-                                      p_list=p_list, s_list=s_list,
-                                      diss_integral=diss_int, inj_integral=inj_int))
-        if on_sample is not None:
-            on_sample(state, records[-1])
+    def record(coeffs, state):
+        """The record of the state of the last nonlinear evaluation, whose vmax it takes."""
+        return compute_record(state, params.nu, params.alpha, integ.last_vmax,
+                              p_list=p_list, s_list=s_list,
+                              diss_integral=diss_int, inj_integral=inj_int)
 
     def step_size():
         # fixed steps are adaptive ones without the CFL bound
@@ -526,8 +524,7 @@ def run(t0_field: PhysicalField, params: SolverParams,
 
     nl = integ.nonlinear(c)
     budget = integ.budget(c, integ.tendency(c, nl))
-    c, t, blew_up = integ.march(c, nl, clock, step_size, after_step, sample)
-    return RunResult(records=records, final_state=make_state(t, c), blew_up=blew_up)
+    return integ.march(c, nl, clock, step_size, after_step, record, on_sample)
 
 
 def _corrected_trapezoid(dt, f0, f1, df0, df1):

@@ -258,6 +258,12 @@ def _cases():
          solver.nonlinear_term, None, 1e-14)
     maps("advection term vanishes on constants", d2, 2.0, solver.nonlinear_term, None, 1e-14)
 
+    for d, name in ((d2, "2D"), (d3, "3D")):  # a term that does not vanish
+        x = d.grid
+        maps(f"advection term of T = cos(x1) + cos(x_N) is -cos(x1) sin(x_N) in {name}", d,
+             np.cos(x[0]) + np.cos(x[-1]), solver.nonlinear_term,
+             -np.cos(x[0]) * np.sin(x[-1]), 1e-14)
+
     @case("inviscid unforced step conserves the L2 norm")
     def _():
         before = spectral.hs_seminorm(smooth2_hat, 0.0)

@@ -494,6 +494,17 @@ class TestBlowupCommand:
         assert main(["blowup1d", cfg]) == 0
         assert sizes == [0.001] * 200
 
+    def test_blowup_before_a_closed_form_t_star_beyond_t_end_fails(self, tmp_path):
+        # |w| = sec t passes 3 at t = 1.23, before t_end = 1.5, while the
+        # closed form blows up at pi/2: the oracle check fails
+        text = BLOWUP_CFG.format(t_end=1.5, outdir=tmp_path / "o")
+        cfg = write_config(tmp_path / "b.cfg", text.replace("blowup.n = 128", "blowup.n = 64")
+                           .replace("blowup.threshold = 1e6", "blowup.threshold = 3"))
+        assert main(["blowup1d", cfg]) == 2
+        row = csv_rows(tmp_path / "o" / "summary.csv")[0]
+        assert (row["blew_up"], row["checks_passed"], row["t_star_rel_err"]) == ("1", "0", "nan")
+        assert float(row["t_final"]) < 1.5
+
     def test_quasilinear_run_with_max_bound(self, tmp_path):
         text = """\
 blowup.n = 128
@@ -685,6 +696,10 @@ output.dir = {outdir}
     # divide it, and 0.1 exceeds it
     ("blowup1d", {"blowup.adaptive": "false", "blowup.dt": "6e-4"}, "blowup.sample_every"),
     ("blowup1d", {"blowup.adaptive": "false", "blowup.dt": "0.1"}, "blowup.sample_every"),
+    # a run must end after it starts
+    ("run", {"solver.t_end": "0"}, "must exceed the start time"),
+    # one domain.n entry serves every axis; any other count but dim is refused
+    ("run", {"domain.n": "32, 32, 32"}, "domain.n"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else

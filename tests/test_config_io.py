@@ -76,6 +76,10 @@ class TestBuilders:
         # a retired key changes no parameter: builders leave it to refuse_unread
         assert build_solver_params(RunConfig.parse(GOOD + "solver.scheme = ifrk4\n")) == params
 
+    def test_one_domain_n_entry_serves_every_axis(self):
+        cfg = RunConfig.parse("domain.dim = 3\ndomain.n = 8\n")
+        assert build_domain(cfg).n == (8, 8, 8)
+
     def test_domain_errors_become_config_errors(self):
         cfg = RunConfig.parse("domain.dim = 2\ndomain.n = 15, 16\n")
         with pytest.raises(ConfigError):
@@ -149,8 +153,8 @@ class TestBuilders:
 
     def test_stream_initial(self):
         cfg = RunConfig.parse("blowup.n = 64\nblowup.amplitude = 2.0\n")
-        w0, start_time, start_g = build_stream_initial(cfg)
-        assert (start_time, start_g) == (0.0, 0.0)
+        w0, start_time, start_g, amplitude = build_stream_initial(cfg)
+        assert (start_time, start_g, amplitude) == (0.0, 0.0, 2.0)
         assert w0.domain.n == (64,)
         assert w0.values.max() == pytest.approx(2.0)
 

@@ -59,7 +59,8 @@ MUTANTS = (
     Mutant("DPM forward kernel without its 1/n", "src/dpmflow/solver.py",
            "pocketfft.rfft_n_even(phys[1:], 1.0 / d.n[-1],",
            "pocketfft.rfft_n_even(phys[1:], 1.0,",
-           ("tests/test_half_spectrum.py::test_nonlinear_term_matches_fftn",
+           ("tests/test_identities.py",
+            "tests/test_half_spectrum.py::test_nonlinear_term_matches_fftn",
             "tests/test_solver.py::TestStep::test_ifrk4_converges_at_fourth_order")),
     Mutant("1D seam at x = 0", "src/dpmflow/blowup1d.py",
            "self.seam = n // 2", "self.seam = 0",
@@ -104,6 +105,12 @@ MUTANTS = (
            "return h * (growth / STEP_GROWTH_START) ** STEP_GROWTH_EXPONENT", "return h",
            ("tests/test_blowup1d.py::TestTrajectories"
             "::test_late_steps_grow_within_the_oracle_tolerance",)),
+    Mutant("1D sup norm read before re-evaluating", "src/dpmflow/blowup1d.py",
+           "tendency = evaluate(x)\n        wmax = ops.last_wmax",
+           "wmax = ops.last_wmax\n        tendency = evaluate(x)",
+           ("tests/test_blowup1d.py::TestTrajectories"
+            "::test_no_step_follows_the_first_state_past_the_threshold",
+            "tests/test_blowup1d.py::TestTrajectories::test_blowup_detection_and_estimate")),
     Mutant("decay rate 2.2 nu / p", "src/dpmflow/diagnostics.py",
            "rate = 2.0 * nu / p", "rate = 2.2 * nu / p",
            ("tests/test_diagnostics.py::TestDecayCheck",)),
