@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import attach_checks
+from .diagnostics import fold, judged
 from .solver import IFRK4, RunResult, SampleClock
 from .spectral import (TWO_PI, Domain, PhysicalField, SpectralField, box_shape, hs_seminorm,
                        k_power, pocketfft)
@@ -437,20 +437,34 @@ def integrate_amplitude_ode(r0: float, nu: float, dt: float, t_max: float,
     return np.asarray(times), np.asarray(betas), t_div
 
 
-def check_max_bound(records, slack: float = 1e-6):
+class MaxBoundCheck:
     """Maximum-control bound Q(t) <= Q(t0) / (1 - Q(t0) (t - t0)), Q = max w + g.
 
     t0 and Q(t0) come from the first record, so a restart is checked from
     where it starts.  Proved for the quasilinear-regularized dynamics;
     offered for the unregularized trajectories as well (label the run
-    accordingly).  Records at t - t0 >= 1/Q(t0) are skipped.
+    accordingly).  Records at t - t0 >= 1/Q(t0) have no result.
     """
-    first = records[0]
-    q0 = first.max_w + first.g
-    if q0 <= 0:
-        raise ValueError("the bound applies to a positive initial max w + g")
-    horizon = 1.0 / q0
-    return attach_checks("max_bound", ((rec, q0 / (1.0 - q0 * (rec.t - first.t)),
-                                        rec.max_w + rec.g)
-                                       for rec in records if rec.t - first.t < horizon),
-                         slack, 1e-14 * q0)
+
+    name = "max_bound"
+
+    def __init__(self, slack=1e-6):
+        self.slack = slack
+
+    def first(self, record):
+        self.t0, self.q0 = record.t, record.max_w + record.g
+        if self.q0 <= 0:
+            raise ValueError("the bound applies to a positive initial max w + g")
+        return self.judge(record, record)
+
+    def judge(self, previous, record):
+        q0, elapsed = self.q0, record.t - self.t0
+        if elapsed >= 1.0 / q0:
+            return None
+        return judged(self.name, q0 / (1.0 - q0 * elapsed), record.max_w + record.g,
+                      self.slack, 1e-14 * q0)
+
+
+def check_max_bound(records, slack: float = 1e-6):
+    """MaxBoundCheck folded over a record list (see diagnostics.fold)."""
+    return fold(MaxBoundCheck(slack), records)

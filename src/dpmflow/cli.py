@@ -8,20 +8,20 @@ where not expected, 4 malformed configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import os
 import signal
 import sys
 import warnings
-from dataclasses import replace
 
 from . import blowup1d
 from .config import (ConfigError, RunConfig, _checked, build_domain, build_forcing,
                      build_initial, build_regularization, build_solver_params,
                      build_stream_initial)
-from .diagnostics import (check_absorbing_ball, check_decay_torus,
-                          check_dissipation_budget, records_to_csv, write_csv)
+from .diagnostics import (AbsorbingBallCheck, DecayCheck, DissipationBudgetCheck, RowWriter,
+                          record_columns, write_csv)
 from .snapshots import atomic_open, write_snapshot
 from .solver import run as run_dpm
 from .spectral import inverse_transform
@@ -53,42 +53,53 @@ def _check_stride(every_key, sample_every, dt_key, dt):
                           f"of {dt_key} = {dt}")
 
 
-def _execute(cfg, checks, solve, report, save, csv_name, snapshots=False,
+def _execute(cfg, checks, solve, columns, report, save, csv_name, snapshots=False,
              allow_blowup=True):
-    """Run one command's solver between its checks and its outputs.
+    """Run one command's solver, judging and writing each record as it arrives.
 
     The output keys are read first, and then a key that no read has taken
-    is refused.  checks are (label, call) pairs, each call judging a record
-    list.  At the first record, before the first step, each check's own
-    input rules judge a copy of it that keeps no result, and output.dir is
-    made; with snapshots, save(path, state) writes each sampled state there.
-    After solve(on_sample) the checks judge the records, report(result, ok,
-    outdir) gives the command's verdict, metrics and CSV writer, the CSV goes
-    to output.csv (csv_name by default), and save writes the final state to
-    output.checkpoint.
+    is refused.  checks are (label, check) pairs of check objects, and
+    columns(record) gives the names and cells of a record's CSV row.  At
+    the first record, before the first step, each check's first() applies
+    its input rules and judges it, and output.dir is made; each later
+    record is judged against the one before.  Each record's row then goes
+    to <output.csv>.partial (output.csv is csv_name by default), flushed,
+    and with snapshots, save(path, state) writes each sampled state.  After
+    solve(on_sample), report(result, ok, outdir) gives the command's verdict
+    and metrics, the .partial file becomes output.csv, and save writes the
+    final state to output.checkpoint.
     """
     outdir = cfg.get_str("output.dir", default="out")
-    csv_name = cfg.get_str("output.csv", default=csv_name)
+    csv_path = os.path.join(outdir, cfg.get_str("output.csv", default=csv_name))
     checkpoint = cfg.get_str("output.checkpoint", default=None)
     cfg.refuse_unread()
     taken = itertools.count()
+    ok = True
+    previous = writer = None
 
     def on_sample(state, record):
+        nonlocal ok, previous, writer
         index = next(taken)
+        names, cells = columns(record)
         if index == 0:
-            for label, call in checks:
-                _checked(label, call, [replace(record, checks=[])])
+            results = [_checked(label, check.first, record) for label, check in checks]
             os.makedirs(outdir, exist_ok=True)
+            writer = RowWriter(stack.enter_context(
+                open(csv_path + ".partial", "w", encoding="utf-8", newline="")),
+                names, [check.name for _, check in checks])
+        else:
+            results = [check.judge(previous, record) for _, check in checks]
+        results = [r for r in results if r is not None]
+        ok = ok and all(r.passed for r in results)
+        writer.row(cells, results)
+        previous = record
         if snapshots:
             save(os.path.join(outdir, f"snapshot_{index:05d}.dpmf"), state)
 
-    result = solve(on_sample)
-    ok = True
-    for _, call in checks:
-        ok &= all(r.passed for r in call(result.records))
-    ok, metrics, write = report(result, ok, outdir)
-    with atomic_open(os.path.join(outdir, csv_name), encoding="utf-8", newline="") as fh:
-        write(fh)
+    with contextlib.ExitStack() as stack:
+        result = solve(on_sample)
+    ok, metrics = report(result, ok, outdir)
+    os.replace(csv_path + ".partial", csv_path)
     if checkpoint is not None:
         save(os.path.join(outdir, checkpoint), result.final_state)
     metrics.update(blew_up=result.blew_up, checks_passed=ok)
@@ -123,16 +134,13 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
                       "of the trigonometric interpolant", stacklevel=2)
     decay_p = cfg.get_float("diagnostics.decay_p", default=2.0)
     ball_p = cfg.get_float("diagnostics.ball_p", default=2.0)
-    # each check by name: its label in messages, and its call on a record list
+    # each check by name: its label in messages, and the check object
     table = {
         "decay": (f"decay (diagnostics.decay_p = {decay_p:g})",
-                  lambda records: check_decay_torus(records, decay_p, params.nu, slack=slack,
-                                                    forcing=forcing)),
+                  DecayCheck(decay_p, params.nu, slack=slack, forcing=forcing)),
         "absorbing_ball": (f"absorbing_ball (diagnostics.ball_p = {ball_p:g})",
-                           lambda records: check_absorbing_ball(records, forcing, ball_p,
-                                                                params.nu, slack=slack)),
-        "dissipation_budget": ("dissipation_budget",
-                               lambda records: check_dissipation_budget(records, slack=slack)),
+                           AbsorbingBallCheck(forcing, ball_p, params.nu, slack=slack)),
+        "dissipation_budget": ("dissipation_budget", DissipationBudgetCheck(slack)),
     }
     names = [c.strip() for c in cfg.get_str("diagnostics.checks", default="").split(",")
              if c.strip()]
@@ -140,21 +148,21 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         if name not in table:
             raise ConfigError(f"diagnostics.checks: unknown check {name!r} "
                               f"(known: {', '.join(table)})")
-    checks = [(f"diagnostics.checks: {label}", call)
-              for name, (label, call) in table.items() if name in names]
+    checks = [(f"diagnostics.checks: {label}", check)
+              for name, (label, check) in table.items() if name in names]
     allow_blowup = cfg.get_bool("solver.allow_blowup", default=False)
 
     def report(result, ok, outdir):
-        metrics = {"t_final": result.final_state.t,
-                   "final_l2": result.records[-1].lp.get(2.0, math.nan)}
-        return ok, metrics, lambda fh: records_to_csv(result.records, fh)
+        return ok, {"t_final": result.final_state.t,
+                    "final_l2": result.records[-1].lp.get(2.0, math.nan)}
 
     return _execute(
         cfg, checks,
         lambda on_sample: run_dpm(t0_field, params, forcing, sample_every=sample_every,
                                   p_list=p_list, s_list=s_list, on_sample=on_sample,
                                   start_time=start_time),
-        report, lambda path, state: write_snapshot(path, state.t, inverse_transform(state.t_hat)),
+        record_columns, report,
+        lambda path, state: write_snapshot(path, state.t, inverse_transform(state.t_hat)),
         "diagnostics.csv", cfg.get_bool("output.snapshots", default=False), allow_blowup)
 
 
@@ -198,21 +206,21 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
                 raise
     # Q(t0) of the max bound is that of the run's first record: a bad one
     # (a restart whose g outweighs max w) is refused before the first step
-    checks = ([("blowup.max_bound_check",
-                lambda records: blowup1d.check_max_bound(records, slack=slack))]
+    checks = ([("blowup.max_bound_check", blowup1d.MaxBoundCheck(slack))]
               if bound_check else [])
+    errs = []  # each record's relative g error against the closed form
+
+    def columns(rec):
+        """The record's cells and its oracle columns, nan at and beyond the singular time."""
+        beta = r_oracle = math.nan
+        if params is not None and rec.t < t_star_analytic * (1 - 1e-12):
+            beta = blowup1d.oracle_beta(rec.t, params)
+            r_oracle = blowup1d.oracle_r(rec.t, params)
+            errs.append(abs(rec.g - beta) / max(abs(beta), 1.0))
+        return (["t", "l2", "linf", "max", "g", "h2", "oracle_beta", "oracle_r"],
+                [rec.t, rec.l2, rec.linf, rec.max_w, rec.g, rec.h2, beta, r_oracle])
 
     def report(result, ok, outdir):
-        # the oracle columns of each record, nan at and beyond the singular time
-        oracle = []
-        errs = []
-        for rec in result.records:
-            beta = r_oracle = math.nan
-            if params is not None and rec.t < t_star_analytic * (1 - 1e-12):
-                beta = blowup1d.oracle_beta(rec.t, params)
-                r_oracle = blowup1d.oracle_r(rec.t, params)
-                errs.append(abs(rec.g - beta) / max(abs(beta), 1.0))
-            oracle.append((beta, r_oracle))
         g_err = max(errs) if errs else math.nan
         if errs and not g_err <= oracle_rtol:
             ok = False
@@ -233,19 +241,14 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
                            "t_star_rel_err", "g_oracle_max_rel_err", "checks_passed"],
                       [([result.blew_up, result.final_state.t, result.t_star_estimate,
                          t_star_analytic, tstar_err, g_err, ok], [])])
-        return (ok, {"t_star_est": result.t_star_estimate},
-                lambda fh: write_csv(
-                    fh, ["t", "l2", "linf", "max", "g", "h2", "oracle_beta", "oracle_r"],
-                    (([rec.t, rec.l2, rec.linf, rec.max_w, rec.g, rec.h2, *columns],
-                      rec.checks) for rec, columns in zip(result.records, oracle)),
-                    ["max_bound"] if bound_check else []))
+        return ok, {"t_star_est": result.t_star_estimate}
 
     return _execute(
         cfg, checks,
         lambda on_sample: blowup1d.run_stream_slope(
             w0, reg, dt, t_end, sample_every=sample_every, threshold=threshold,
             adaptive=adaptive, start_time=start_time, start_g=start_g, on_sample=on_sample),
-        report, lambda path, state: write_snapshot(path, state.t, state.w, g=state.g),
+        columns, report, lambda path, state: write_snapshot(path, state.t, state.w, g=state.g),
         "trajectory.csv")
 
 

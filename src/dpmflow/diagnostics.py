@@ -1,10 +1,11 @@
 """Time-stamped norms and runtime verification of the analytic bounds.
 
 Each trajectory sample is reduced to a DiagnosticsRecord (norms, dissipation,
-mean, velocity maximum, cumulative budget integrals).  The check functions
-evaluate the decay, absorbing-ball and energy-budget estimates record by
-record and attach pass/fail results; all of them are pure functions of the
-record list, so re-running checks on a stored trajectory is deterministic.
+mean, velocity maximum, cumulative budget integrals).  Each check of the
+decay, absorbing-ball and energy-budget estimates is an object that judges
+a run's first record and then each record against the one before, so a run
+judges its records as they arrive; the check functions fold a check over a
+stored record list and attach its results, deterministically.
 
 Every inequality carries a single relative slack (default 1e-6) that covers
 resolution and quadrature error.  The sup norm is that of the trigonometric
@@ -76,48 +77,67 @@ def _norm_from_record(rec, p):
         raise ValueError(f"record at t={rec.t} does not carry the L^{p:g} norm") from None
 
 
-def attach_checks(name, rows, slack, floor):
-    """Judge value <= bound * (1 + slack) + floor for each (record, bound,
-    value) row, attaching the CheckResult to its record; returns the results."""
-    results = []
-    for rec, bound, value in rows:
-        res = CheckResult(name, bound, value, value <= bound * (1.0 + slack) + floor)
-        rec.checks.append(res)
-        results.append(res)
-    return results
+def judged(name, bound, value, slack, floor):
+    """The CheckResult of value <= bound * (1 + slack) + floor."""
+    return CheckResult(name, bound, value, value <= bound * (1.0 + slack) + floor)
 
 
-def check_decay_torus(records, p, nu, q=None, slack=1e-6, forcing=None):
+def fold(check, records):
+    """Judge a record list as a run judges its records: check.first on the
+    first, check.judge on each later one and the one before.  Each result
+    (None is no result) is attached to its record, and the results returned."""
+    results = [check.first(records[0])] if records else []
+    results += [check.judge(prev, rec) for prev, rec in zip(records, records[1:])]
+    for rec, res in zip(records, results):
+        if res is not None:
+            rec.checks.append(res)
+    return [res for res in results if res is not None]
+
+
+class DecayCheck:
     """Exponential decay of unforced mean-zero solutions on the torus.
 
     Verifies ||T(t)||_q <= ||T(t0)||_p * exp(-2 nu (t - t0) / p) per record,
     with q = p by default and t0 and ||T(t0)||_p from the first record.  For
     q < p the comparison needs the measure normalization relating L^q and
     L^p on the box the records carry: the bound is multiplied by
-    volume^(1/q - 1/p), which makes q = p the binding case.  Forced runs (a
-    forcing spectrum that is not zero) and data whose mean is not zero are
-    refused: the bound does not apply.  The rate is 2 nu lambda1^alpha / p,
-    and lambda1 = 1 on the 2 pi box, so no bound here depends on alpha.
+    volume^(1/q - 1/p), which makes q = p the binding case.  The bound does
+    not apply, and is refused, at p < 2 (the paper's proof needs p >= 2),
+    for forced runs (a forcing spectrum that is not zero) and for data whose
+    mean is not zero.  The rate is 2 nu lambda1^alpha / p, and lambda1 = 1
+    on the 2 pi box, so no bound here depends on alpha.
     """
-    if forcing is not None and np.abs(forcing.coeffs).max() > 0:
-        raise ValueError("decay check applies to unforced runs only")
-    p = float(p)
-    q = p if q is None else float(q)
-    if not 1.0 <= q <= p:
-        raise ValueError(f"q must lie in [1, p], got q={q}, p={p}")
-    first = records[0]
-    n0 = _norm_from_record(first, p)
-    # the mean part's L^p norm against the data's; at p = inf, _check_mean_zero's test
-    if abs(first.mean) * first.volume ** (1.0 / p) > 1e-10 * max(1.0, n0):
-        raise ValueError(f"decay check applies to mean-zero data, got mean {first.mean:.3e}")
-    rate = 2.0 * nu / p
-    volfac = first.volume ** (1.0 / q - 1.0 / p)
-    return attach_checks("decay", ((rec, volfac * n0 * math.exp(-rate * (rec.t - first.t)),
-                                    _norm_from_record(rec, q)) for rec in records),
-                         slack, 1e-14 * n0)
+
+    name = "decay"
+
+    def __init__(self, p, nu, q=None, slack=1e-6, forcing=None):
+        self.p = float(p)
+        self.q = self.p if q is None else float(q)
+        self.nu, self.slack, self.forcing = nu, slack, forcing
+
+    def first(self, record):
+        p, q = self.p, self.q
+        if self.forcing is not None and np.abs(self.forcing.coeffs).max() > 0:
+            raise ValueError("decay check applies to unforced runs only")
+        if not p >= 2.0:
+            raise ValueError(f"decay is proved for p >= 2 only, got p={p:g}")
+        if not 1.0 <= q <= p:
+            raise ValueError(f"q must lie in [1, p], got q={q}, p={p}")
+        self.t0, self.n0 = record.t, _norm_from_record(record, p)
+        # the mean part's L^p norm against the data's; at p = inf, _check_mean_zero's test
+        if abs(record.mean) * record.volume ** (1.0 / p) > 1e-10 * max(1.0, self.n0):
+            raise ValueError(f"decay check applies to mean-zero data, got mean {record.mean:.3e}")
+        self.rate = 2.0 * self.nu / p
+        self.volfac = record.volume ** (1.0 / q - 1.0 / p)
+        return self.judge(record, record)
+
+    def judge(self, previous, record):
+        bound = self.volfac * self.n0 * math.exp(-self.rate * (record.t - self.t0))
+        return judged(self.name, bound, _norm_from_record(record, self.q), self.slack,
+                      1e-14 * self.n0)
 
 
-def check_absorbing_ball(records, forcing, p, nu, slack=1e-6):
+class AbsorbingBallCheck:
     """Forced absorbing-ball estimate in L^p.
 
     Verifies, per record,
@@ -125,25 +145,34 @@ def check_absorbing_ball(records, forcing, p, nu, slack=1e-6):
     with t0 and ||T(t0)||_p from the first record and ball radius
     R = p ||f||_p / nu, f the forcing spectrum (None for no forcing).  With
     f = 0 this is the unforced decay bound at q = p, but at the rate nu / p,
-    half the 2 nu / p of check_decay_torus.  As in check_decay_torus,
-    lambda1^alpha = 1 on the 2 pi box.
+    half the 2 nu / p of DecayCheck.  As there, lambda1^alpha = 1 on the
+    2 pi box.
     """
-    if nu <= 0:
-        raise ValueError("absorbing ball requires nu > 0")
-    p = float(p)
-    if p == math.inf:
-        raise ValueError("absorbing ball needs a finite p: the radius p ||f||_p / nu is infinite")
-    first = records[0]
-    n0 = _norm_from_record(first, p)
-    radius = 0.0 if forcing is None else p * lp_norm(inverse_transform(forcing), p) / nu
-    rate = nu / p
-    return attach_checks("absorbing_ball",
-                         ((rec, (n0 - radius) * math.exp(-rate * (rec.t - first.t)) + radius,
-                           _norm_from_record(rec, p)) for rec in records),
-                         slack, 1e-14 * max(n0, radius))
+
+    name = "absorbing_ball"
+
+    def __init__(self, forcing, p, nu, slack=1e-6):
+        self.forcing, self.p, self.nu, self.slack = forcing, float(p), nu, slack
+
+    def first(self, record):
+        p, nu, forcing = self.p, self.nu, self.forcing
+        if nu <= 0:
+            raise ValueError("absorbing ball requires nu > 0")
+        if p == math.inf:
+            raise ValueError("absorbing ball needs a finite p: "
+                             "the radius p ||f||_p / nu is infinite")
+        self.t0, self.n0 = record.t, _norm_from_record(record, p)
+        self.radius = 0.0 if forcing is None else p * lp_norm(inverse_transform(forcing), p) / nu
+        self.rate = nu / p
+        return self.judge(record, record)
+
+    def judge(self, previous, record):
+        bound = (self.n0 - self.radius) * math.exp(-self.rate * (record.t - self.t0)) + self.radius
+        return judged(self.name, bound, _norm_from_record(record, self.p), self.slack,
+                      1e-14 * max(self.n0, self.radius))
 
 
-def check_dissipation_budget(records, slack=1e-6):
+class DissipationBudgetCheck:
     """Discrete energy budget between consecutive samples.
 
     Verifies the normalized residual of
@@ -151,65 +180,100 @@ def check_dissipation_budget(records, slack=1e-6):
         <= ||T(t1)||_2^2 + 2 int (f, T) ds
     for every consecutive record pair, with the integrals from the solver's
     own step-resolution accumulation (the diss_integral / inj_integral
-    columns).  The residual's bound is slack itself.
+    columns).  The residual's bound is slack itself.  The first record, which
+    has no pair and so no result, must carry the L^2 norm.
     """
-    # read before any pair, so that a single record is refused without L^2 too
-    energy = [_norm_from_record(rec, 2.0) ** 2 for rec in records]
 
-    def rows():
-        for prev, rec, e0, e1 in zip(records, records[1:], energy, energy[1:]):
-            diss = 2.0 * (rec.diss_integral - prev.diss_integral)
-            inj = 2.0 * (rec.inj_integral - prev.inj_integral)
-            yield rec, slack, (e1 - e0 + diss - inj) / max(1.0, e0)
+    name = "dissipation_budget"
 
-    return attach_checks("dissipation_budget", rows(), 0.0, 0.0)
+    def __init__(self, slack=1e-6):
+        self.slack = slack
+
+    def first(self, record):
+        _norm_from_record(record, 2.0)
+
+    def judge(self, previous, record):
+        e0 = _norm_from_record(previous, 2.0) ** 2
+        e1 = _norm_from_record(record, 2.0) ** 2
+        diss = 2.0 * (record.diss_integral - previous.diss_integral)
+        inj = 2.0 * (record.inj_integral - previous.inj_integral)
+        return judged(self.name, self.slack, (e1 - e0 + diss - inj) / max(1.0, e0), 0.0, 0.0)
+
+
+def check_decay_torus(records, p, nu, q=None, slack=1e-6, forcing=None):
+    """DecayCheck folded over a record list."""
+    return fold(DecayCheck(p, nu, q, slack, forcing), records)
+
+
+def check_absorbing_ball(records, forcing, p, nu, slack=1e-6):
+    """AbsorbingBallCheck folded over a record list."""
+    return fold(AbsorbingBallCheck(forcing, p, nu, slack), records)
+
+
+def check_dissipation_budget(records, slack=1e-6):
+    """DissipationBudgetCheck folded over a record list."""
+    return fold(DissipationBudgetCheck(slack), records)
 
 
 def norm_column(p):
     return "linf" if p == math.inf else f"l{p:g}"
 
 
+def record_columns(rec):
+    """(column names, cells) of a DiagnosticsRecord's CSV row, before any check's."""
+    p_cols = sorted(rec.lp)
+    s_cols = sorted(rec.hs)
+    names = ["t"] + [norm_column(p) for p in p_cols] + [f"hs_{s:g}" for s in s_cols]
+    names += ["dissipation", "mean", "vmax", "diss_integral", "inj_integral"]
+    return names, [rec.t, *(rec.lp[p] for p in p_cols), *(rec.hs[s] for s in s_cols),
+                   rec.dissipation, rec.mean, rec.vmax, rec.diss_integral, rec.inj_integral]
+
+
 def records_to_csv(records, stream):
-    """Write records as deterministic CSV (17 significant digits)."""
+    """Write records as deterministic CSV (17 significant digits), with the
+    columns of every check attached to any of them."""
     if not records:
         stream.write("t\n")
         return
-    first = records[0]
-    p_cols = sorted(first.lp)
-    s_cols = sorted(first.hs)
-    header = ["t"] + [norm_column(p) for p in p_cols] + [f"hs_{s:g}" for s in s_cols]
-    header += ["dissipation", "mean", "vmax", "diss_integral", "inj_integral"]
-    check_names = []
-    for rec in records:
-        for c in rec.checks:
-            if c.name not in check_names:
-                check_names.append(c.name)
-    write_csv(stream, header,
-              (([rec.t, *(rec.lp[p] for p in p_cols), *(rec.hs[s] for s in s_cols),
-                 rec.dissipation, rec.mean, rec.vmax, rec.diss_integral, rec.inj_integral],
-                rec.checks) for rec in records),
-              check_names)
+    check_names = list(dict.fromkeys(c.name for rec in records for c in rec.checks))
+    write_csv(stream, record_columns(records[0])[0],
+              ((record_columns(rec)[1], rec.checks) for rec in records), check_names)
 
 
 def write_csv(stream, header, rows, check_names=()):
-    """Write the header, then one line per (cells, checks) row, through csv.writer.
+    """Write the header, then one line per (cells, checks) row (see RowWriter)."""
+    out = RowWriter(stream, header, check_names)
+    for cells, checks in rows:
+        out.row(cells, checks)
+
+
+class RowWriter:
+    """CSV through csv.writer: the header at once, then a line per row, each
+    flushed as it is written, so that a killed process leaves every line it
+    wrote.
 
     Cells print with _fmt; after them come the bound, value and pass cells
     of each named check (columns <name>_bound, <name>_value, <name>_pass),
     nan,nan,1 where the row has no check of that name.  Only a text cell
     holding a comma, a quote or a line break is quoted.
     """
-    out = csv.writer(stream, lineterminator="\n")
-    out.writerow(header + [f"{name}_{col}" for name in check_names
-                           for col in ("bound", "value", "pass")])
-    for cells, checks in rows:
+
+    def __init__(self, stream, header, check_names=()):
+        self.stream = stream
+        self.out = csv.writer(stream, lineterminator="\n")
+        self.check_names = list(check_names)
+        self.out.writerow(header + [f"{name}_{col}" for name in self.check_names
+                                    for col in ("bound", "value", "pass")])
+
+    def row(self, cells, checks):
         by_name = {c.name: c for c in checks}
         row = [_fmt(x) for x in cells]
-        for name in check_names:
+        for name in self.check_names:
             c = by_name.get(name)
             row += (["nan", "nan", "1"] if c is None
                     else [_fmt(c.bound), _fmt(c.value), _fmt(c.passed)])
-        out.writerow(row)
+        self.out.writerow(row)
+        self.stream.flush()
 
 
 def _fmt(x):

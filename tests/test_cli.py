@@ -384,6 +384,35 @@ output.dir = {tmp_path / 'o'}
         assert [p.name for p in snaps] == [f"snapshot_{i:05d}.dpmf" for i in range(3)]
         assert [read_snapshot(p)[0] for p in snaps] == times == pytest.approx([0.0, 0.1, 0.2])
 
+    def test_killed_run_keeps_the_rows_it_judged(self, tmp_path):
+        # a row is flushed as its record is judged: SIGKILL after 3 rows
+        # leaves them, and no diagnostics.csv, which appears only at the end
+        rows = 3
+        text = DECAY_RUN.replace("32, 32", "64, 64").replace("sample_every = 0.1",
+                                                              "sample_every = 0.2")
+        killed = tmp_path / "killed" / "diagnostics.csv.partial"
+        command, env = cli_command("run", write_config(
+            tmp_path / "k.cfg", text.format(t_end=2.0, outdir=killed.parent)))
+        proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 20
+            while not (killed.exists() and killed.read_bytes().count(b"\n") > rows):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            proc.kill()
+            assert proc.wait(timeout=10) == -signal.SIGKILL
+        finally:
+            proc.kill()
+            proc.wait()
+        kept = killed.read_bytes()
+        assert not (killed.parent / "diagnostics.csv").exists()
+        assert main(["run", write_config(tmp_path / "u.cfg",
+                                         text.format(t_end=2.0, outdir=tmp_path / "u"))]) == 0
+        whole = (tmp_path / "u" / "diagnostics.csv").read_bytes()
+        assert whole.startswith(kept) and kept.count(b"\n") > rows
+        assert kept.endswith(b"\n") and len(kept) < len(whole)
+
     def test_snapshot_memory_does_not_grow_with_the_samples(self, tmp_path):
         # each snapshot is written when it is sampled, so 36 more samples
         # hold less than one more half spectrum at their peak
@@ -700,6 +729,9 @@ output.dir = {outdir}
     ("run", {"solver.t_end": "0"}, "must exceed the start time"),
     # one domain.n entry serves every axis; any other count but dim is refused
     ("run", {"domain.n": "32, 32, 32"}, "domain.n"),
+    # the decay is proved for p >= 2 only; 1.5 is not even sampled
+    ("run", {"diagnostics.decay_p": "1"}, "decay_p = 1): decay is proved for p >= 2 only"),
+    ("run", {"diagnostics.decay_p": "1.5"}, "decay is proved for p >= 2 only"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else

@@ -3,15 +3,20 @@
 import csv
 import io
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dpmflow import (Domain, PhysicalField, SolverParams,
-                     check_absorbing_ball, check_decay_torus,
-                     check_dissipation_budget, dealias, forward_transform,
-                     lp_norm, random_field, records_to_csv, run)
-from dpmflow.diagnostics import CheckResult, write_csv
+from dpmflow import (DiagnosticsRecord, Domain, PhysicalField, RunConfig, RunResult,
+                     SolverParams, StreamRecord, check_absorbing_ball, check_decay_torus,
+                     check_dissipation_budget, check_max_bound, cli, dealias,
+                     forward_transform, lp_norm, random_field, records_to_csv, run)
+from dpmflow.blowup1d import MaxBoundCheck
+from dpmflow.diagnostics import (AbsorbingBallCheck, CheckResult, DecayCheck,
+                                 DissipationBudgetCheck, record_columns, write_csv)
 
 
 def phys(domain, values):
@@ -74,6 +79,15 @@ class TestDecayCheck:
         res = run(phys(d2, 0.5 + 0.1 * np.sin(d2.grid[0])), params, sample_every=0.05)
         with pytest.raises(ValueError, match="mean-zero"):
             check_decay_torus(res.records, 2.0, 1.0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_refuses_p_below_2(self, single_mode_run, p):
+        # the decay is proved for p >= 2 only: sin x1 decays at rate nu in
+        # every norm, which is slower than the 2 nu / p asked for at p < 2
+        with pytest.raises(ValueError, match="p >= 2"):
+            check_decay_torus(single_mode_run.records, p, 0.05)
+        with pytest.raises(ValueError, match="p >= 2"):
+            check_decay_torus(single_mode_run.records, p, 0.05, q=1.0)
 
     def test_random_data_decay(self, d2):
         params = SolverParams(nu=0.1, alpha=1.0, dt=5e-3, t_end=1.0)
@@ -196,3 +210,110 @@ class TestCsv:
             ["point", "code", "metrics", "decay_bound", "decay_value", "decay_pass"],
             ["pt0000", "2", 'error=a, "b"', "1", "0.5", "1"],
             ["pt0001", "0.5", "x=1", "nan", "nan", "1"]]
+
+
+def draw_records(data, make, min_size=1):
+    """A record sequence of 1 to 8 samples at increasing times, each of
+    make(t, draw) with t its time."""
+    steps = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=min_size - 1, max_size=7))
+    t = data.draw(st.floats(0.0, 5.0))
+    records = [make(t, data.draw)]
+    for step in steps:
+        t += step
+        records.append(make(t, data.draw))
+    return records
+
+
+def judged_on_arrival(records, checks, columns):
+    """The CSV the CLI writes of records, judged by checks as each arrives,
+    and its checks_passed verdict."""
+    with tempfile.TemporaryDirectory() as outdir:
+        def solve(on_sample):
+            for rec in records:
+                on_sample(None, rec)
+            return RunResult(records, None)
+
+        code, metrics = cli._execute(
+            RunConfig({"output.dir": outdir}), [(c.name, c) for c in checks], solve, columns,
+            lambda result, ok, outdir: (ok, {}), None, "out.csv")
+        with open(f"{outdir}/out.csv", encoding="utf-8", newline="") as fh:
+            return fh.read(), metrics["checks_passed"]
+
+
+def folded(records, folds, names, columns):
+    """The CSV of records after each public check_* fold, and its verdict."""
+    results = [res for fold in folds for res in fold(records)]
+    buf = io.StringIO()
+    write_csv(buf, columns(records[0])[0], ((columns(rec)[1], rec.checks) for rec in records),
+              names)
+    return buf.getvalue(), all(res.passed for res in results)
+
+
+class TestJudgedOnArrival:
+    """The CLI judges each record as it arrives; the public check_* functions
+    fold the same check objects over the list.  Both give the same results
+    (name, bound, value, passed), read here from their CSV cells, whose 17
+    significant digits tell every two floats apart."""
+
+    @given(data=st.data(), forced=st.booleans(), p=st.sampled_from([2.0, 4.0, math.inf]))
+    def test_dpm_checks(self, data, forced, p):
+        d = Domain((8, 8))
+        forcing = forward_transform(phys(d, 0.3 * np.sin(d.grid[0]))) if forced else None
+        nu, slack = 0.1, 1e-6
+        norm = st.floats(0.1, 10.0)
+        integral = st.floats(0.0, 1.0)
+
+        def record(t, draw):
+            return DiagnosticsRecord(
+                t=t, lp={q: draw(norm) for q in (1.0, 2.0, 4.0, math.inf)}, hs={0.5: draw(norm)},
+                dissipation=draw(norm), mean=0.0, vmax=draw(norm), volume=d.volume,
+                diss_integral=t * draw(integral), inj_integral=t * draw(integral))
+
+        records = draw_records(data, record)
+        checks = [AbsorbingBallCheck(forcing, 2.0, nu, slack), DissipationBudgetCheck(slack)]
+        folds = [lambda recs: check_absorbing_ball(recs, forcing, 2.0, nu, slack),
+                 lambda recs: check_dissipation_budget(recs, slack)]
+        if not forced:
+            checks.insert(0, DecayCheck(p, nu, q=2.0, slack=slack))
+            folds.insert(0, lambda recs: check_decay_torus(recs, p, nu, q=2.0, slack=slack))
+        names = [c.name for c in checks]
+        text, ok = judged_on_arrival(records, checks, record_columns)
+        assert (text, ok) == folded(records, folds, names, record_columns)
+        # the budget has no result at the first record: nan,nan,1 there
+        rows = list(csv.DictReader(io.StringIO(text)))
+        first = rows[0]
+        assert [first[f"dissipation_budget_{col}"] for col in ("bound", "value", "pass")] == [
+            "nan", "nan", "1"]
+        assert len(rows) == len(records)
+        if len(records) > 1:  # a fold attaches a budget result from the second record on
+            assert text == records_to_csv_text(records)
+
+    @staticmethod
+    def max_bound_csv(records):
+        def columns(rec):
+            return ["t", "max", "g"], [rec.t, rec.max_w, rec.g]
+
+        text, ok = judged_on_arrival(records, [MaxBoundCheck(1e-6)], columns)
+        assert (text, ok) == folded(records, [check_max_bound], ["max_bound"], columns)
+        return text
+
+    @given(data=st.data())
+    def test_max_bound(self, data):
+        value = st.floats(0.1, 3.0)
+        self.max_bound_csv(draw_records(data, lambda t, draw: StreamRecord(
+            t=t, l2=draw(value), linf=draw(value), max_w=draw(value), g=draw(value),
+            h2=draw(value))))
+
+    def test_max_bound_past_its_horizon(self):
+        # Q(t0) = 2: the records at t - t0 >= 1/2 have no result
+        text = self.max_bound_csv([StreamRecord(t, 1.0, 1.0, 1.0, 1.0, 1.0)
+                                   for t in (0.0, 0.25, 0.5, 0.75)])
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [r["max_bound_bound"] for r in rows] == ["2", "4", "nan", "nan"]
+        assert [r["max_bound_pass"] for r in rows] == ["1", "1", "1", "1"]
+
+
+def records_to_csv_text(records):
+    buf = io.StringIO()
+    records_to_csv(records, buf)
+    return buf.getvalue()

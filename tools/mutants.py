@@ -112,8 +112,15 @@ MUTANTS = (
             "::test_no_step_follows_the_first_state_past_the_threshold",
             "tests/test_blowup1d.py::TestTrajectories::test_blowup_detection_and_estimate")),
     Mutant("decay rate 2.2 nu / p", "src/dpmflow/diagnostics.py",
-           "rate = 2.0 * nu / p", "rate = 2.2 * nu / p",
+           "self.rate = 2.0 * self.nu / p", "self.rate = 2.2 * self.nu / p",
            ("tests/test_diagnostics.py::TestDecayCheck",)),
+    Mutant("decay check accepts p < 2", "src/dpmflow/diagnostics.py",
+           "if not p >= 2.0:", "if not p >= 1.0:",
+           ("tests/test_diagnostics.py::TestDecayCheck::test_refuses_p_below_2",
+            "tests/test_cli.py::test_bad_input_exits_4")),
+    Mutant("row writer skips its flush", "src/dpmflow/diagnostics.py",
+           "self.stream.flush()", "None",
+           ("tests/test_cli.py::TestRunCommand::test_killed_run_keeps_the_rows_it_judged",)),
     Mutant("sample clock without tolerance", "src/dpmflow/solver.py",
            "self.eps = 1e-12 * max(1.0, abs(t_end))", "self.eps = 0.0",
            ("tests/test_solver.py", "tests/test_blowup1d.py::TestTrajectories")),
@@ -133,7 +140,7 @@ MUTANTS = (
            'values["output.dir"] = subdir', 'values["output.dir"] = outdir',
            ("tests/test_cli.py::TestSweep::test_a_point_config_reruns_that_point_alone",)),
     Mutant("max_bound denominator 1 - 0.9 q0 (t - t0)", "src/dpmflow/blowup1d.py",
-           "q0 / (1.0 - q0 * (rec.t - first.t))", "q0 / (1.0 - 0.9 * q0 * (rec.t - first.t))",
+           "q0 / (1.0 - q0 * elapsed)", "q0 / (1.0 - 0.9 * q0 * elapsed)",
            ("tests/test_blowup1d.py::TestMaxBound"
             "::test_bound_is_the_closed_form_from_the_first_record",)),
     Mutant("initial-tail warning at 1e-6 of the peak", "src/dpmflow/solver.py",
