@@ -5,17 +5,19 @@ damped by a fractional Laplacian; the package integrates the system on the
 periodic torus in 1 to 3 dimensions, verifies the analytic decay and
 absorbing-ball estimates at runtime, and reproduces the closed-form
 infinite-energy blow-up solutions of the 1D stream-slope reduction.
+
+Importing the package gives BLAS one thread: it sets OPENBLAS_NUM_THREADS=1
+unless the user has set it, before numpy first loads, and the processes it
+starts inherit it.  Left to itself, the OpenBLAS that numpy bundles starts a
+worker thread at import that busy-waits on a second core, a measurable CPU
+cost in every process that does no work: every transform is pocketfft,
+every step operation a ufunc, and BLAS only ever sees small products.  A
+sweep then also forks its points from a process with one thread.
 """
 
 import os
 
-# One BLAS thread, unless the user has set another count; this must run
-# before numpy first loads.  numpy's bundled OpenBLAS otherwise starts a
-# worker thread at import that busy-waits on a second core: 0.13 s of CPU per
-# process for no work (2-core VM, numpy 2.4.6), since every transform is
-# pocketfft, every step operation a ufunc, and BLAS only sees small products.
-# A sweep then also forks its points from a process with one thread.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads; see above
 
 from .blowup1d import (OracleParams, Regularization, StreamRecord,
                        StreamSlopeState, antiderivative,

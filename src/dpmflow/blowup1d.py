@@ -43,17 +43,9 @@ from .spectral import (TWO_PI, Domain, PhysicalField, SpectralField, box_shape, 
 REG_MODES = ("none", "spectral", "quasilinear")
 SIGN_CONVENTIONS = ("oracle", "dissipative")
 
-# The adaptive 1D step (run_stream_slope) grows like (x/G)^(1/5) times dt/x
-# once |w|_inf has grown x > G = STEP_GROWTH_START fold.  In tangent blow-up
-# a relative error made at growth x reaches the threshold about 1/x as
-# amplified as one made at the start, and RK4's local error is fifth order
-# in h|w|, so past G the growth adds about 5/G to the final relative error
-# of g, while each late decade of |w| costs a bounded number of steps in
-# place of ln(10)/(dt (1 + |w0|_inf)).  At amplitude 1.005 and dt = 6e-4, G = 1
-# misses the oracle's 1e-5 (1.9e-5); G = 100 takes 10,139 steps for 4.2e-6,
-# the plain dt/x rule 17,190 for 3.6e-6.
+# G and 1/5 of the adaptive 1D step rule; run_stream_slope derives them
 STEP_GROWTH_START = 100.0
-STEP_GROWTH_EXPONENT = 0.2  # 1/5: the order of RK4's local error
+STEP_GROWTH_EXPONENT = 0.2
 
 
 @dataclass(frozen=True)
@@ -299,10 +291,16 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
     """Integrate the stream-slope system, watching for finite-time blow-up.
 
     With adaptive steps and x = (1 + |w|_inf)/(1 + |w0|_inf) at the state a
-    step starts from, the step is dt/x while x <= 100 and dt * 100^(-1/5) *
-    x^(-4/5) beyond, continuous at x = 100 (STEP_GROWTH_START).  An error made once |w| has grown x-fold reaches the
-    threshold about 1/x as amplified as one made at the start, so the late
-    growth of the step adds about 5/100 to the final relative error of g.
+    step starts from, the step is dt/x while x <= G and dt/x times
+    (x/G)^(1/5) beyond, continuous at x = G = STEP_GROWTH_START = 100.  In
+    tangent blow-up a relative error made at growth x reaches the threshold
+    about 1/x as amplified as one made at the start, and RK4's local error
+    is fifth order in h|w| (hence STEP_GROWTH_EXPONENT = 1/5), so past G the
+    growth adds about 5/G to the final relative error of g, while each late
+    decade of |w| costs a bounded number of steps in place of
+    ln(10)/(dt (1 + |w0|_inf)).  At amplitude 1.005 and dt = 6e-4, G = 1
+    misses the oracle's 1e-5 (1.9e-5); G = 100 takes 10,139 steps for
+    4.2e-6, the plain dt/x rule 17,190 for 3.6e-6.
     With adaptive=False every step is dt.
     In quasilinear mode each step first freezes the diffusion coefficient
     into the integrating factor (_StreamOps.freeze), so the diffusion sets

@@ -43,13 +43,13 @@ def _in_range(cfg, key, default, positive=False):
     return val
 
 
-def _check_stride(every_key, sample_every, dt_key, dt):
-    """Refuse a sample cadence of fixed steps that is not an integer multiple
-    of the step: a step shortened to land on a sample would be a step of
-    another size than dt_key asks for."""
-    stride = sample_every / dt
+def _check_stride(key, length, dt_key, dt):
+    """Refuse a sample cadence or a run length of fixed steps that is not an
+    integer multiple of the step: a step shortened to land on a sample or on
+    t_end would be a step of another size than dt_key asks for."""
+    stride = length / dt
     if round(stride) < 1 or abs(stride - round(stride)) > 1e-9 * stride:
-        raise ConfigError(f"{every_key} = {sample_every} is not an integer multiple "
+        raise ConfigError(f"{key} = {length} is not an integer multiple "
                           f"of {dt_key} = {dt}")
 
 
@@ -128,6 +128,8 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
     sample_every = _in_range(cfg, "diagnostics.sample_every", 0.1, positive=True)
     if not params.adaptive:
         _check_stride("diagnostics.sample_every", sample_every, "solver.dt", params.dt)
+        _check_stride("solver.t_end - start time", params.t_end - start_time, "solver.dt",
+                      params.dt)
     slack = _in_range(cfg, "diagnostics.slack", 1e-6)
     if cfg.get_str("diagnostics.linf_refine", default=None) is not None:
         warnings.warn("diagnostics.linf_refine is ignored: the linf column is the sup "
@@ -179,6 +181,7 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     adaptive = cfg.get_bool("blowup.adaptive", default=True)
     if not adaptive:
         _check_stride("blowup.sample_every", sample_every, "blowup.dt", dt)
+        _check_stride("blowup.t_end - start time", t_end - start_time, "blowup.dt", dt)
     oracle_mode = cfg.get_str("blowup.oracle", default="auto",
                               choices=("auto", "on", "off"))
     oracle_rtol = _in_range(cfg, "blowup.oracle_rtol", 1e-5)

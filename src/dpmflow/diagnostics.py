@@ -102,10 +102,12 @@ class DecayCheck:
     q < p the comparison needs the measure normalization relating L^q and
     L^p on the box the records carry: the bound is multiplied by
     volume^(1/q - 1/p), which makes q = p the binding case.  The bound does
-    not apply, and is refused, at p < 2 (the paper's proof needs p >= 2),
-    for forced runs (a forcing spectrum that is not zero) and for data whose
-    mean is not zero.  The rate is 2 nu lambda1^alpha / p, and lambda1 = 1
-    on the 2 pi box, so no bound here depends on alpha.
+    not apply, and is refused, at p < 2 (the paper's proof needs p >= 2,
+    and no rate above nu can hold there: a single mode decays at the rate
+    nu in every L^p norm, slower than 2 nu / p when p < 2), for forced runs
+    (a forcing spectrum that is not zero) and for data whose mean is not
+    zero.  The rate is 2 nu lambda1^alpha / p, and lambda1 = 1 on the 2 pi
+    box, so no bound here depends on alpha.
     """
 
     name = "decay"

@@ -9,9 +9,7 @@ every decay rate used by the diagnostics concrete.
 
 All operators here are diagonal in Fourier space.  The mean mode is
 annihilated by the half-Laplacian powers, the Riesz transforms and the Riesz
-potentials, which are defined on mean-zero fields.  Odd (imaginary)
-multipliers also annihilate the unpaired Nyquist mode so that real fields
-stay real.
+potentials, which are defined on mean-zero fields.
 
 Every field here is real, so its coefficients are Hermitian,
 coeff(-k) = conj(coeff(k)), and only the rfftn half spectrum is stored: the
@@ -19,7 +17,38 @@ last axis keeps k_last = 0, ..., n/2 (n//2 + 1 entries), which halves the
 transforms and the memory (Frigo & Johnson, "The Design and Implementation
 of FFTW3", Proc. IEEE 93, 2005).  Every Domain array is built on that
 layout, and a sum over all modes of a quantity even in k is the sum over
-the half weighted by Domain.parseval_weights.
+the half weighted by Domain.parseval_weights.  The closed forms of |k|^s,
+the Darcy multipliers and the Parseval weights are each written once, in
+builders that take open wavenumber meshes: Domain calls them on the half
+spectrum and the solver on its 2/3 box (_box_runs), which leaves out every
+Nyquist mode, so both layouts hold the same bits.
+
+On an unpaired Nyquist slab (some k_j = -n_j/2), +n_j/2 and -n_j/2 are one
+wavenumber, so the mirror -k of a mode keeps that coordinate while the
+others change sign.  An odd multiplier applied there as it stands would
+make a field that is not real.  So the odd multipliers (derivatives, Riesz
+transforms, the pressure, VelocityField.spectral_divergence) take
+Domain.deriv_wavenumbers, in which an unpaired Nyquist wavenumber reads 0,
+and the Darcy cross multiplier is its even part, 0, where exactly one of
+k_j and k_N lies on such a slab (darcy_multipliers): the velocity of a real
+field is real, and it is not divergence-free on those modes.  None of this
+reaches a run, which 2/3-truncates its data, its forcing and every product,
+so its state never has energy on the slabs and its transport term stays
+skew-symmetric.
+
+Transforms use numpy's pocketfft only.  The steps of both runners call its
+planned kernels, the gufuncs that np.fft wraps (imported once below as
+pocketfft), as kernel(data, factor, out=...): at n = 256 np.fft's argument
+handling costs as much as a transform.  Each call passes the factor np.fft
+passes for norm="forward" (1/n forward, 1 inverse), so the results are
+np.fft's bits.  The module is private, so tests/test_spectral.py
+(TestPocketfftKernels) checks each call against its np.fft twin, and a
+numpy that changes it fails there by name.  One-off transforms (the start
+of a run, records, refine, inverse_transform) stay on np.fft.  scipy.fft is
+not used: importing it adds a resident size and a start-up time to every
+process that are most of the footprint of a 1D blow-up run and of a sweep
+point's process, which its multithreaded transforms would have to win back
+first.
 """
 
 from __future__ import annotations
@@ -31,22 +60,13 @@ from functools import cached_property
 
 import numpy as np
 
-# numpy's planned pocketfft kernels, the gufuncs np.fft wraps, called as
-# kernel(data, factor, out=...).  The steps of both runners call them
-# directly: at n = 256 np.fft's argument handling costs as much as a
-# transform (3-6 us a call).  Each call passes the factor np.fft passes for
-# norm="forward" (1/n forward, 1 inverse), so the results are np.fft's bits.
-# The module is private, so tests/test_spectral.py checks each call against
-# np.fft, and a numpy that changes it fails there by name.  One-off
-# transforms (start, records, refine) stay on np.fft.
+# numpy's planned pocketfft kernels; the module docstring says why
 from numpy.fft import _pocketfft_umath as pocketfft
 
 TWO_PI = 2.0 * math.pi
 
 
-# The closed forms of the multipliers, each written once.  They take open
-# wavenumber meshes, of the half spectrum (Domain) or of the solver's 2/3
-# box, which leaves out every Nyquist mode.
+# The closed forms of the multipliers, each written once (module docstring).
 
 def k_power(k_squared, s):
     """|k|^s, |k| floored at 1, and 0 on the mean mode: Lambda^s on mean-zero fields."""
@@ -239,7 +259,12 @@ def _box_runs(domain: Domain) -> list:
     The one statement of the 2/3 rule (Orszag, J. Atmos. Sci. 28, 1971):
     the modes with |k| <= n/3 are k = 0..m, m = n//3, and along a leading
     axis also k = -m..-1, at indices n-m..n-1 of the half spectrum; the box
-    packs them in that (fftfreq) order.
+    packs them in that (fftfreq) order.  Every other reader goes through
+    box_shape, gather and scatter: dealias and random_field truncate by
+    scatter(gather(c)), the solver steps on the box and its pruned passes
+    skip the gap between a leading axis' two runs (solver._Integrator), and
+    the 1D stream-slope step cuts its spectrum at the box's last-axis
+    length.  So no product is truncated after the fact.
     """
     cuts = [m // 3 for m in domain.n]
     runs = [[(slice(0, cut + 1),) * 2, (slice(m - cut, m), slice(cut + 1, None))]

@@ -10,7 +10,7 @@ form is exact and O(n log n); the singular-kernel representation of the same
 operator is exercised only through the curl-curl identity in the tests.
 Every multiplier has magnitude at most one, so each velocity component is
 bounded by the temperature in L^2.  Like every spectrum in the package the
-velocity is a half spectrum (see Domain.velocity_multipliers for the
+velocity is a half spectrum (the spectral module docstring covers the
 unpaired Nyquist modes, where a real velocity is not solenoidal).
 """
 

@@ -732,6 +732,11 @@ output.dir = {outdir}
     # the decay is proved for p >= 2 only; 1.5 is not even sampled
     ("run", {"diagnostics.decay_p": "1"}, "decay_p = 1): decay is proved for p >= 2 only"),
     ("run", {"diagnostics.decay_p": "1.5"}, "decay is proved for p >= 2 only"),
+    # fixed steps of 0.01 (1e-3) cannot end at t_end = 0.105 (0.0105) but by
+    # a shortened last step
+    ("run", {"solver.dt": "0.01", "solver.t_end": "0.105"}, "solver.t_end - start time"),
+    ("blowup1d", {"blowup.adaptive": "false", "blowup.t_end": "0.0105"},
+     "blowup.t_end - start time"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else

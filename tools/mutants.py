@@ -127,6 +127,15 @@ MUTANTS = (
     Mutant("stride rule tolerance 0.5", "src/dpmflow/cli.py",
            "> 1e-9 * stride", "> 0.5 * stride",
            ("tests/test_cli.py::test_bad_input_exits_4", "tests/test_cli.py::TestRunCommand")),
+    Mutant("fixed-step run length unchecked", "src/dpmflow/cli.py",
+           '_check_stride("solver.t_end - start time", params.t_end - start_time, "solver.dt",\n'
+           '                      params.dt)',
+           "None",
+           ("tests/test_cli.py::test_bad_input_exits_4",)),
+    Mutant("fixed-step 1D run length unchecked", "src/dpmflow/cli.py",
+           '_check_stride("blowup.t_end - start time", t_end - start_time, "blowup.dt", dt)',
+           "None",
+           ("tests/test_cli.py::test_bad_input_exits_4",)),
     Mutant("sweep runs one point more than sweep.workers at once", "src/dpmflow/cli.py",
            "len(running) < workers", "len(running) <= workers",
            ("tests/test_cli.py::TestSweep::test_each_point_runs_in_a_process_of_its_own",)),
