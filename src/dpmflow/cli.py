@@ -21,7 +21,7 @@ from .config import (ConfigError, RunConfig, _checked, build_domain, build_forci
                      build_initial, build_regularization, build_solver_params,
                      build_stream_initial)
 from .diagnostics import (AbsorbingBallCheck, DecayCheck, DissipationBudgetCheck, RowWriter,
-                          record_columns, write_csv)
+                          record_columns)
 from .snapshots import atomic_open, write_snapshot
 from .solver import run as run_dpm
 from .spectral import inverse_transform
@@ -240,10 +240,10 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
 
         with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8",
                          newline="") as fh:
-            write_csv(fh, ["blew_up", "t_final", "t_star_est", "t_star_analytic",
-                           "t_star_rel_err", "g_oracle_max_rel_err", "checks_passed"],
-                      [([result.blew_up, result.final_state.t, result.t_star_estimate,
-                         t_star_analytic, tstar_err, g_err, ok], [])])
+            RowWriter(fh, ["blew_up", "t_final", "t_star_est", "t_star_analytic",
+                           "t_star_rel_err", "g_oracle_max_rel_err", "checks_passed"]).row(
+                [result.blew_up, result.final_state.t, result.t_star_estimate,
+                 t_star_analytic, tstar_err, g_err, ok], [])
         return ok, {"t_star_est": result.t_star_estimate}
 
     return _execute(
@@ -307,15 +307,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # blocked save in wait(): an interrupt finds every point known, none takes it
     context = multiprocessing.get_context("fork")
     header = ["point"] + [t for t, _ in axes] + ["exit_code", "metrics"]
-    done = {}     # point index -> (exit code, summary row, warning lines)
+    done = {}     # point index -> (exit code, summary cells, warning lines)
     running = {}  # receiving end of a point's pipe -> (point index, process)
 
     def finish(idx, code, metrics, caught):
         metric_text = ";".join(f"{k}={v}" for k, v in sorted(metrics.items()))
-        done[idx] = code, ([f"pt{idx:04d}", *combos[idx], code, metric_text], []), caught
+        done[idx] = code, [f"pt{idx:04d}", *combos[idx], code, metric_text], caught
         with atomic_open(os.path.join(outdir, "summary.csv"), encoding="utf-8",
                          newline="") as fh:
-            write_csv(fh, header, [done[i][1] for i in sorted(done)])
+            out = RowWriter(fh, header)
+            for i in sorted(done):
+                out.row(done[i][1], [])
 
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:

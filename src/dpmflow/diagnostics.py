@@ -217,15 +217,12 @@ def check_dissipation_budget(records, slack=1e-6):
     return fold(DissipationBudgetCheck(slack), records)
 
 
-def norm_column(p):
-    return "linf" if p == math.inf else f"l{p:g}"
-
-
 def record_columns(rec):
     """(column names, cells) of a DiagnosticsRecord's CSV row, before any check's."""
     p_cols = sorted(rec.lp)
     s_cols = sorted(rec.hs)
-    names = ["t"] + [norm_column(p) for p in p_cols] + [f"hs_{s:g}" for s in s_cols]
+    names = ["t"] + ["linf" if p == math.inf else f"l{p:g}" for p in p_cols]
+    names += [f"hs_{s:g}" for s in s_cols]
     names += ["dissipation", "mean", "vmax", "diss_integral", "inj_integral"]
     return names, [rec.t, *(rec.lp[p] for p in p_cols), *(rec.hs[s] for s in s_cols),
                    rec.dissipation, rec.mean, rec.vmax, rec.diss_integral, rec.inj_integral]
@@ -238,15 +235,9 @@ def records_to_csv(records, stream):
         stream.write("t\n")
         return
     check_names = list(dict.fromkeys(c.name for rec in records for c in rec.checks))
-    write_csv(stream, record_columns(records[0])[0],
-              ((record_columns(rec)[1], rec.checks) for rec in records), check_names)
-
-
-def write_csv(stream, header, rows, check_names=()):
-    """Write the header, then one line per (cells, checks) row (see RowWriter)."""
-    out = RowWriter(stream, header, check_names)
-    for cells, checks in rows:
-        out.row(cells, checks)
+    out = RowWriter(stream, record_columns(records[0])[0], check_names)
+    for rec in records:
+        out.row(record_columns(rec)[1], rec.checks)
 
 
 class RowWriter:

@@ -18,8 +18,9 @@ transforms and the memory (Frigo & Johnson, "The Design and Implementation
 of FFTW3", Proc. IEEE 93, 2005).  Every Domain array is built on that
 layout, and a sum over all modes of a quantity even in k is the sum over
 the half weighted by Domain.parseval_weights.  The closed forms of |k|^s,
-the Darcy multipliers and the Parseval weights are each written once, in
-builders that take open wavenumber meshes: Domain calls them on the half
+the Parseval weights (both here) and the Darcy multipliers
+(velocity.darcy_multipliers) are each written once, in builders that take
+open wavenumber meshes: Domain and the operators call them on the half
 spectrum and the solver on its 2/3 box (_box_runs), which leaves out every
 Nyquist mode, so both layouts hold the same bits.
 
@@ -30,11 +31,11 @@ make a field that is not real.  So the odd multipliers (derivatives, Riesz
 transforms, the pressure, VelocityField.spectral_divergence) take
 Domain.deriv_wavenumbers, in which an unpaired Nyquist wavenumber reads 0,
 and the Darcy cross multiplier is its even part, 0, where exactly one of
-k_j and k_N lies on such a slab (darcy_multipliers): the velocity of a real
-field is real, and it is not divergence-free on those modes.  None of this
-reaches a run, which 2/3-truncates its data, its forcing and every product,
-so its state never has energy on the slabs and its transport term stays
-skew-symmetric.
+k_j and k_N lies on such a slab (velocity.darcy_multipliers): the velocity
+of a real field is real, and it is not divergence-free on those modes.
+None of this reaches a run, which 2/3-truncates its data, its forcing and
+every product, so its state never has energy on the slabs and its transport
+term stays skew-symmetric.
 
 Transforms use numpy's pocketfft only.  The steps of both runners call its
 planned kernels, the gufuncs that np.fft wraps (imported once below as
@@ -71,32 +72,6 @@ TWO_PI = 2.0 * math.pi
 def k_power(k_squared, s):
     """|k|^s, |k| floored at 1, and 0 on the mean mode: Lambda^s on mean-zero fields."""
     return np.where(k_squared > 0, np.maximum(np.sqrt(k_squared), 1.0) ** s, 0.0)
-
-
-def darcy_multipliers(k, buoyancy_axis, n):
-    """Darcy multipliers m_j(k) = k_j k_N / |k|^2 - delta_{jN}, m_j(0) = -delta_{jN}.
-
-    k are open wavenumber meshes, n the grid sizes and N the buoyancy axis.
-    Obtained by eliminating the pressure from Darcy's law with div v = 0;
-    the zero mode encodes the uniform drift -gamma * mean(T) induced by a
-    constant temperature with periodic pressure.  Where exactly one of
-    k_j and k_N (j != N) is an unpaired Nyquist wavenumber -n_j/2, which
-    the mirror -k keeps, k_j k_N changes sign between k and -k: m_j is its
-    even part there, 0, which the real part of the velocity carries.
-    """
-    kN = k[buoyancy_axis]
-    k_squared = sum(kj ** 2 for kj in k)
-    safe = np.where(k_squared > 0, k_squared, 1.0)
-    nyquist = [kj == -m // 2 for kj, m in zip(k, n)]
-    mults = []
-    for j, kj in enumerate(k):
-        if j == buoyancy_axis:
-            m = kj * kN / safe - 1.0
-        else:
-            m = np.where(nyquist[j] != nyquist[buoyancy_axis], 0.0, kj * kN / safe)
-        m[(0,) * len(k)] = -1.0 if j == buoyancy_axis else 0.0
-        mults.append(m)
-    return tuple(mults)
 
 
 def parseval_weights(k_last, n_last):
@@ -193,24 +168,6 @@ class Domain:
     def deriv_wavenumbers(self):
         """Wavenumbers for odd multipliers: unpaired Nyquist modes zeroed."""
         return tuple(np.where(k == -m // 2, 0.0, k) for k, m in zip(self.wavenumbers, self.n))
-
-    @cached_property
-    def velocity_multipliers(self):
-        """The Darcy multipliers (darcy_multipliers) of the half spectrum."""
-        return darcy_multipliers(self.wavenumbers, self.buoyancy_axis, self.n)
-
-    @cached_property
-    def pressure_multiplier(self):
-        """p_hat(k) = i k_N T_hat(k) / |k|^2, zero at k = 0.
-
-        Odd in k, so, like every odd multiplier, zero on the unpaired Nyquist plane
-        of the buoyancy axis (deriv_wavenumbers).  Kept for pressure_from_temperature.
-        """
-        kN = self.deriv_wavenumbers[self.buoyancy_axis]
-        safe = np.where(self.k_squared > 0, self.k_squared, 1.0)
-        m = 1j * kN / safe
-        m[(0,) * self.dim] = 0.0
-        return m
 
 
 @dataclass(frozen=True)

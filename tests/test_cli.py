@@ -345,6 +345,39 @@ output.dir = {tmp_path / 'o'}
         rows = csv_rows(tmp_path / "o" / "diagnostics.csv")
         assert rows and all(r["decay_pass"] == "1" for r in rows)
 
+    @staticmethod
+    def forced_run(tmp_path, name, forcing):
+        """A forced decay-free run of DECAY_RUN's data, its forcing keys given."""
+        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / name).replace(
+            "decay, dissipation_budget", "absorbing_ball, dissipation_budget")
+        return write_config(tmp_path / f"{name}.cfg", text + forcing)
+
+    def test_forcing_from_a_file_is_the_forcing_it_holds(self, tmp_path):
+        # the single-mode forcing's grid, as the config builds it, in a snapshot
+        d = Domain((32, 32))
+        phase = sum(k * x for k, x in zip([0, 1], d.grid))
+        write_snapshot(tmp_path / "f.dpmf", 0.0,
+                       PhysicalField(d, np.ascontiguousarray(np.broadcast_to(
+                           0.5 * np.sin(phase), d.n))))
+        mode = self.forced_run(tmp_path, "mode", "forcing.kind = single_mode\n"
+                               "forcing.axis = 1\nforcing.amplitude = 0.5\n")
+        from_file = self.forced_run(tmp_path, "file", "forcing.kind = file\n"
+                                    f"forcing.path = {tmp_path / 'f.dpmf'}\n")
+        assert main(["run", mode]) == 0
+        assert main(["run", from_file]) == 0
+        csv_mode = (tmp_path / "mode" / "diagnostics.csv").read_bytes()
+        assert csv_mode == (tmp_path / "file" / "diagnostics.csv").read_bytes()
+        assert b"absorbing_ball_pass" in csv_mode
+
+    def test_forcing_file_on_another_grid_exits_4(self, tmp_path, capsys, no_step):
+        d = Domain((16, 16))
+        write_snapshot(tmp_path / "f.dpmf", 0.0, PhysicalField(d, np.sin(d.grid[0] + d.grid[1])))
+        cfg = self.forced_run(tmp_path, "o", "forcing.kind = file\n"
+                              f"forcing.path = {tmp_path / 'f.dpmf'}\n")
+        assert main(["run", cfg]) == 4
+        assert "forcing.path: snapshot grid (16, 16)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_linf_refine_is_ignored_with_a_warning(self, tmp_path):
         text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "plain")
         assert main(["run", write_config(tmp_path / "plain.cfg", text)]) == 0
@@ -667,6 +700,32 @@ output.dir = {outdir}
         summary = csv_rows(tmp_path / "o" / "summary.csv")[0]
         assert summary["t_star_analytic"] == summary["g_oracle_max_rel_err"] == "nan"
 
+    def test_dissipative_sign_runs_without_the_oracle(self, tmp_path):
+        # the closed form holds under the oracle sign only: under auto the
+        # oracle columns are nan and no oracle check fails (oracle = on is
+        # refused: test_bad_input_exits_4)
+        text = BLOWUP_CFG.format(t_end=0.2, outdir=tmp_path / "o")
+        cfg = write_config(tmp_path / "b.cfg", text.replace("blowup.n = 128", "blowup.n = 64")
+                           + "blowup.mode = spectral\nblowup.nu = 0.1\n"
+                           "blowup.sign = dissipative\n")
+        assert main(["blowup1d", cfg]) == 0
+        rows = csv_rows(tmp_path / "o" / "trajectory.csv")
+        assert len(rows) == 5 and all(r["oracle_beta"] == r["oracle_r"] == "nan" for r in rows)
+        summary = csv_rows(tmp_path / "o" / "summary.csv")[0]
+        assert (summary["blew_up"], summary["checks_passed"]) == ("0", "1")
+        assert summary["t_star_analytic"] == summary["g_oracle_max_rel_err"] == "nan"
+
+    def test_zero_t_star_tolerance_fails_a_blowup(self, tmp_path):
+        # the t* estimate is within 1% of pi/2
+        # (test_blowup_detected_with_accurate_t_star), not equal to it
+        text = BLOWUP_CFG.format(t_end=3.0, outdir=tmp_path / "o")
+        cfg = write_config(tmp_path / "b.cfg", text.replace("blowup.n = 128", "blowup.n = 64")
+                           + "blowup.tstar_rtol = 0\n")
+        assert main(["blowup1d", cfg]) == 2
+        row = csv_rows(tmp_path / "o" / "summary.csv")[0]
+        assert (row["blew_up"], row["checks_passed"]) == ("1", "0")
+        assert 0 < float(row["t_star_rel_err"]) < 0.01
+
     def test_oracle_on_with_incompatible_mode_exits_4(self, tmp_path, no_step):
         text = BLOWUP_CFG.format(t_end=0.4, outdir=tmp_path / "o")
         cfg = write_config(tmp_path / "b.cfg",
@@ -737,6 +796,10 @@ output.dir = {outdir}
     ("run", {"solver.dt": "0.01", "solver.t_end": "0.105"}, "solver.t_end - start time"),
     ("blowup1d", {"blowup.adaptive": "false", "blowup.t_end": "0.0105"},
      "blowup.t_end - start time"),
+    # the closed form holds under the oracle sign only
+    ("blowup1d", {"blowup.mode": "spectral", "blowup.nu": "0.1", "blowup.sign": "dissipative",
+                  "blowup.oracle": "on"}, "blowup.oracle"),
+    ("blowup1d", {"blowup.slack": "nan"}, "blowup.slack"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else

@@ -16,7 +16,7 @@ from dpmflow import (DiagnosticsRecord, Domain, PhysicalField, RunConfig, RunRes
                      forward_transform, lp_norm, random_field, records_to_csv, run)
 from dpmflow.blowup1d import MaxBoundCheck
 from dpmflow.diagnostics import (AbsorbingBallCheck, CheckResult, DecayCheck,
-                                 DissipationBudgetCheck, record_columns, write_csv)
+                                 DissipationBudgetCheck, RowWriter, record_columns)
 
 
 def phys(domain, values):
@@ -199,9 +199,9 @@ class TestCsv:
         # as written; numbers stay unquoted, and a row with no result of a
         # named check gets nan,nan,1 in its columns
         buf = io.StringIO()
-        write_csv(buf, ["point", "code", "metrics"],
-                  [(["pt0000", 2, 'error=a, "b"'], [CheckResult("decay", 1.0, 0.5, True)]),
-                   (["pt0001", 0.5, "x=1"], [])], ["decay"])
+        out = RowWriter(buf, ["point", "code", "metrics"], ["decay"])
+        out.row(["pt0000", 2, 'error=a, "b"'], [CheckResult("decay", 1.0, 0.5, True)])
+        out.row(["pt0001", 0.5, "x=1"], [])
         text = buf.getvalue()
         assert text.splitlines()[1:] == ['pt0000,2,"error=a, ""b""",1,0.5,1',
                                          "pt0001,0.5,x=1,nan,nan,1"]
@@ -244,8 +244,9 @@ def folded(records, folds, names, columns):
     """The CSV of records after each public check_* fold, and its verdict."""
     results = [res for fold in folds for res in fold(records)]
     buf = io.StringIO()
-    write_csv(buf, columns(records[0])[0], ((columns(rec)[1], rec.checks) for rec in records),
-              names)
+    out = RowWriter(buf, columns(records[0])[0], names)
+    for rec in records:
+        out.row(columns(rec)[1], rec.checks)
     return buf.getvalue(), all(res.passed for res in results)
 
 

@@ -29,6 +29,7 @@ from dpmflow import (Domain, PhysicalField, SolverParams, SpectralField,
 from dpmflow.blowup1d import Regularization, _StreamOps
 from dpmflow.solver import _Integrator
 from dpmflow.spectral import _reflect, gather, k_power, scatter
+from dpmflow.velocity import darcy_multipliers
 from fft_reference import FullLayout, half, hermitian
 
 RTOL = 1e-12
@@ -170,7 +171,8 @@ def test_velocity_identities(d, seed):
 def test_velocity_multipliers_are_the_even_part_of_the_full_set(d):
     # reference: the full-layout set, symmetrized to be even in k (the part
     # a real inverse transform applies), cut to the half
-    for m, full in zip(d.velocity_multipliers, FullLayout(d).velocity_multipliers):
+    for m, full in zip(darcy_multipliers(d.wavenumbers, d.buoyancy_axis, d.n),
+                       FullLayout(d).velocity_multipliers):
         assert np.array_equal(m, half(0.5 * (full + _reflect(full, range(d.dim)))))
 
 
@@ -241,12 +243,13 @@ def test_integrator_refuses_arrays_off_the_box(d):
 
 @given(d=buoyant_grids(), alpha=alphas)
 def test_box_multipliers_are_the_half_spectrum_ones(d, alpha):
-    # the builders of spectral serve both layouts, so the box holds the
-    # very bits of the half spectrum: its Nyquist branch is all false there
+    # the builders of spectral and velocity serve both layouts, so the box
+    # holds the very bits of the half spectrum: its Nyquist branch is all
+    # false there
     integ = integrator(d, hermitian(d, 1), 0.1, alpha)
     assert np.array_equal(integ.k_alpha, gather(k_power(d.k_squared, alpha), d))
     for inner, vel, _ in integ.blocks:
-        for m, full in zip(vel, d.velocity_multipliers):
+        for m, full in zip(vel, darcy_multipliers(d.wavenumbers, d.buoyancy_axis, d.n)):
             assert np.array_equal(m, gather(full, d)[inner])
     assert np.array_equal(integ.weights, d.parseval_weights[:integ.box_shape[-1]])
 

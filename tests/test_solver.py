@@ -209,6 +209,54 @@ class TestCfl:
         assert self.cfl_dt(phys(d2, np.zeros(d2.n)), 1.0) == pytest.approx(
             (2 * math.pi / 32) / 1e-8)
 
+    @pytest.mark.parametrize("n, product", [((64, 64), 2.62), ((32, 32, 32), 3.06)])
+    def test_frozen_coefficient_product_on_the_box(self, n, product):
+        # dt max|k.v| at the default safety: the step at uniform |v| = 1
+        # (constant T = 1) times the largest |k| of the 2/3 box, against
+        # RK4's imaginary-axis limit 2 sqrt(2) = 2.83 (_Integrator.cfl_dt)
+        d = Domain(n)
+        k_max = gather(np.sqrt(d.k_squared), d).max()
+        assert k_max == pytest.approx((n[0] // 3) * math.sqrt(len(n)), rel=1e-15)
+        assert round(self.cfl_dt(phys(d, np.ones(n)), 0.9) * k_max, 2) == product
+
+
+class TestMaxPrinciple:
+    """||T(t)||_inf <= ||T(t0)||_inf + (t - t0) ||f||_inf, judged as each record arrives."""
+
+    def test_under_resolved_run_warns_at_its_first_breach(self):
+        # at alpha = 0.3 and nu = 1e-3 the 32^2 box under-resolves this data:
+        # linf climbs past its t = 0 value at t = 1.0 and goes on climbing
+        t0 = random_field(Domain((32, 32)), seed=1, cutoff=6, l2_norm=10)
+        params = SolverParams(nu=1e-3, alpha=0.3, dt=0.05, t_end=2.0, adaptive=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = run(t0, params, sample_every=0.5, p_list=(2.0, math.inf))
+        breaches = [w for w in caught if "maximum principle" in str(w.message)]
+        assert len(breaches) == 1
+        assert str(breaches[0].message).startswith(
+            "maximum principle broken at t = 1: linf 4.129222 exceeds the bound "
+            "||T(t0)||_inf + (t - t0) ||f||_inf = 4.128005;")
+        assert breaches[0].filename == __file__  # reported at run's caller
+        assert [round(rec.lp[math.inf], 6) for rec in res.records[:3]] == [
+            4.128005, 4.125696, 4.129222]
+        assert res.records[-1].lp[math.inf] > 4.6 and not res.blew_up
+        # records without linf are not judged
+        with pytest.warns(UserWarning, match="supercritical") as caught:
+            run(t0, params, sample_every=0.5, p_list=(2.0,))
+        assert not any("maximum principle" in str(w.message) for w in caught)
+
+    def test_forced_growth_inside_the_bound(self, d2):
+        # f = sin(x1) lifts linf fivefold, below ||T(0)||_inf + t ||f||_inf
+        forcing = forward_transform(phys(d2, np.sin(d2.grid[0])))
+        params = SolverParams(nu=0.1, alpha=1.5, dt=0.01, t_end=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(random_field(d2, seed=3, l2_norm=0.5), params, forcing,
+                      sample_every=0.25, p_list=(2.0, math.inf))
+        linf = [rec.lp[math.inf] for rec in res.records]
+        assert linf[-1] > 4.9 * linf[0]
+        assert all(b > a for a, b in zip(linf, linf[1:]))
+
 
 class TestRun:
     def test_mean_evolves_linearly(self, d2):

@@ -82,7 +82,7 @@ MUTANTS = (
     Mutant("CSV check cells of a row without the check", "src/dpmflow/diagnostics.py",
            '["nan", "nan", "1"]', '["nan", "nan", "0"]',
            ("tests/test_diagnostics.py::TestCsv",)),
-    Mutant("Darcy multiplier sign on the buoyancy axis", "src/dpmflow/spectral.py",
+    Mutant("Darcy multiplier sign on the buoyancy axis", "src/dpmflow/velocity.py",
            "m = kj * kN / safe - 1.0", "m = 1.0 - kj * kN / safe",
            ("tests/test_velocity.py",)),
     Mutant("Parseval weight 2 on the last axis' Nyquist mode", "src/dpmflow/spectral.py",
@@ -152,6 +152,13 @@ MUTANTS = (
            "q0 / (1.0 - q0 * elapsed)", "q0 / (1.0 - 0.9 * q0 * elapsed)",
            ("tests/test_blowup1d.py::TestMaxBound"
             "::test_bound_is_the_closed_form_from_the_first_record",)),
+    Mutant("maximum-principle bound without its forcing term", "src/dpmflow/solver.py",
+           "bound = n0 + (record.t - t0) * f_sup", "bound = n0",
+           ("tests/test_solver.py::TestMaxPrinciple::test_forced_growth_inside_the_bound",)),
+    Mutant("maximum-principle bound from the latest record's linf", "src/dpmflow/solver.py",
+           "bound = n0 + (record.t - t0) * f_sup", "bound = value + (record.t - t0) * f_sup",
+           ("tests/test_solver.py::TestMaxPrinciple"
+            "::test_under_resolved_run_warns_at_its_first_breach",)),
     Mutant("initial-tail warning at 1e-6 of the peak", "src/dpmflow/solver.py",
            "if tail > 1e-10:", "if tail > 1e-6:",
            ("tests/test_solver.py::TestRun::test_marginally_resolved_from_a_tail_of_1e_10",)),
