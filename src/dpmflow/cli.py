@@ -189,24 +189,18 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     bound_check = cfg.get_bool("blowup.max_bound_check", default=False)
     slack = _in_range(cfg, "blowup.slack", 1e-6)
 
-    # the closed-form oracle applies to pure-cosine data (those with an
-    # amplitude) evolved without regularization, or with the half-Laplacian
-    # term under the oracle sign
-    applicable = amplitude is not None and (
-        reg.mode == "none" or (reg.mode == "spectral" and reg.sign == "oracle"))
-    if oracle_mode == "on" and not applicable:
-        raise ConfigError("blowup.oracle = on requires cosine initial data and "
-                          "mode none or spectral with the oracle sign")
+    # the closed form solves cosine data (those with an amplitude) evolved
+    # without regularization, or with the half-Laplacian term under the
+    # oracle sign, where r0^2 > nu^2; auto runs without it elsewhere
     params = None
-    t_star_analytic = math.nan
-    if applicable and oracle_mode != "off":
-        nu_eff = reg.nu if reg.mode == "spectral" else 0.0
-        try:
-            params = _checked("blowup.oracle", blowup1d.OracleParams, r0=amplitude, nu=nu_eff)
-            t_star_analytic = blowup1d.blowup_time(params)
-        except ConfigError:
-            if oracle_mode == "on":  # auto goes without an oracle that has no closed form
-                raise
+    if amplitude is not None and oracle_mode != "off" and (
+            reg.mode == "none" or (reg.mode == "spectral" and reg.sign == "oracle")):
+        with contextlib.suppress(ValueError):
+            params = blowup1d.OracleParams(r0=amplitude, nu=reg.nu)
+    if oracle_mode == "on" and params is None:
+        raise ConfigError("blowup.oracle = on requires cosine initial data, mode none or "
+                          "spectral with the oracle sign, and r0^2 > nu^2")
+    t_star_analytic = math.nan if params is None else blowup1d.blowup_time(params)
     # Q(t0) of the max bound is that of the run's first record: a bad one
     # (a restart whose g outweighs max w) is refused before the first step
     checks = ([("blowup.max_bound_check", blowup1d.MaxBoundCheck(slack))]

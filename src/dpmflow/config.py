@@ -226,12 +226,15 @@ def build_forcing(cfg: RunConfig, domain: Domain) -> SpectralField | None:
 
 
 def build_regularization(cfg: RunConfig) -> Regularization:
-    return _checked(
-        "blowup", Regularization,
-        mode=cfg.get_str("blowup.mode", default="none", choices=REG_MODES),
-        nu=cfg.get_float("blowup.nu", default=0.0),
-        alpha=cfg.get_float("blowup.alpha", default=2.0),
-        sign=cfg.get_str("blowup.sign", default="oracle", choices=SIGN_CONVENTIONS))
+    """The 1D regularization; each key is read only in the modes where it acts."""
+    mode = cfg.get_str("blowup.mode", default="none", choices=REG_MODES)
+    keys = {}
+    if mode != "none":
+        keys["nu"] = cfg.get_float("blowup.nu", default=0.0)
+    if mode == "spectral":
+        keys["alpha"] = cfg.get_float("blowup.alpha", default=2.0)
+        keys["sign"] = cfg.get_str("blowup.sign", default="oracle", choices=SIGN_CONVENTIONS)
+    return _checked("blowup", Regularization, mode=mode, **keys)
 
 
 def build_stream_initial(cfg: RunConfig):

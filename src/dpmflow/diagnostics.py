@@ -2,10 +2,11 @@
 
 Each trajectory sample is reduced to a DiagnosticsRecord (norms, dissipation,
 mean, velocity maximum, cumulative budget integrals).  Each check of the
-decay, absorbing-ball and energy-budget estimates is an object that judges
-a run's first record and then each record against the one before, so a run
-judges its records as they arrive; the check functions fold a check over a
-stored record list and attach its results, deterministically.
+decay, absorbing-ball and energy-budget estimates and of the maximum
+principle is an object that judges a run's first record and then each
+record against the one before, so a run judges its records as they
+arrive; the check functions fold a check over a stored record list and
+attach its results, deterministically.
 
 Every inequality carries a single relative slack (default 1e-6) that covers
 resolution and quadrature error.  The sup norm is that of the trigonometric
@@ -200,6 +201,35 @@ class DissipationBudgetCheck:
         diss = 2.0 * (record.diss_integral - previous.diss_integral)
         inj = 2.0 * (record.inj_integral - previous.inj_integral)
         return judged(self.name, self.slack, (e1 - e0 + diss - inj) / max(1.0, e0), 0.0, 0.0)
+
+
+class MaxPrincipleCheck:
+    """The maximum principle ||T(t)||_inf <= ||T(t0)||_inf + (t - t0) ||f||_inf.
+
+    At a maximum of T the advection term vanishes and Lambda^alpha T >= 0
+    (Cordoba & Cordoba, Comm. Math. Phys. 249, 2004), so max T grows no
+    faster than ||f||_inf, for every alpha in [0, 2]; likewise min T.  t0
+    and ||T(t0)||_inf come from the first record, and ||f||_inf is the sup
+    of the forcing spectrum (None for no forcing).  A solution of the PDE
+    cannot break it, so a record beyond the relative slack 1e-6 is a
+    numerical failure, most likely under-resolution: solver.run judges its
+    records against it and warns at the first that fails.
+    """
+
+    name = "max_principle"
+
+    def __init__(self, forcing):
+        self.forcing = forcing
+
+    def first(self, record):
+        f = self.forcing
+        self.t0, self.n0 = record.t, _norm_from_record(record, math.inf)
+        self.f_sup = 0.0 if f is None else sup_norm(f.coeffs, f.domain)
+        return self.judge(record, record)
+
+    def judge(self, previous, record):
+        bound = self.n0 + (record.t - self.t0) * self.f_sup
+        return judged(self.name, bound, _norm_from_record(record, math.inf), 1e-6, 0.0)
 
 
 def check_decay_torus(records, p, nu, q=None, slack=1e-6, forcing=None):

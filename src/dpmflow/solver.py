@@ -27,10 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import compute_record
+from .diagnostics import MaxPrincipleCheck, compute_record
 from .spectral import (Domain, PhysicalField, SpectralField, _box_blocks, _box_runs,
                        box_shape, forward_transform, gather, k_power, parseval_weights,
-                       pocketfft, scatter, sup_norm)
+                       pocketfft, scatter)
 from .velocity import darcy_multipliers
 
 
@@ -475,46 +475,6 @@ class SampleClock:
         return True
 
 
-MAX_PRINCIPLE_SLACK = 1e-6  # relative slack of _MaxPrinciple's bound
-
-
-class _MaxPrinciple:
-    """The maximum principle ||T(t)||_inf <= ||T(t0)||_inf + (t - t0) ||f||_inf.
-
-    At a maximum of T the advection term vanishes and Lambda^alpha T >= 0
-    (Cordoba & Cordoba, Comm. Math. Phys. 249, 2004), so max T grows no
-    faster than ||f||_inf, for every alpha in [0, 2]; likewise min T.  A
-    run's records are judged against it as they arrive, with t0 and
-    ||T(t0)||_inf from the first record and f the forcing the run steps
-    with.  A solution of the PDE cannot break it, so a breach beyond the
-    relative slack MAX_PRINCIPLE_SLACK is a numerical failure, most likely
-    under-resolution: the first warns, once, naming t, the bound and the
-    value.  Records without linf are not judged.
-    """
-
-    def __init__(self, domain, f_box):
-        self.domain, self.f_box = domain, f_box  # the forcing on the 2/3 box, or None
-        self.start = None  # (t0, ||T(t0)||_inf, ||f||_inf), from the first record
-        self.warned = False
-
-    def judge(self, record):
-        value = record.lp.get(math.inf)
-        if value is None or self.warned:
-            return
-        if self.start is None:
-            d, f = self.domain, self.f_box
-            self.start = record.t, value, 0.0 if f is None else sup_norm(scatter(f, d), d)
-        t0, n0, f_sup = self.start
-        bound = n0 + (record.t - t0) * f_sup
-        if value > bound * (1.0 + MAX_PRINCIPLE_SLACK):
-            self.warned = True
-            # the caller of run: judge, record, sample, march, run, caller
-            warnings.warn(
-                f"maximum principle broken at t = {record.t:.7g}: linf {value:.7g} exceeds "
-                f"the bound ||T(t0)||_inf + (t - t0) ||f||_inf = {bound:.7g}; "
-                "the run is likely under-resolved", stacklevel=6)
-
-
 def run(t0_field: PhysicalField, params: SolverParams,
         forcing: SpectralField | None = None, sample_every: float = 0.1,
         p_list=(1.0, 2.0, 4.0, math.inf), s_list=(), on_sample=None,
@@ -526,7 +486,7 @@ def run(t0_field: PhysicalField, params: SolverParams,
     source term, or None.  The state and the forcing are 2/3-truncated.
     Samples, on_sample and the result follow IFRK4.march, with
     SimulationState states and DiagnosticsRecord records; the first record
-    that breaks the maximum principle warns (_MaxPrinciple).
+    with linf that fails diagnostics.MaxPrincipleCheck warns.
     Deterministic given its inputs.  The mean mode is pinned to its exact
     linear-in-time law each step.
     """
@@ -557,15 +517,27 @@ def run(t0_field: PhysicalField, params: SolverParams,
     diss_int = 0.0
     inj_int = 0.0
 
-    principle = _MaxPrinciple(domain, integ.f_hat)
+    principle = previous = None  # the maximum principle's check while it judges, the record before
+    if math.inf in map(float, p_list):
+        principle = MaxPrincipleCheck(None if forcing is None else
+                                      SpectralField(domain, scatter(integ.f_hat, domain)))
 
     def record(coeffs, state):
-        """The record of the state of the last nonlinear evaluation, whose vmax it
-        takes, judged against the maximum principle."""
+        """The record of the state of the last nonlinear evaluation, whose vmax it takes."""
+        nonlocal principle, previous
         rec = compute_record(state, params.nu, params.alpha, integ.last_vmax,
                              p_list=p_list, s_list=s_list,
                              diss_integral=diss_int, inj_integral=inj_int)
-        principle.judge(rec)
+        if principle is not None:
+            res = principle.first(rec) if previous is None else principle.judge(previous, rec)
+            previous = rec
+            if not res.passed:
+                principle = None
+                # the caller of run: record, sample, march, run, caller
+                warnings.warn(
+                    f"maximum principle broken at t = {rec.t:.7g}: linf {res.value:.7g} "
+                    f"exceeds the bound ||T(t0)||_inf + (t - t0) ||f||_inf = {res.bound:.7g}; "
+                    "the run is likely under-resolved", stacklevel=5)
         return rec
 
     def step_size():

@@ -800,6 +800,10 @@ output.dir = {outdir}
     ("blowup1d", {"blowup.mode": "spectral", "blowup.nu": "0.1", "blowup.sign": "dissipative",
                   "blowup.oracle": "on"}, "blowup.oracle"),
     ("blowup1d", {"blowup.slack": "nan"}, "blowup.slack"),
+    # the regularization keys are read only in the modes where they act
+    ("blowup1d", {"blowup.nu": "5"}, "blowup.nu"),
+    ("blowup1d", {"blowup.mode": "quasilinear", "blowup.nu": "0.1",
+                  "blowup.sign": "dissipative"}, "blowup.sign"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else

@@ -14,6 +14,7 @@ from dpmflow import (Domain, PhysicalField, SolverParams, SpectralField, dealias
                      forward_transform, hs_seminorm, inverse_transform, lp_norm,
                      nonlinear_term, random_field, run)
 from dpmflow.blowup1d import Regularization, _StreamOps
+from dpmflow.diagnostics import MaxPrincipleCheck, fold
 from dpmflow.solver import _Integrator
 from dpmflow.spectral import gather
 
@@ -240,6 +241,11 @@ class TestMaxPrinciple:
         assert [round(rec.lp[math.inf], 6) for rec in res.records[:3]] == [
             4.128005, 4.125696, 4.129222]
         assert res.records[-1].lp[math.inf] > 4.6 and not res.blew_up
+        # the check the run judges with, folded over its records, fails first there
+        fold(MaxPrincipleCheck(None), res.records)
+        t, first = next((rec.t, c) for rec in res.records for c in rec.checks if not c.passed)
+        assert (t, first.name, round(first.bound, 6), round(first.value, 6)) == (
+            1.0, "max_principle", 4.128005, 4.129222)
         # records without linf are not judged
         with pytest.warns(UserWarning, match="supercritical") as caught:
             run(t0, params, sample_every=0.5, p_list=(2.0,))
@@ -256,6 +262,7 @@ class TestMaxPrinciple:
         linf = [rec.lp[math.inf] for rec in res.records]
         assert linf[-1] > 4.9 * linf[0]
         assert all(b > a for a, b in zip(linf, linf[1:]))
+        assert all(r.passed for r in fold(MaxPrincipleCheck(forcing), res.records))
 
 
 class TestRun:

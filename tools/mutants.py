@@ -152,11 +152,12 @@ MUTANTS = (
            "q0 / (1.0 - q0 * elapsed)", "q0 / (1.0 - 0.9 * q0 * elapsed)",
            ("tests/test_blowup1d.py::TestMaxBound"
             "::test_bound_is_the_closed_form_from_the_first_record",)),
-    Mutant("maximum-principle bound without its forcing term", "src/dpmflow/solver.py",
-           "bound = n0 + (record.t - t0) * f_sup", "bound = n0",
+    Mutant("maximum-principle bound without its forcing term", "src/dpmflow/diagnostics.py",
+           "bound = self.n0 + (record.t - self.t0) * self.f_sup", "bound = self.n0",
            ("tests/test_solver.py::TestMaxPrinciple::test_forced_growth_inside_the_bound",)),
-    Mutant("maximum-principle bound from the latest record's linf", "src/dpmflow/solver.py",
-           "bound = n0 + (record.t - t0) * f_sup", "bound = value + (record.t - t0) * f_sup",
+    Mutant("maximum-principle bound from the latest record's linf", "src/dpmflow/diagnostics.py",
+           "bound = self.n0 + (record.t - self.t0) * self.f_sup",
+           "bound = _norm_from_record(record, math.inf) + (record.t - self.t0) * self.f_sup",
            ("tests/test_solver.py::TestMaxPrinciple"
             "::test_under_resolved_run_warns_at_its_first_breach",)),
     Mutant("initial-tail warning at 1e-6 of the peak", "src/dpmflow/solver.py",
