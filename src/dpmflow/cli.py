@@ -130,20 +130,26 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         _check_stride("diagnostics.sample_every", sample_every, "solver.dt", params.dt)
         _check_stride("solver.t_end - start time", params.t_end - start_time, "solver.dt",
                       params.dt)
-    slack = _in_range(cfg, "diagnostics.slack", 1e-6)
     if cfg.get_str("diagnostics.linf_refine", default=None) is not None:
         warnings.warn("diagnostics.linf_refine is ignored: the linf column is the sup "
                       "of the trigonometric interpolant", stacklevel=2)
-    decay_p = cfg.get_float("diagnostics.decay_p", default=2.0)
-    ball_p = cfg.get_float("diagnostics.ball_p", default=2.0)
-    # each check by name: its label in messages, and the check object
-    table = {
-        "decay": (f"decay (diagnostics.decay_p = {decay_p:g})",
-                  DecayCheck(decay_p, params.nu, slack=slack, forcing=forcing)),
-        "absorbing_ball": (f"absorbing_ball (diagnostics.ball_p = {ball_p:g})",
-                           AbsorbingBallCheck(forcing, ball_p, params.nu, slack=slack)),
-        "dissipation_budget": ("dissipation_budget", DissipationBudgetCheck(slack)),
-    }
+
+    def slack():
+        return _in_range(cfg, "diagnostics.slack", 1e-6)
+
+    def decay():
+        p = cfg.get_float("diagnostics.decay_p", default=2.0)
+        return (f"decay (diagnostics.decay_p = {p:g})",
+                DecayCheck(p, params.nu, slack=slack(), forcing=forcing))
+
+    def absorbing_ball():
+        p = cfg.get_float("diagnostics.ball_p", default=2.0)
+        return (f"absorbing_ball (diagnostics.ball_p = {p:g})",
+                AbsorbingBallCheck(forcing, p, params.nu, slack=slack()))
+
+    # each check's (label in messages, check object), built only when named
+    table = {"decay": decay, "absorbing_ball": absorbing_ball, "dissipation_budget":
+             lambda: ("dissipation_budget", DissipationBudgetCheck(slack()))}
     names = [c.strip() for c in cfg.get_str("diagnostics.checks", default="").split(",")
              if c.strip()]
     for name in names:
@@ -151,7 +157,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
             raise ConfigError(f"diagnostics.checks: unknown check {name!r} "
                               f"(known: {', '.join(table)})")
     checks = [(f"diagnostics.checks: {label}", check)
-              for name, (label, check) in table.items() if name in names]
+              for label, check in (build() for name, build in table.items() if name in names)]
     allow_blowup = cfg.get_bool("solver.allow_blowup", default=False)
 
     def report(result, ok, outdir):
@@ -186,8 +192,6 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
                               choices=("auto", "on", "off"))
     oracle_rtol = _in_range(cfg, "blowup.oracle_rtol", 1e-5)
     tstar_rtol = _in_range(cfg, "blowup.tstar_rtol", 0.01)
-    bound_check = cfg.get_bool("blowup.max_bound_check", default=False)
-    slack = _in_range(cfg, "blowup.slack", 1e-6)
 
     # the closed form solves cosine data (those with an amplitude) evolved
     # without regularization, or with the half-Laplacian term under the
@@ -203,8 +207,9 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     t_star_analytic = math.nan if params is None else blowup1d.blowup_time(params)
     # Q(t0) of the max bound is that of the run's first record: a bad one
     # (a restart whose g outweighs max w) is refused before the first step
-    checks = ([("blowup.max_bound_check", blowup1d.MaxBoundCheck(slack))]
-              if bound_check else [])
+    checks = ([("blowup.max_bound_check",
+                blowup1d.MaxBoundCheck(_in_range(cfg, "blowup.slack", 1e-6)))]
+              if cfg.get_bool("blowup.max_bound_check", default=False) else [])
     errs = []  # each record's relative g error against the closed form
 
     def columns(rec):
@@ -274,6 +279,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         options = [v.strip() for v in cfg.values[key].split("|") if v.strip()]
         if not options:
             raise ConfigError(f"{key}: empty sweep axis")
+        if key == "sweep.output.dir":
+            raise ConfigError(f"{key}: not an axis, as each point writes under output.dir")
         axes.append((key[len("sweep."):], options))
     if not axes:
         raise ConfigError("sweep: no sweep.<key> axes given")

@@ -149,14 +149,13 @@ def build_domain(cfg: RunConfig) -> Domain:
 
 
 def build_solver_params(cfg: RunConfig) -> SolverParams:
-    return _checked(
-        "solver", SolverParams,
-        nu=cfg.get_float("solver.nu"),
-        alpha=cfg.get_float("solver.alpha"),
-        dt=cfg.get_float("solver.dt"),
-        t_end=cfg.get_float("solver.t_end"),
-        adaptive=cfg.get_bool("solver.adaptive", default=False),
-        cfl_safety=cfg.get_float("solver.cfl_safety", default=0.9))
+    """The solver parameters; solver.cfl_safety is read for adaptive steps only."""
+    keys = {"nu": cfg.get_float("solver.nu"), "alpha": cfg.get_float("solver.alpha"),
+            "dt": cfg.get_float("solver.dt"), "t_end": cfg.get_float("solver.t_end"),
+            "adaptive": cfg.get_bool("solver.adaptive", default=False)}
+    if keys["adaptive"]:
+        keys["cfl_safety"] = cfg.get_float("solver.cfl_safety", default=0.9)
+    return _checked("solver", SolverParams, **keys)
 
 
 def _mode_field(cfg, prefix, domain) -> PhysicalField:

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dpmflow import (Domain, PhysicalField, RunConfig, cli, read_snapshot, solver,
+from dpmflow import (Domain, PhysicalField, RunConfig, blowup1d, cli, read_snapshot, solver,
                      write_snapshot)
 from dpmflow.blowup1d import _StreamOps
 from dpmflow.cli import main
@@ -388,6 +388,24 @@ output.dir = {tmp_path / 'o'}
         assert ((tmp_path / "refine" / "diagnostics.csv").read_bytes()
                 == (tmp_path / "plain" / "diagnostics.csv").read_bytes())
 
+    def test_adaptive_run_honours_cfl_safety(self, tmp_path, monkeypatch):
+        # |v| = 20 bounds each step by cfl_safety (2 pi / 32) / 20, below
+        # solver.dt and the cadence: 12 steps a sample at 0.9, 21 at 0.5
+        calls = []
+        advance = solver._Integrator.advance
+        monkeypatch.setattr(solver._Integrator, "advance",
+                            lambda self, *a, **kw: calls.append(1) or advance(self, *a, **kw))
+        steps = {}
+        for safety in ("0.9", "0.5"):
+            text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / safety)
+            text = text.replace("solver.dt = 0.002", "solver.dt = 0.1")
+            cfg = write_config(tmp_path / f"{safety}.cfg", text + "initial.amplitude = 20\n"
+                               f"solver.adaptive = true\nsolver.cfl_safety = {safety}\n")
+            calls.clear()
+            assert main(["run", cfg]) == 0
+            steps[safety] = len(calls)
+        assert steps == {"0.9": 24, "0.5": 42}
+
     def test_snapshot_output(self, tmp_path):
         text = DECAY_RUN.format(t_end=0.3, outdir=tmp_path / "o")
         cfg = write_config(tmp_path / "snap.cfg", text + "output.snapshots = true\n")
@@ -583,6 +601,22 @@ output.dir = {outdir}
         assert main(["blowup1d", cfg]) == 0
         header = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[0]
         assert "max_bound_pass" in header
+
+    def test_slack_reaches_the_max_bound(self, tmp_path, monkeypatch):
+        slacks = []
+
+        class NotingSlack(blowup1d.MaxBoundCheck):
+            def __init__(self, slack):
+                slacks.append(slack)
+                super().__init__(slack)
+
+        monkeypatch.setattr(blowup1d, "MaxBoundCheck", NotingSlack)
+        text = BLOWUP_CFG.format(t_end=0.1, outdir=tmp_path / "o")
+        cfg = write_config(tmp_path / "b.cfg", text + "blowup.max_bound_check = true\n"
+                           "blowup.slack = 0.5\n")
+        assert main(["blowup1d", cfg]) == 0
+        assert slacks == [0.5]
+        assert "max_bound_pass" in (tmp_path / "o" / "trajectory.csv").read_text()
 
     def test_restart_max_bound_starts_from_the_restart(self, tmp_path):
         # Q(t0) = max w + g of the restart's first record, over t - t0: the
@@ -799,11 +833,19 @@ output.dir = {outdir}
     # the closed form holds under the oracle sign only
     ("blowup1d", {"blowup.mode": "spectral", "blowup.nu": "0.1", "blowup.sign": "dissipative",
                   "blowup.oracle": "on"}, "blowup.oracle"),
-    ("blowup1d", {"blowup.slack": "nan"}, "blowup.slack"),
+    ("blowup1d", {"blowup.max_bound_check": "true", "blowup.slack": "nan"}, "blowup.slack"),
     # the regularization keys are read only in the modes where they act
     ("blowup1d", {"blowup.nu": "5"}, "blowup.nu"),
     ("blowup1d", {"blowup.mode": "quasilinear", "blowup.nu": "0.1",
                   "blowup.sign": "dissipative"}, "blowup.sign"),
+    # each of these keys is read only where it acts: a CFL bound, a named
+    # check that takes it, or the max bound (None: the key is left unset)
+    ("run", {"solver.cfl_safety": "0.5"}, "solver.cfl_safety"),
+    ("run", {"diagnostics.checks": "dissipation_budget", "diagnostics.decay_p": "4"},
+     "diagnostics.decay_p"),
+    ("run", {"diagnostics.ball_p": "4"}, "diagnostics.ball_p"),
+    ("run", {"diagnostics.checks": None, "diagnostics.slack": "0.1"}, "diagnostics.slack"),
+    ("blowup1d", {"blowup.slack": "0.5"}, "blowup.slack"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else
@@ -811,7 +853,8 @@ def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
         t_end=0.2, outdir=tmp_path / "o")
     kept = [line for line in text.splitlines() if line.split(" =")[0] not in settings]
     cfg = write_config(tmp_path / "c.cfg", "\n".join(
-        kept + [f"{key} = {value}" for key, value in settings.items()]) + "\n")
+        kept + [f"{key} = {value}" for key, value in settings.items() if value is not None])
+        + "\n")
     assert main([command, cfg]) == 4
     assert named in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -939,6 +982,15 @@ class TestSweep:
         assert main(["sweep", cfg]) == 4
         assert "sweep.workers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_output_dir_axis_exits_4(self, tmp_path, capsys, no_step):
+        # each point's output.dir is its own subdirectory, never an axis value
+        cfg = write_config(tmp_path / "s.cfg", BLOWUP_SWEEP.format(
+            workers=1, dts="1e-3", outdir=tmp_path / "o")
+            + f"sweep.output.dir = {tmp_path / 'a'} | {tmp_path / 'b'}\n")
+        assert main(["sweep", cfg]) == 4
+        assert "sweep.output.dir" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("pt*"))
 
     def test_sweep_without_axes_exits_4(self, tmp_path, no_step):
         cfg = write_config(tmp_path / "s.cfg",

@@ -142,6 +142,17 @@ MUTANTS = (
     Mutant("interrupted sweep leaves its live points running", "src/dpmflow/cli.py",
            "proc.kill()", "None",
            ("tests/test_cli.py::TestSweep::test_interrupted_sweep_starts_no_further_point",)),
+    Mutant("solver.cfl_safety read on fixed steps", "src/dpmflow/config.py",
+           'if keys["adaptive"]:', "if True:",
+           ("tests/test_cli.py::test_bad_input_exits_4",)),
+    Mutant("run builds every check before it reads diagnostics.checks", "src/dpmflow/cli.py",
+           '    table = {"decay": decay, "absorbing_ball": absorbing_ball, "dissipation_budget":\n'
+           '             lambda: ("dissipation_budget", DissipationBudgetCheck(slack()))}',
+           '    built = {"decay": decay(), "absorbing_ball": absorbing_ball(),\n'
+           '             "dissipation_budget": ("dissipation_budget",\n'
+           '                                    DissipationBudgetCheck(slack()))}\n'
+           "    table = {name: (lambda pair=pair: pair) for name, pair in built.items()}",
+           ("tests/test_cli.py::test_bad_input_exits_4",)),
     Mutant("unread config keys accepted", "src/dpmflow/cli.py",
            "cfg.refuse_unread()", "None",
            ("tests/test_cli.py::test_bad_input_exits_4",)),
