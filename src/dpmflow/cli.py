@@ -33,13 +33,11 @@ EXIT_UNEXPECTED_BLOWUP = 3
 EXIT_CONFIG_ERROR = 4
 
 
-def _in_range(cfg, key, default, positive=False):
-    """The number at key: finite, and positive or >= 0 (a tolerance, which at
-    NaN would pass or fail every check)."""
+def _in_range(cfg, key, default):
+    """The number at key, which must be positive and finite."""
     val = cfg.get_float(key, default=default)
-    if not (0 < val < math.inf or (val == 0 and not positive)):
-        raise ConfigError(f"{key} = {val} must be "
-                          + ("positive and finite" if positive else "finite and >= 0"))
+    if not 0 < val < math.inf:
+        raise ConfigError(f"{key} = {val} must be positive and finite")
     return val
 
 
@@ -61,9 +59,10 @@ def _execute(cfg, checks, solve, columns, report, save, csv_name, snapshots=Fals
     is refused.  checks are (label, check) pairs of check objects, and
     columns(record) gives the names and cells of a record's CSV row.  At
     the first record, before the first step, each check's first() applies
-    its input rules and judges it, and output.dir is made; each later
-    record is judged against the one before.  Each record's row then goes
-    to <output.csv>.partial (output.csv is csv_name by default), flushed,
+    its input rules and judges it, and output.dir and the directories of
+    output.csv and output.checkpoint are made; each later record is judged
+    against the one before.  Each record's row then goes to
+    <output.csv>.partial (output.csv is csv_name by default), flushed,
     and with snapshots, save(path, state) writes each sampled state.  After
     solve(on_sample), report(result, ok, outdir) gives the command's verdict
     and metrics, the .partial file becomes output.csv, and save writes the
@@ -72,6 +71,8 @@ def _execute(cfg, checks, solve, columns, report, save, csv_name, snapshots=Fals
     outdir = cfg.get_str("output.dir", default="out")
     csv_path = os.path.join(outdir, cfg.get_str("output.csv", default=csv_name))
     checkpoint = cfg.get_str("output.checkpoint", default=None)
+    if checkpoint is not None:
+        checkpoint = os.path.join(outdir, checkpoint)
     cfg.refuse_unread()
     taken = itertools.count()
     ok = True
@@ -83,7 +84,8 @@ def _execute(cfg, checks, solve, columns, report, save, csv_name, snapshots=Fals
         names, cells = columns(record)
         if index == 0:
             results = [_checked(label, check.first, record) for label, check in checks]
-            os.makedirs(outdir, exist_ok=True)
+            for directory in {outdir, *(os.path.dirname(p) for p in (csv_path, checkpoint) if p)}:
+                os.makedirs(directory, exist_ok=True)
             writer = RowWriter(stack.enter_context(
                 open(csv_path + ".partial", "w", encoding="utf-8", newline="")),
                 names, [check.name for _, check in checks])
@@ -101,7 +103,7 @@ def _execute(cfg, checks, solve, columns, report, save, csv_name, snapshots=Fals
     ok, metrics = report(result, ok, outdir)
     os.replace(csv_path + ".partial", csv_path)
     if checkpoint is not None:
-        save(os.path.join(outdir, checkpoint), result.final_state)
+        save(checkpoint, result.final_state)
     metrics.update(blew_up=result.blew_up, checks_passed=ok)
     if result.blew_up and not allow_blowup:
         return EXIT_UNEXPECTED_BLOWUP, metrics
@@ -125,7 +127,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
     for s in s_list:
         if not math.isfinite(s):
             raise ConfigError(f"diagnostics.s_list: {s:g} is not a finite Sobolev order")
-    sample_every = _in_range(cfg, "diagnostics.sample_every", 0.1, positive=True)
+    sample_every = _in_range(cfg, "diagnostics.sample_every", 0.1)
     if not params.adaptive:
         _check_stride("diagnostics.sample_every", sample_every, "solver.dt", params.dt)
         _check_stride("solver.t_end - start time", params.t_end - start_time, "solver.dt",
@@ -134,22 +136,19 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         warnings.warn("diagnostics.linf_refine is ignored: the linf column is the sup "
                       "of the trigonometric interpolant", stacklevel=2)
 
-    def slack():
-        return _in_range(cfg, "diagnostics.slack", 1e-6)
-
     def decay():
         p = cfg.get_float("diagnostics.decay_p", default=2.0)
         return (f"decay (diagnostics.decay_p = {p:g})",
-                DecayCheck(p, params.nu, slack=slack(), forcing=forcing))
+                DecayCheck(p, params.nu, forcing=forcing))
 
     def absorbing_ball():
         p = cfg.get_float("diagnostics.ball_p", default=2.0)
         return (f"absorbing_ball (diagnostics.ball_p = {p:g})",
-                AbsorbingBallCheck(forcing, p, params.nu, slack=slack()))
+                AbsorbingBallCheck(forcing, p, params.nu))
 
     # each check's (label in messages, check object), built only when named
-    table = {"decay": decay, "absorbing_ball": absorbing_ball, "dissipation_budget":
-             lambda: ("dissipation_budget", DissipationBudgetCheck(slack()))}
+    table = {"decay": decay, "absorbing_ball": absorbing_ball,
+             "dissipation_budget": lambda: ("dissipation_budget", DissipationBudgetCheck())}
     names = [c.strip() for c in cfg.get_str("diagnostics.checks", default="").split(",")
              if c.strip()]
     for name in names:
@@ -177,21 +176,19 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
 def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     reg = build_regularization(cfg)
     w0, start_time, start_g, amplitude = build_stream_initial(cfg)
-    dt = _in_range(cfg, "blowup.dt", 1e-4, positive=True)
+    dt = _in_range(cfg, "blowup.dt", 1e-4)
     t_end = cfg.get_float("blowup.t_end")
     if not start_time < t_end < math.inf:
         raise ConfigError(f"blowup.t_end = {t_end} must be finite and exceed the "
                           f"start time {start_time}")
-    sample_every = _in_range(cfg, "blowup.sample_every", 0.01, positive=True)
-    threshold = _in_range(cfg, "blowup.threshold", 1e8, positive=True)
+    sample_every = _in_range(cfg, "blowup.sample_every", 0.01)
+    threshold = _in_range(cfg, "blowup.threshold", 1e8)
     adaptive = cfg.get_bool("blowup.adaptive", default=True)
     if not adaptive:
         _check_stride("blowup.sample_every", sample_every, "blowup.dt", dt)
         _check_stride("blowup.t_end - start time", t_end - start_time, "blowup.dt", dt)
     oracle_mode = cfg.get_str("blowup.oracle", default="auto",
                               choices=("auto", "on", "off"))
-    oracle_rtol = _in_range(cfg, "blowup.oracle_rtol", 1e-5)
-    tstar_rtol = _in_range(cfg, "blowup.tstar_rtol", 0.01)
 
     # the closed form solves cosine data (those with an amplitude) evolved
     # without regularization, or with the half-Laplacian term under the
@@ -207,8 +204,7 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
     t_star_analytic = math.nan if params is None else blowup1d.blowup_time(params)
     # Q(t0) of the max bound is that of the run's first record: a bad one
     # (a restart whose g outweighs max w) is refused before the first step
-    checks = ([("blowup.max_bound_check",
-                blowup1d.MaxBoundCheck(_in_range(cfg, "blowup.slack", 1e-6)))]
+    checks = ([("blowup.max_bound_check", blowup1d.MaxBoundCheck())]
               if cfg.get_bool("blowup.max_bound_check", default=False) else [])
     errs = []  # each record's relative g error against the closed form
 
@@ -224,7 +220,7 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
 
     def report(result, ok, outdir):
         g_err = max(errs) if errs else math.nan
-        if errs and not g_err <= oracle_rtol:
+        if errs and not g_err <= blowup1d.ORACLE_RTOL:
             ok = False
         # a NaN error (no blow-up, or no estimate of t*) fails its check
         tstar_err = math.nan
@@ -232,7 +228,7 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
             if t_star_analytic < t_end:
                 if result.blew_up:
                     tstar_err = abs(result.t_star_estimate - t_star_analytic) / t_star_analytic
-                if not tstar_err <= tstar_rtol:
+                if not tstar_err <= blowup1d.TSTAR_RTOL:
                     ok = False
             elif result.blew_up:
                 ok = False  # blew up although the closed form says it should not

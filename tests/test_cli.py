@@ -389,22 +389,30 @@ output.dir = {tmp_path / 'o'}
                 == (tmp_path / "plain" / "diagnostics.csv").read_bytes())
 
     def test_adaptive_run_honours_cfl_safety(self, tmp_path, monkeypatch):
-        # |v| = 20 bounds each step by cfl_safety (2 pi / 32) / 20, below
-        # solver.dt and the cadence: 12 steps a sample at 0.9, 21 at 0.5
+        # |v| = 20 bounds each step by 0.9 (2 pi / 32) / 20, below solver.dt
+        # and the cadence: 12 steps a sample
         calls = []
         advance = solver._Integrator.advance
         monkeypatch.setattr(solver._Integrator, "advance",
                             lambda self, *a, **kw: calls.append(1) or advance(self, *a, **kw))
-        steps = {}
-        for safety in ("0.9", "0.5"):
-            text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / safety)
-            text = text.replace("solver.dt = 0.002", "solver.dt = 0.1")
-            cfg = write_config(tmp_path / f"{safety}.cfg", text + "initial.amplitude = 20\n"
-                               f"solver.adaptive = true\nsolver.cfl_safety = {safety}\n")
-            calls.clear()
-            assert main(["run", cfg]) == 0
-            steps[safety] = len(calls)
-        assert steps == {"0.9": 24, "0.5": 42}
+        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
+        text = text.replace("solver.dt = 0.002", "solver.dt = 0.1")
+        cfg = write_config(tmp_path / "c.cfg", text + "initial.amplitude = 20\n"
+                           "solver.adaptive = true\n")
+        assert main(["run", cfg]) == 0
+        assert len(calls) == 24
+
+    @pytest.mark.parametrize("key, value", [
+        ("output.checkpoint", "sub/final.dpmf"),
+        ("output.csv", "sub/d.csv"),
+    ])
+    def test_output_file_in_a_subdirectory(self, tmp_path, key, value):
+        # the directory of each output path is made with output.dir
+        text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
+        text = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith(key))
+        assert main(["run", write_config(tmp_path / "c.cfg", text + f"{key} = {value}\n")]) == 0
+        assert (tmp_path / "o" / value).is_file()
 
     def test_snapshot_output(self, tmp_path):
         text = DECAY_RUN.format(t_end=0.3, outdir=tmp_path / "o")
@@ -538,7 +546,6 @@ blowup.t_end = {t_end}
 blowup.amplitude = 1.0
 blowup.sample_every = 0.05
 blowup.threshold = 1e6
-blowup.oracle_rtol = 1e-4
 output.dir = {outdir}
 """
 
@@ -601,22 +608,6 @@ output.dir = {outdir}
         assert main(["blowup1d", cfg]) == 0
         header = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[0]
         assert "max_bound_pass" in header
-
-    def test_slack_reaches_the_max_bound(self, tmp_path, monkeypatch):
-        slacks = []
-
-        class NotingSlack(blowup1d.MaxBoundCheck):
-            def __init__(self, slack):
-                slacks.append(slack)
-                super().__init__(slack)
-
-        monkeypatch.setattr(blowup1d, "MaxBoundCheck", NotingSlack)
-        text = BLOWUP_CFG.format(t_end=0.1, outdir=tmp_path / "o")
-        cfg = write_config(tmp_path / "b.cfg", text + "blowup.max_bound_check = true\n"
-                           "blowup.slack = 0.5\n")
-        assert main(["blowup1d", cfg]) == 0
-        assert slacks == [0.5]
-        assert "max_bound_pass" in (tmp_path / "o" / "trajectory.csv").read_text()
 
     def test_restart_max_bound_starts_from_the_restart(self, tmp_path):
         # Q(t0) = max w + g of the restart's first record, over t - t0: the
@@ -704,12 +695,13 @@ output.dir = {outdir}
         row = csv_rows(tmp_path / "o" / "summary.csv")[0]
         assert (row["blew_up"], row["t_star_rel_err"], row["checks_passed"]) == ("1", "nan", "0")
 
-    def test_unattainable_oracle_tolerance_exits_2(self, tmp_path):
-        text = BLOWUP_CFG.format(t_end=0.4, outdir=tmp_path / "o")
-        text = text.replace("blowup.oracle_rtol = 1e-4",
-                            "blowup.oracle_rtol = 1e-18")
-        cfg = write_config(tmp_path / "b.cfg", text)
+    def test_unattainable_oracle_tolerance_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(blowup1d, "ORACLE_RTOL", 1e-18)
+        cfg = write_config(tmp_path / "b.cfg",
+                           BLOWUP_CFG.format(t_end=0.4, outdir=tmp_path / "o"))
         assert main(["blowup1d", cfg]) == 2
+        row = csv_rows(tmp_path / "o" / "summary.csv")[0]
+        assert 1e-18 < float(row["g_oracle_max_rel_err"]) < 1e-5
 
     @pytest.mark.parametrize("cadence", ["0", "-0.01"])
     def test_non_positive_cadence_exits_4(self, tmp_path, cadence):
@@ -749,12 +741,12 @@ output.dir = {outdir}
         assert (summary["blew_up"], summary["checks_passed"]) == ("0", "1")
         assert summary["t_star_analytic"] == summary["g_oracle_max_rel_err"] == "nan"
 
-    def test_zero_t_star_tolerance_fails_a_blowup(self, tmp_path):
+    def test_zero_t_star_tolerance_fails_a_blowup(self, tmp_path, monkeypatch):
         # the t* estimate is within 1% of pi/2
         # (test_blowup_detected_with_accurate_t_star), not equal to it
+        monkeypatch.setattr(blowup1d, "TSTAR_RTOL", 0.0)
         text = BLOWUP_CFG.format(t_end=3.0, outdir=tmp_path / "o")
-        cfg = write_config(tmp_path / "b.cfg", text.replace("blowup.n = 128", "blowup.n = 64")
-                           + "blowup.tstar_rtol = 0\n")
+        cfg = write_config(tmp_path / "b.cfg", text.replace("blowup.n = 128", "blowup.n = 64"))
         assert main(["blowup1d", cfg]) == 2
         row = csv_rows(tmp_path / "o" / "summary.csv")[0]
         assert (row["blew_up"], row["checks_passed"]) == ("1", "0")
@@ -838,14 +830,24 @@ output.dir = {outdir}
     ("blowup1d", {"blowup.nu": "5"}, "blowup.nu"),
     ("blowup1d", {"blowup.mode": "quasilinear", "blowup.nu": "0.1",
                   "blowup.sign": "dissipative"}, "blowup.sign"),
-    # each of these keys is read only where it acts: a CFL bound, a named
-    # check that takes it, or the max bound (None: the key is left unset)
+    # decay_p and ball_p are read only when a named check takes them, and
+    # cfl_safety and the slacks never (None: the key is left unset)
     ("run", {"solver.cfl_safety": "0.5"}, "solver.cfl_safety"),
     ("run", {"diagnostics.checks": "dissipation_budget", "diagnostics.decay_p": "4"},
      "diagnostics.decay_p"),
     ("run", {"diagnostics.ball_p": "4"}, "diagnostics.ball_p"),
     ("run", {"diagnostics.checks": None, "diagnostics.slack": "0.1"}, "diagnostics.slack"),
     ("blowup1d", {"blowup.slack": "0.5"}, "blowup.slack"),
+    # retired tuning keys, each set where it used to act: the library's
+    # defaults are the one behaviour
+    ("run", {"solver.adaptive": "true", "solver.cfl_safety": "0.5"}, "solver.cfl_safety"),
+    ("run", {"diagnostics.slack": "1e-3"}, "diagnostics.slack"),
+    ("blowup1d", {"blowup.max_bound_check": "true", "blowup.slack": "1e-3"}, "blowup.slack"),
+    ("blowup1d", {"blowup.oracle_rtol": "1e-3"}, "blowup.oracle_rtol"),
+    ("blowup1d", {"blowup.tstar_rtol": "0.5"}, "blowup.tstar_rtol"),
+    # the absorbing ball is proved for p >= 2 only
+    ("run", {"forcing.kind": "single_mode", "diagnostics.checks": "absorbing_ball",
+             "diagnostics.ball_p": "1"}, "ball_p = 1): absorbing ball needs a finite p >= 2"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else

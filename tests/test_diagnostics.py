@@ -144,6 +144,20 @@ class TestAbsorbingBallCheck:
         with pytest.raises(ValueError, match="finite p"):
             check_absorbing_ball(single_mode_run.records, None, math.inf, 0.05)
 
+    def test_refuses_p_below_2(self):
+        # pure 1D diffusion, an exact solution, ends 1.25 times above the
+        # p = 1 bound at t = 20, and within the p = 2 bound
+        d = Domain((64,))
+        x = d.grid[0]
+        t0 = phys(d, sum(math.exp(-(k / 8) ** 2) * np.cos(k * x) for k in range(1, 22, 2)))
+        res = run(t0, SolverParams(nu=0.1, alpha=2.0, dt=0.05, t_end=20.0), sample_every=1.0)
+        first, last = res.records[0], res.records[-1]
+        assert last.lp[1.0] / (first.lp[1.0] * math.exp(-0.1 * 20.0)) == pytest.approx(
+            1.25, abs=0.01)
+        assert all(c.passed for c in check_absorbing_ball(res.records, None, 2.0, 0.1))
+        with pytest.raises(ValueError, match="p >= 2"):
+            check_absorbing_ball(res.records, None, 1.0, 0.1)
+
 
 class TestDissipationBudget:
     def test_single_mode_equality(self, single_mode_run):

@@ -101,4 +101,4 @@ def test_readme_names_every_config_key():
 
 
 def test_a_key_left_out_of_the_readme_is_missed():
-    assert missing_keys(TEXT.replace("solver.cfl_safety", "")) == ["solver.cfl_safety"]
+    assert missing_keys(TEXT.replace("diagnostics.ball_p", "")) == ["diagnostics.ball_p"]

@@ -142,17 +142,24 @@ MUTANTS = (
     Mutant("interrupted sweep leaves its live points running", "src/dpmflow/cli.py",
            "proc.kill()", "None",
            ("tests/test_cli.py::TestSweep::test_interrupted_sweep_starts_no_further_point",)),
-    Mutant("solver.cfl_safety read on fixed steps", "src/dpmflow/config.py",
-           'if keys["adaptive"]:', "if True:",
-           ("tests/test_cli.py::test_bad_input_exits_4",)),
     Mutant("run builds every check before it reads diagnostics.checks", "src/dpmflow/cli.py",
-           '    table = {"decay": decay, "absorbing_ball": absorbing_ball, "dissipation_budget":\n'
-           '             lambda: ("dissipation_budget", DissipationBudgetCheck(slack()))}',
+           '    table = {"decay": decay, "absorbing_ball": absorbing_ball,\n'
+           '             "dissipation_budget": lambda: ("dissipation_budget", '
+           'DissipationBudgetCheck())}',
            '    built = {"decay": decay(), "absorbing_ball": absorbing_ball(),\n'
-           '             "dissipation_budget": ("dissipation_budget",\n'
-           '                                    DissipationBudgetCheck(slack()))}\n'
+           '             "dissipation_budget": ("dissipation_budget", DissipationBudgetCheck())}\n'
            "    table = {name: (lambda pair=pair: pair) for name, pair in built.items()}",
            ("tests/test_cli.py::test_bad_input_exits_4",)),
+    Mutant("g verdict ignores ORACLE_RTOL", "src/dpmflow/cli.py",
+           "if errs and not g_err <= blowup1d.ORACLE_RTOL:", "if errs and not g_err <= 1e-5:",
+           ("tests/test_cli.py::TestBlowupCommand::test_unattainable_oracle_tolerance_exits_2",)),
+    Mutant("t* verdict ignores TSTAR_RTOL", "src/dpmflow/cli.py",
+           "if not tstar_err <= blowup1d.TSTAR_RTOL:", "if not tstar_err <= 0.01:",
+           ("tests/test_cli.py::TestBlowupCommand::test_zero_t_star_tolerance_fails_a_blowup",)),
+    Mutant("absorbing ball accepts p < 2", "src/dpmflow/diagnostics.py",
+           "if not 2.0 <= p < math.inf:", "if not 1.0 <= p < math.inf:",
+           ("tests/test_diagnostics.py::TestAbsorbingBallCheck::test_refuses_p_below_2",
+            "tests/test_cli.py::test_bad_input_exits_4")),
     Mutant("unread config keys accepted", "src/dpmflow/cli.py",
            "cfg.refuse_unread()", "None",
            ("tests/test_cli.py::test_bad_input_exits_4",)),
