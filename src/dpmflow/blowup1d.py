@@ -399,12 +399,11 @@ def oracle_r(t: float, params: OracleParams) -> float:
     return math.sqrt(b * b + 2.0 * params.nu * b + params.r0 ** 2)
 
 
-def integrate_amplitude_ode(r0: float, nu: float, dt: float, t_max: float,
-                            divergence_threshold: float = 1e12):
+def integrate_amplitude_ode(r0: float, nu: float, dt: float, t_max: float):
     """Brute-force twin of the closed form: RK4 on beta' = beta^2 + 2 nu beta + r0^2.
 
     Returns (times, betas, t_divergence); t_divergence is the time the
-    integration first exceeds the threshold or goes non-finite (None if it
+    integration first exceeds |beta| = 1e12 or goes non-finite (None if it
     reaches t_max).  Kept deliberately independent of oracle_beta so the
     two routes check each other.
     """
@@ -430,7 +429,7 @@ def integrate_amplitude_ode(r0: float, nu: float, dt: float, t_max: float,
         b = b + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         n += 1
         t = t + h
-        if not math.isfinite(b) or abs(b) > divergence_threshold:
+        if not math.isfinite(b) or abs(b) > 1e12:
             t_div = t
             break
         times.append(t)
@@ -449,9 +448,6 @@ class MaxBoundCheck:
 
     name = "max_bound"
 
-    def __init__(self, slack=1e-6):
-        self.slack = slack
-
     def first(self, record):
         self.t0, self.q0 = record.t, record.max_w + record.g
         if self.q0 <= 0:
@@ -463,9 +459,9 @@ class MaxBoundCheck:
         if elapsed >= 1.0 / q0:
             return None
         return judged(self.name, q0 / (1.0 - q0 * elapsed), record.max_w + record.g,
-                      self.slack, 1e-14 * q0)
+                      1e-14 * q0)
 
 
-def check_max_bound(records, slack: float = 1e-6):
+def check_max_bound(records):
     """MaxBoundCheck folded over a record list (see diagnostics.fold)."""
-    return fold(MaxBoundCheck(slack), records)
+    return fold(MaxBoundCheck(), records)

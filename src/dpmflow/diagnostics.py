@@ -8,7 +8,7 @@ record against the one before, so a run judges its records as they
 arrive; the check functions fold a check over a stored record list and
 attach its results, deterministically.
 
-Every inequality carries a single relative slack (default 1e-6) that covers
+Every inequality carries one relative slack, SLACK (1e-6), that covers
 resolution and quadrature error.  The sup norm is that of the trigonometric
 interpolant, its grid maxima polished by Newton steps (spectral.sup_norm), so
 that an extremum translating between collocation points does not masquerade
@@ -24,6 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import hs_seminorm, inverse_transform, lp_norm, sup_norm
+
+# the relative slack of every check: the module docstring says why
+SLACK = 1e-6
 
 
 @dataclass
@@ -78,9 +81,9 @@ def _norm_from_record(rec, p):
         raise ValueError(f"record at t={rec.t} does not carry the L^{p:g} norm") from None
 
 
-def judged(name, bound, value, slack, floor):
-    """The CheckResult of value <= bound * (1 + slack) + floor."""
-    return CheckResult(name, bound, value, value <= bound * (1.0 + slack) + floor)
+def judged(name, bound, value, floor):
+    """The CheckResult of value <= bound * (1 + SLACK) + floor."""
+    return CheckResult(name, bound, value, value <= bound * (1.0 + SLACK) + floor)
 
 
 def fold(check, records):
@@ -113,10 +116,10 @@ class DecayCheck:
 
     name = "decay"
 
-    def __init__(self, p, nu, q=None, slack=1e-6, forcing=None):
+    def __init__(self, p, nu, q=None, forcing=None):
         self.p = float(p)
         self.q = self.p if q is None else float(q)
-        self.nu, self.slack, self.forcing = nu, slack, forcing
+        self.nu, self.forcing = nu, forcing
 
     def first(self, record):
         p, q = self.p, self.q
@@ -136,8 +139,7 @@ class DecayCheck:
 
     def judge(self, previous, record):
         bound = self.volfac * self.n0 * math.exp(-self.rate * (record.t - self.t0))
-        return judged(self.name, bound, _norm_from_record(record, self.q), self.slack,
-                      1e-14 * self.n0)
+        return judged(self.name, bound, _norm_from_record(record, self.q), 1e-14 * self.n0)
 
 
 class AbsorbingBallCheck:
@@ -157,8 +159,8 @@ class AbsorbingBallCheck:
 
     name = "absorbing_ball"
 
-    def __init__(self, forcing, p, nu, slack=1e-6):
-        self.forcing, self.p, self.nu, self.slack = forcing, float(p), nu, slack
+    def __init__(self, forcing, p, nu):
+        self.forcing, self.p, self.nu = forcing, float(p), nu
 
     def first(self, record):
         p, nu, forcing = self.p, self.nu, self.forcing
@@ -174,7 +176,7 @@ class AbsorbingBallCheck:
 
     def judge(self, previous, record):
         bound = (self.n0 - self.radius) * math.exp(-self.rate * (record.t - self.t0)) + self.radius
-        return judged(self.name, bound, _norm_from_record(record, self.p), self.slack,
+        return judged(self.name, bound, _norm_from_record(record, self.p),
                       1e-14 * max(self.n0, self.radius))
 
 
@@ -186,14 +188,12 @@ class DissipationBudgetCheck:
         <= ||T(t1)||_2^2 + 2 int (f, T) ds
     for every consecutive record pair, with the integrals from the solver's
     own step-resolution accumulation (the diss_integral / inj_integral
-    columns).  The residual's bound is slack itself.  The first record, which
-    has no pair and so no result, must carry the L^2 norm.
+    columns).  The residual's bound is SLACK itself, with no relative
+    factor.  The first record, which has no pair and so no result, must
+    carry the L^2 norm.
     """
 
     name = "dissipation_budget"
-
-    def __init__(self, slack=1e-6):
-        self.slack = slack
 
     def first(self, record):
         _norm_from_record(record, 2.0)
@@ -203,7 +203,8 @@ class DissipationBudgetCheck:
         e1 = _norm_from_record(record, 2.0) ** 2
         diss = 2.0 * (record.diss_integral - previous.diss_integral)
         inj = 2.0 * (record.inj_integral - previous.inj_integral)
-        return judged(self.name, self.slack, (e1 - e0 + diss - inj) / max(1.0, e0), 0.0, 0.0)
+        value = (e1 - e0 + diss - inj) / max(1.0, e0)
+        return CheckResult(self.name, SLACK, value, value <= SLACK)
 
 
 class MaxPrincipleCheck:
@@ -214,7 +215,7 @@ class MaxPrincipleCheck:
     faster than ||f||_inf, for every alpha in [0, 2]; likewise min T.  t0
     and ||T(t0)||_inf come from the first record, and ||f||_inf is the sup
     of the forcing spectrum (None for no forcing).  A solution of the PDE
-    cannot break it, so a record beyond the relative slack 1e-6 is a
+    cannot break it, so a record beyond the relative slack SLACK is a
     numerical failure, most likely under-resolution: solver.run judges its
     records against it and warns at the first that fails.
     """
@@ -232,22 +233,22 @@ class MaxPrincipleCheck:
 
     def judge(self, previous, record):
         bound = self.n0 + (record.t - self.t0) * self.f_sup
-        return judged(self.name, bound, _norm_from_record(record, math.inf), 1e-6, 0.0)
+        return judged(self.name, bound, _norm_from_record(record, math.inf), 0.0)
 
 
-def check_decay_torus(records, p, nu, q=None, slack=1e-6, forcing=None):
+def check_decay_torus(records, p, nu, q=None, forcing=None):
     """DecayCheck folded over a record list."""
-    return fold(DecayCheck(p, nu, q, slack, forcing), records)
+    return fold(DecayCheck(p, nu, q, forcing), records)
 
 
-def check_absorbing_ball(records, forcing, p, nu, slack=1e-6):
+def check_absorbing_ball(records, forcing, p, nu):
     """AbsorbingBallCheck folded over a record list."""
-    return fold(AbsorbingBallCheck(forcing, p, nu, slack), records)
+    return fold(AbsorbingBallCheck(forcing, p, nu), records)
 
 
-def check_dissipation_budget(records, slack=1e-6):
+def check_dissipation_budget(records):
     """DissipationBudgetCheck folded over a record list."""
-    return fold(DissipationBudgetCheck(slack), records)
+    return fold(DissipationBudgetCheck(), records)
 
 
 def record_columns(rec):

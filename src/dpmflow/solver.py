@@ -33,6 +33,9 @@ from .spectral import (Domain, PhysicalField, SpectralField, _box_blocks, _box_r
                        pocketfft, scatter)
 from .velocity import darcy_multipliers
 
+# the safety factor of the advective step bound: _Integrator.cfl_dt says why
+CFL_SAFETY = 0.9
+
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -43,7 +46,6 @@ class SolverParams:
     dt: float
     t_end: float
     adaptive: bool = False
-    cfl_safety: float = 0.9
 
     def __post_init__(self):
         for name in ("nu", "dt", "t_end"):
@@ -55,8 +57,6 @@ class SolverParams:
             raise ValueError(f"alpha must lie in [0, 2], got {self.alpha}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
 
 
 @dataclass(frozen=True)
@@ -381,10 +381,10 @@ class _Integrator(IFRK4):
     def cfl_dt(self):
         """Advective step bound at the state of the last nonlinear evaluation.
 
-        cfl_safety (2 pi / max n) / max|v|, max|v| the grid maximum.  On the
+        CFL_SAFETY (2 pi / max n) / max|v|, max|v| the grid maximum.  On the
         2/3 box the largest |k . v| is (n//3) sqrt(dim) |v|, so for frozen
-        coefficients dt max|k . v| <= cfl_safety 2 pi (n//3) sqrt(dim) / n:
-        at the default 0.9 that is 2.62 at 64^2 and 3.06 at 32^3, against
+        coefficients dt max|k . v| <= CFL_SAFETY 2 pi (n//3) sqrt(dim) / n:
+        at a safety of 0.9 that is 2.62 at 64^2 and 3.06 at 32^3, against
         RK4's imaginary-axis limit 2 sqrt(2) = 2.83.  The bound is kept as
         it is: it needs a mode in a corner of the box and the peak |v| along
         that mode's direction at once, and no run has shown it.  A diagonal
@@ -393,7 +393,7 @@ class _Integrator(IFRK4):
         at 64^3 on the same trajectory at safety 0.9 and 0.7, with no
         numerical growth.
         """
-        return (self.params.cfl_safety * (2.0 * math.pi / max(self.domain.n))
+        return (CFL_SAFETY * (2.0 * math.pi / max(self.domain.n))
                 / max(self.last_vmax, 1e-8))
 
     def tendency(self, c, nl):

@@ -165,7 +165,7 @@ def test_criterion_6_absorbing_ball(run6):
     result, forcing = run6
     nu, alpha, p = 0.5, 1.5, 2.0
     assert not result.blew_up
-    checks = check_absorbing_ball(result.records, forcing, p, nu, slack=1e-6)
+    checks = check_absorbing_ball(result.records, forcing, p, nu)
     radius = p * lp_norm(inverse_transform(forcing), p) / nu
     terminal = result.records[-1].lp[p]
     ok = all(c.passed for c in checks) and terminal <= radius * (1 + 1e-6)
@@ -175,9 +175,9 @@ def test_criterion_6_absorbing_ball(run6):
 
 
 def test_criterion_7_energy_budget(run1, run6):
-    res1 = check_dissipation_budget(run1.records, slack=1e-8)
+    res1 = check_dissipation_budget(run1.records)
     worst1 = max(abs(c.value) for c in res1)
-    res6 = check_dissipation_budget(run6[0].records, slack=1e-6)
+    res6 = check_dissipation_budget(run6[0].records)
     worst6 = max(c.value for c in res6)
     report(7, worst1 <= 1e-8 and worst6 <= 1e-6 and all(c.passed for c in res6),
            f"budget residuals: single-mode run {worst1:.3e} (tol 1e-8), "
@@ -190,7 +190,7 @@ def test_criterion_8_quasilinear_global_run(stream_steps):
     res = run_stream_slope(w0, Regularization(mode="quasilinear", nu=0.1),
                            dt=1e-3, t_end=2.0, sample_every=0.01)
     h2_ok = all(math.isfinite(rec.h2) for rec in res.records)
-    checks = check_max_bound(res.records, slack=1e-6)
+    checks = check_max_bound(res.records)
     horizon = 0.2 * (1 - 1e-6)
     covered = [rec for rec in res.records if rec.t < horizon]
     # the diffusion is integrated exactly, so no stability cap shrinks the

@@ -16,7 +16,8 @@ from dpmflow import (DiagnosticsRecord, Domain, PhysicalField, RunConfig, RunRes
                      forward_transform, lp_norm, random_field, records_to_csv, run)
 from dpmflow.blowup1d import MaxBoundCheck
 from dpmflow.diagnostics import (AbsorbingBallCheck, CheckResult, DecayCheck,
-                                 DissipationBudgetCheck, RowWriter, record_columns)
+                                 DissipationBudgetCheck, MaxPrincipleCheck, RowWriter,
+                                 record_columns)
 
 
 def phys(domain, values):
@@ -161,7 +162,7 @@ class TestAbsorbingBallCheck:
 
 class TestDissipationBudget:
     def test_single_mode_equality(self, single_mode_run):
-        checks = check_dissipation_budget(single_mode_run.records, slack=1e-8)
+        checks = check_dissipation_budget(single_mode_run.records)
         assert all(c.passed for c in checks)
         assert max(abs(c.value) for c in checks) <= 1e-10
 
@@ -186,6 +187,53 @@ class TestDissipationBudget:
             assert rec.dissipation == pytest.approx(expected, rel=1e-9)
         checks = check_dissipation_budget(res.records)
         assert max(abs(c.value) for c in checks) <= 1e-10
+
+
+class TestPassFailBoundary:
+    """A record exactly at bound * (1 + 1e-6) + floor passes and the float
+    above it fails; the budget's residual passes exactly up to 1e-6."""
+
+    @staticmethod
+    def dpm_record(t, norm, diss_integral=0.0):
+        return DiagnosticsRecord(t=t, lp={2.0: norm, math.inf: norm}, hs={}, dissipation=0.0,
+                                 mean=0.0, vmax=0.0, volume=4 * math.pi ** 2,
+                                 diss_integral=diss_integral)
+
+    @staticmethod
+    def stream_record(t, max_w):
+        return StreamRecord(t=t, l2=1.0, linf=1.0, max_w=max_w, g=0.0, h2=1.0)
+
+    @pytest.mark.parametrize("name", ["decay", "absorbing_ball", "max_principle", "max_bound"])
+    def test_bound_times_one_plus_slack_plus_floor(self, name):
+        d = Domain((8, 8))
+        forcing = forward_transform(phys(d, 0.3 * np.sin(d.grid[0])))
+        check, record, floor = {
+            "decay": (DecayCheck(2.0, 0.1), self.dpm_record, lambda c: 1e-14 * c.n0),
+            "absorbing_ball": (AbsorbingBallCheck(forcing, 2.0, 0.1), self.dpm_record,
+                               lambda c: 1e-14 * max(c.n0, c.radius)),
+            "max_principle": (MaxPrincipleCheck(forcing), self.dpm_record, lambda c: 0.0),
+            "max_bound": (MaxBoundCheck(), self.stream_record, lambda c: 1e-14 * c.q0),
+        }[name]
+        first = record(0.0, 1.0)
+        check.first(first)
+        bound = check.judge(first, record(0.5, 1.0)).bound
+        edge = bound * (1 + 1e-6) + floor(check)
+        above = np.nextafter(edge, math.inf)
+        results = [check.judge(first, record(0.5, value)) for value in (edge, above)]
+        assert [(r.name, r.bound, r.value) for r in results] == [(name, bound, edge),
+                                                                  (name, bound, above)]
+        assert [r.passed for r in results] == [True, False]
+
+    def test_budget_residual_up_to_the_slack(self):
+        # equal L^2 norms and no injection: the residual is 2 diss_integral
+        check = DissipationBudgetCheck()
+        first = self.dpm_record(0.0, 1.0)
+        check.first(first)
+        results = [check.judge(first, self.dpm_record(0.5, 1.0, diss_integral=half))
+                   for half in (0.5e-6, np.nextafter(0.5e-6, 1.0))]
+        assert [(r.bound, r.value) for r in results] == [(1e-6, 1e-6),
+                                                         (1e-6, np.nextafter(1e-6, 1.0))]
+        assert [r.passed for r in results] == [True, False]
 
 
 class TestCsv:
@@ -274,7 +322,7 @@ class TestJudgedOnArrival:
     def test_dpm_checks(self, data, forced, p):
         d = Domain((8, 8))
         forcing = forward_transform(phys(d, 0.3 * np.sin(d.grid[0]))) if forced else None
-        nu, slack = 0.1, 1e-6
+        nu = 0.1
         norm = st.floats(0.1, 10.0)
         integral = st.floats(0.0, 1.0)
 
@@ -285,12 +333,12 @@ class TestJudgedOnArrival:
                 diss_integral=t * draw(integral), inj_integral=t * draw(integral))
 
         records = draw_records(data, record)
-        checks = [AbsorbingBallCheck(forcing, 2.0, nu, slack), DissipationBudgetCheck(slack)]
-        folds = [lambda recs: check_absorbing_ball(recs, forcing, 2.0, nu, slack),
-                 lambda recs: check_dissipation_budget(recs, slack)]
+        checks = [AbsorbingBallCheck(forcing, 2.0, nu), DissipationBudgetCheck()]
+        folds = [lambda recs: check_absorbing_ball(recs, forcing, 2.0, nu),
+                 check_dissipation_budget]
         if not forced:
-            checks.insert(0, DecayCheck(p, nu, q=2.0, slack=slack))
-            folds.insert(0, lambda recs: check_decay_torus(recs, p, nu, q=2.0, slack=slack))
+            checks.insert(0, DecayCheck(p, nu, q=2.0))
+            folds.insert(0, lambda recs: check_decay_torus(recs, p, nu, q=2.0))
         names = [c.name for c in checks]
         text, ok = judged_on_arrival(records, checks, record_columns)
         assert (text, ok) == folded(records, folds, names, record_columns)
@@ -308,7 +356,7 @@ class TestJudgedOnArrival:
         def columns(rec):
             return ["t", "max", "g"], [rec.t, rec.max_w, rec.g]
 
-        text, ok = judged_on_arrival(records, [MaxBoundCheck(1e-6)], columns)
+        text, ok = judged_on_arrival(records, [MaxBoundCheck()], columns)
         assert (text, ok) == folded(records, [check_max_bound], ["max_bound"], columns)
         return text
 

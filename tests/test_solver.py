@@ -15,7 +15,7 @@ from dpmflow import (Domain, PhysicalField, SolverParams, SpectralField, dealias
                      nonlinear_term, random_field, run)
 from dpmflow.blowup1d import Regularization, _StreamOps
 from dpmflow.diagnostics import MaxPrincipleCheck, fold
-from dpmflow.solver import _Integrator
+from dpmflow.solver import CFL_SAFETY, _Integrator
 from dpmflow.spectral import gather
 
 
@@ -194,31 +194,30 @@ class TestCfl:
     """The step bound of adaptive runs, at the state of the last nonlinear evaluation."""
 
     @staticmethod
-    def cfl_dt(t0, cfl_safety):
-        params = SolverParams(nu=0.1, alpha=1.0, dt=1.0, t_end=1.0, cfl_safety=cfl_safety)
+    def cfl_dt(t0):
+        params = SolverParams(nu=0.1, alpha=1.0, dt=1.0, t_end=1.0)
         integ = _Integrator(t0.domain, params, None)
         integ.nonlinear(gather(forward_transform(t0).coeffs, t0.domain))
         return integ.cfl_dt()
 
     def test_formula(self, d2):
         # constant T = 2 gives uniform |v| = 2
-        expected = 0.5 * (2 * math.pi / 32) / 2.0
-        assert self.cfl_dt(phys(d2, np.full(d2.n, 2.0)), 0.5) == pytest.approx(expected,
-                                                                                rel=1e-12)
+        expected = CFL_SAFETY * (2 * math.pi / 32) / 2.0
+        assert self.cfl_dt(phys(d2, np.full(d2.n, 2.0))) == pytest.approx(expected, rel=1e-12)
 
     def test_floor_for_quiescent_fields(self, d2):
-        assert self.cfl_dt(phys(d2, np.zeros(d2.n)), 1.0) == pytest.approx(
-            (2 * math.pi / 32) / 1e-8)
+        assert self.cfl_dt(phys(d2, np.zeros(d2.n))) == pytest.approx(
+            CFL_SAFETY * (2 * math.pi / 32) / 1e-8)
 
     @pytest.mark.parametrize("n, product", [((64, 64), 2.62), ((32, 32, 32), 3.06)])
     def test_frozen_coefficient_product_on_the_box(self, n, product):
-        # dt max|k.v| at the default safety: the step at uniform |v| = 1
+        # dt max|k.v| at CFL_SAFETY = 0.9: the step at uniform |v| = 1
         # (constant T = 1) times the largest |k| of the 2/3 box, against
         # RK4's imaginary-axis limit 2 sqrt(2) = 2.83 (_Integrator.cfl_dt)
         d = Domain(n)
         k_max = gather(np.sqrt(d.k_squared), d).max()
         assert k_max == pytest.approx((n[0] // 3) * math.sqrt(len(n)), rel=1e-15)
-        assert round(self.cfl_dt(phys(d, np.ones(n)), 0.9) * k_max, 2) == product
+        assert round(self.cfl_dt(phys(d, np.ones(n))) * k_max, 2) == product
 
 
 class TestMaxPrinciple:
@@ -354,13 +353,21 @@ class TestRun:
                 run(random_field(d2, seed=4), params, sample_every=sample_every,
                     start_time=start_time)
 
-    def test_adaptive_run_reaches_t_end(self, d2):
-        t0 = random_field(d2, seed=14)
-        params = SolverParams(nu=0.1, alpha=1.0, dt=0.05, t_end=0.3, adaptive=True,
-                              cfl_safety=0.5)
+    def test_adaptive_run_reaches_t_end(self, d2, monkeypatch):
+        # at L^2 norm 20 the CFL bound, not dt, sets some steps (at norm 1
+        # every step is dt)
+        steps = []
+        advance = _Integrator.advance
+        monkeypatch.setattr(_Integrator, "advance",
+                            lambda self, c, nl, dt, **kw: steps.append(dt) or
+                            advance(self, c, nl, dt, **kw))
+        t0 = random_field(d2, seed=14, l2_norm=20.0)
+        params = SolverParams(nu=0.1, alpha=1.0, dt=0.05, t_end=0.3, adaptive=True)
         res = run(t0, params, sample_every=0.1, p_list=(2.0,))
         assert res.final_state.t == pytest.approx(0.3, abs=1e-9)
         assert not res.blew_up
+        # the first step, which lands on no sample, is cut by the CFL bound
+        assert steps[0] < params.dt
 
     def test_supercritical_warning(self, d2):
         params = SolverParams(nu=0.1, alpha=0.5, dt=0.01, t_end=0.02)

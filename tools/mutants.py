@@ -186,6 +186,12 @@ MUTANTS = (
            "else 1.2 * p * lp_norm(inverse_transform(forcing), p) / nu",
            ("tests/test_diagnostics.py::TestAbsorbingBallCheck"
             "::test_bound_is_the_closed_form_of_the_radius",)),
+    Mutant("check slack 1e-3", "src/dpmflow/diagnostics.py",
+           "SLACK = 1e-6", "SLACK = 1e-3",
+           ("tests/test_diagnostics.py::TestPassFailBoundary",)),
+    Mutant("CFL safety 1.0", "src/dpmflow/solver.py",
+           "CFL_SAFETY = 0.9", "CFL_SAFETY = 1.0",
+           ("tests/test_solver.py::TestCfl",)),
     Mutant("BLAS thread default dropped", "src/dpmflow/__init__.py",
            'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")', "None",
            ("tests/test_cli.py::TestBlasThreads::test_numpy_loads_with_one_blas_thread",)),
