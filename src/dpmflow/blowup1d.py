@@ -80,6 +80,9 @@ class OracleParams:
     nu: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("r0", self.r0), ("nu", self.nu)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.nu < 0:
             raise ValueError(f"nu must be >= 0, got {self.nu}")
         if self.r0 ** 2 <= self.nu ** 2:
@@ -418,7 +421,6 @@ def integrate_amplitude_ode(r0: float, nu: float, dt: float, t_max: float):
     betas = [0.0]
     b = 0.0
     t = 0.0
-    n = 0
     t_div = None
     while t < t_max - 1e-15:
         h = min(dt, t_max - t)
@@ -427,7 +429,6 @@ def integrate_amplitude_ode(r0: float, nu: float, dt: float, t_max: float):
         k3 = f(b + 0.5 * h * k2)
         k4 = f(b + h * k3)
         b = b + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        n += 1
         t = t + h
         if not math.isfinite(b) or abs(b) > 1e12:
             t_div = t

@@ -144,8 +144,7 @@ def build_domain(cfg: RunConfig) -> Domain:
         n = n * dim
     if len(n) != dim:
         raise ConfigError(f"domain.n: expected {dim} entries, got {len(n)}")
-    baxis = cfg.get_int("domain.buoyancy_axis", default=dim - 1)
-    return _checked("domain", Domain, tuple(n), baxis)
+    return _checked("domain", Domain, tuple(n))
 
 
 def build_solver_params(cfg: RunConfig) -> SolverParams:

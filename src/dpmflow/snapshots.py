@@ -1,7 +1,7 @@
 """Bit-exact binary snapshots of physical fields (the DPMF format).
 
 Layout, all little-endian:
-  magic 'DPMF', u32 version=1, u8 dim, u8 buoyancy_axis,
+  magic 'DPMF', u32 version=1, u8 dim, u8 buoyancy axis (always dim - 1),
   u64 n per axis, f64 time, f64 values row-major.
 A checkpoint is a snapshot followed by one trailing f64 carrying the 1D
 module's accumulator g; readers tell the two apart by file length.  The
@@ -45,7 +45,7 @@ def atomic_open(path, mode="w", **kwargs):
 def write_snapshot(path, time: float, field: PhysicalField, g: float | None = None):
     d = field.domain
     with atomic_open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIBB", MAGIC, VERSION, d.dim, d.buoyancy_axis))
+        fh.write(struct.pack("<4sIBB", MAGIC, VERSION, d.dim, d.dim - 1))
         fh.write(struct.pack(f"<{d.dim}Q", *d.n))
         fh.write(struct.pack("<d", float(time)))
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
@@ -65,6 +65,9 @@ def read_snapshot(path):
         raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
+    if baxis != dim - 1:
+        raise ValueError(f"{path}: buoyancy axis {baxis}, expected the last "
+                         f"axis, {dim - 1}")
     off = head
     if len(raw) < off + 8 * dim + 8:
         raise ValueError(f"{path}: truncated snapshot header")
@@ -86,6 +89,5 @@ def read_snapshot(path):
     for name, value in (("time", time), ("g", g)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{path}: {name} is {value}, must be finite")
-    field = PhysicalField(Domain(tuple(int(m) for m in n), int(baxis)),
-                          values.astype(np.float64))
+    field = PhysicalField(Domain(tuple(int(m) for m in n)), values.astype(np.float64))
     return float(time), field, g

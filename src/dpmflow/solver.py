@@ -267,7 +267,7 @@ class _Integrator(IFRK4):
         self.k_alpha = k_power(sum(kj ** 2 for kj in k), params.alpha)
         super().__init__(-params.nu * self.k_alpha)
         self.weights = parseval_weights(k[-1].ravel(), domain.n[-1])
-        vel = darcy_multipliers(k, domain.buoyancy_axis, domain.n)
+        vel = darcy_multipliers(k, domain.n)
         # the divergence multipliers -i k_j, dense so that blocks slice them
         neg_deriv = [np.broadcast_to(-1j * kj, self.box_shape).copy() for kj in k]
         # per block of the box: its index, and the multipliers on it

@@ -86,15 +86,13 @@ def parseval_weights(k_last, n_last):
 
 @dataclass(frozen=True)
 class Domain:
-    """Periodic box descriptor: per-axis mode counts and the buoyancy axis.
+    """Periodic box descriptor: the mode count of each axis.
 
     The period is fixed at 2*pi per axis, so wavenumbers are integers and
-    lambda1 = min |k| over nonzero modes = 1.  The buoyancy direction gamma
-    is the last axis by convention.
+    lambda1 = min |k| over nonzero modes = 1.
     """
 
     n: tuple
-    buoyancy_axis: int = -1
 
     def __post_init__(self):
         n = tuple(int(m) for m in self.n)
@@ -104,10 +102,6 @@ class Domain:
         for m in n:
             if m < 8 or m % 2:
                 raise ValueError(f"grid sizes must be even and >= 8, got {n}")
-        if not -len(n) <= self.buoyancy_axis < len(n):
-            raise ValueError(f"buoyancy axis {self.buoyancy_axis} out of range "
-                             f"for dimension {len(n)}")
-        object.__setattr__(self, "buoyancy_axis", self.buoyancy_axis % len(n))
 
     @property
     def dim(self):
@@ -378,7 +372,7 @@ def refine(u_hat: SpectralField, factor: int) -> PhysicalField:
     big[np.ix_(*idx, np.arange(nyq + 1))] = u_hat.coeffs
     big[..., nyq] *= 0.5
     vals = np.fft.irfftn(big, s=nbig, axes=range(d.dim), norm="forward")
-    return PhysicalField(Domain(nbig, d.buoyancy_axis), vals)
+    return PhysicalField(Domain(nbig), vals)
 
 
 _NEWTON_STEPS = 40   # iteration cap of sup_norm's polishing

@@ -5,9 +5,11 @@ div v = 0 gives, mode by mode,
 
     v_hat_j(k) = (k_j k_N / |k|^2 - delta_{jN}) T_hat(k),   k != 0,
 
-with N the buoyancy axis, and v_hat(0) = -gamma T_hat(0).  The multiplier
-form is exact and O(n log n); the singular-kernel representation of the same
-operator is exercised only through the curl-curl identity in the tests.
+with N the buoyancy axis, and v_hat(0) = -gamma T_hat(0).  As in the paper,
+gamma = (0, ..., 0, 1): N is the last axis, fixed in darcy_multipliers, and
+any other choice would only relabel the grid.  The multiplier form is exact
+and O(n log n); the singular-kernel representation of the same operator is
+exercised only through the curl-curl identity in the tests.
 Every multiplier has magnitude at most one, so each velocity component is
 bounded by the temperature in L^2.  Like every spectrum in the package the
 velocity is a half spectrum (the spectral module docstring covers the
@@ -25,28 +27,30 @@ import numpy as np
 from .spectral import Domain, SpectralField
 
 
-def darcy_multipliers(k, buoyancy_axis, n):
+def darcy_multipliers(k, n):
     """Darcy multipliers m_j(k) = k_j k_N / |k|^2 - delta_{jN}, m_j(0) = -delta_{jN}.
 
-    k are open wavenumber meshes, n the grid sizes and N the buoyancy axis.
-    Obtained by eliminating the pressure from Darcy's law with div v = 0;
-    the zero mode encodes the uniform drift -gamma * mean(T) induced by a
-    constant temperature with periodic pressure.  Where exactly one of
-    k_j and k_N (j != N) is an unpaired Nyquist wavenumber -n_j/2, which
-    the mirror -k keeps, k_j k_N changes sign between k and -k: m_j is its
-    even part there, 0, which the real part of the velocity carries.
+    k are open wavenumber meshes and n the grid sizes; N, the buoyancy
+    axis, is the last one.  Obtained by eliminating the pressure from
+    Darcy's law with div v = 0; the zero mode encodes the uniform drift
+    -gamma * mean(T) induced by a constant temperature with periodic
+    pressure.  Where exactly one of k_j and k_N (j != N) is an unpaired
+    Nyquist wavenumber -n_j/2, which the mirror -k keeps, k_j k_N changes
+    sign between k and -k: m_j is its even part there, 0, which the real
+    part of the velocity carries.
     """
-    kN = k[buoyancy_axis]
+    N = len(k) - 1
+    kN = k[N]
     k_squared = sum(kj ** 2 for kj in k)
     safe = np.where(k_squared > 0, k_squared, 1.0)
     nyquist = [kj == -m // 2 for kj, m in zip(k, n)]
     mults = []
     for j, kj in enumerate(k):
-        if j == buoyancy_axis:
+        if j == N:
             m = kj * kN / safe - 1.0
         else:
-            m = np.where(nyquist[j] != nyquist[buoyancy_axis], 0.0, kj * kN / safe)
-        m[(0,) * len(k)] = -1.0 if j == buoyancy_axis else 0.0
+            m = np.where(nyquist[j] != nyquist[N], 0.0, kj * kN / safe)
+        m[(0,) * len(k)] = -1.0 if j == N else 0.0
         mults.append(m)
     return tuple(mults)
 
@@ -76,8 +80,7 @@ class VelocityField:
 
 def velocity_coefficients(domain: Domain, t_coeffs: np.ndarray) -> list:
     """The Darcy multipliers applied to a raw half-spectrum coefficient array."""
-    return [m * t_coeffs
-            for m in darcy_multipliers(domain.wavenumbers, domain.buoyancy_axis, domain.n)]
+    return [m * t_coeffs for m in darcy_multipliers(domain.wavenumbers, domain.n)]
 
 
 def velocity_from_temperature(t_hat: SpectralField) -> VelocityField:
@@ -98,6 +101,6 @@ def pressure_from_temperature(t_hat: SpectralField) -> SpectralField:
     """
     d = t_hat.domain
     safe = np.where(d.k_squared > 0, d.k_squared, 1.0)
-    m = 1j * d.deriv_wavenumbers[d.buoyancy_axis] / safe
+    m = 1j * d.deriv_wavenumbers[-1] / safe
     m[(0,) * d.dim] = 0.0
     return SpectralField(d, m * t_hat.coeffs)

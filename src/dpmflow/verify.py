@@ -243,7 +243,7 @@ def _cases():
         worst = 0.0
         for j in range(2):
             rec = -(spectral.partial_derivative(p, j).coeffs
-                    + (smooth2_hat.coeffs if j == d2.buoyancy_axis else 0.0))
+                    + (smooth2_hat.coeffs if j == d2.dim - 1 else 0.0))
             err = np.abs(rec - v.components[j].coeffs).max()
             worst = max(worst, err / max(np.abs(smooth2_hat.coeffs).max(), 1e-16))
         return worst <= 1e-13, f"rel={worst:.2e}"

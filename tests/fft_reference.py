@@ -34,7 +34,7 @@ class FullLayout:
     def velocity_multipliers(self):
         """k_j k_N / |k|^2 - delta_{jN} on every mode, -delta_{jN} at k = 0."""
         d = self.domain
-        ax = d.buoyancy_axis
+        ax = d.dim - 1
         kN = self.wavenumbers[ax]
         safe = np.where(self.k_squared > 0, self.k_squared, 1.0)
         mults = []

@@ -146,7 +146,7 @@ def test_criterion_5_velocity_identities():
 
     worst_hydro = 0.0
     for domain in (Domain((32, 32)), Domain((16, 16, 16))):
-        profile = np.sin(domain.grid[domain.buoyancy_axis])
+        profile = np.sin(domain.grid[-1])
         t_hat = forward_transform(PhysicalField(
             domain, np.ascontiguousarray(np.broadcast_to(profile, domain.n))))
         v = velocity_from_temperature(t_hat)

@@ -142,6 +142,12 @@ class TestOracles:
         with pytest.raises(ValueError):
             OracleParams(r0=0.5, nu=1.0)
 
+    # unrefused, a NaN gives a NaN t* and an infinite r0 gives t* = 0
+    @pytest.mark.parametrize("r0, nu", [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0)])
+    def test_params_must_be_finite(self, r0, nu):
+        with pytest.raises(ValueError, match="must be finite"):
+            OracleParams(r0=r0, nu=nu)
+
     def test_ode_twin_matches_closed_form(self):
         p = OracleParams(r0=2.0, nu=1.0)
         ts, betas, t_div = integrate_amplitude_ode(2.0, 1.0, 1e-4, 0.55)

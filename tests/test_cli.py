@@ -796,8 +796,9 @@ output.dir = {outdir}
     ("run", {"solver.nu": "nan"}, "nu"),
     ("run", {"solver.dt": "nan"}, "dt"),
     ("run", {"diagnostics.sample_every": "inf"}, "sample_every"),
-    # axis 2 of a 2D domain, which must not wrap round to axis 0
-    ("run", {"domain.buoyancy_axis": "2"}, "buoyancy axis"),
+    # buoyancy acts along the last axis, so no key moves it, not even to
+    # the last axis
+    ("run", {"domain.buoyancy_axis": "1"}, "domain.buoyancy_axis"),
     ("run", {"diagnostics.checks": "absorbing_ball", "diagnostics.p_list": "2, 4",
              "diagnostics.ball_p": "3"}, "L^3 norm"),
     ("run", {"diagnostics.p_list": "0.5, 2"}, "diagnostics.p_list"),

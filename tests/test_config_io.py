@@ -161,7 +161,7 @@ class TestBuilders:
 
 class TestSnapshots:
     def test_exact_byte_layout(self, tmp_path):
-        domain = Domain((8, 8), buoyancy_axis=1)
+        domain = Domain((8, 8))
         values = np.arange(64, dtype=np.float64).reshape(8, 8) / 7.0
         values -= values.mean()
         path = tmp_path / "s.dpmf"
@@ -278,12 +278,22 @@ class TestSnapshots:
         assert math.isfinite(t)
         assert g is None or math.isfinite(g)
 
-    def test_read_rejects_out_of_range_buoyancy_axis(self, tmp_path):
-        # a 2D snapshot whose header byte names buoyancy axis 2
+    @staticmethod
+    def read_with_axis_byte(tmp_path, byte):
+        """Read a 2D snapshot whose header names buoyancy axis byte."""
         path = tmp_path / "axis.dpmf"
         write_snapshot(path, 0.0, PhysicalField(Domain((8, 8)), np.zeros((8, 8))))
         raw = bytearray(path.read_bytes())
-        raw[9] = 2
+        assert raw[9] == 1
+        raw[9] = byte
         path.write_bytes(bytes(raw))
+        return read_snapshot(path)
+
+    def test_read_rejects_out_of_range_buoyancy_axis(self, tmp_path):
         with pytest.raises(ValueError, match="buoyancy axis"):
-            read_snapshot(path)
+            self.read_with_axis_byte(tmp_path, 2)
+
+    def test_read_rejects_a_buoyancy_axis_other_than_the_last(self, tmp_path):
+        # axis 0 is in range, but buoyancy acts along the last axis
+        with pytest.raises(ValueError, match="buoyancy axis"):
+            self.read_with_axis_byte(tmp_path, 0)

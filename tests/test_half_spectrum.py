@@ -89,12 +89,6 @@ alphas = st.floats(0.0, 2.0)
 nus = st.floats(0.0, 0.5)
 
 
-@st.composite
-def buoyant_grids(draw, dims=(1, 2, 3)):
-    d = draw(grids(dims))
-    return Domain(d.n, draw(st.integers(0, d.dim - 1)))
-
-
 def real_field(d, seed):
     """Grid samples of a random real field, with energy on every mode."""
     return PhysicalField(d, np.random.default_rng(seed).standard_normal(d.n))
@@ -146,14 +140,14 @@ def test_riesz_potential_inverts_fractional_laplacian(d, seed, beta):
     assert np.abs(out - c.coeffs).max() <= RTOL * np.abs(c.coeffs).max()
 
 
-@given(d=buoyant_grids(dims=(2, 3)), seed=seeds)
+@given(d=grids(dims=(2, 3)), seed=seeds)
 def test_velocity_identities(d, seed):
     c = smooth_spectrum(d, seed)
     v = velocity_from_temperature(c)
     scale = np.abs(c.coeffs).max()
     assert np.abs(v.spectral_divergence()).max() <= 1e-13 * scale
     # curl-curl: -|k|^2 v_j = (-k_j k_N + delta_{jN} |k|^2) T
-    k, ax = d.wavenumbers, d.buoyancy_axis
+    k, ax = d.wavenumbers, d.dim - 1
     for j, comp in enumerate(v.components):
         rhs = (-k[j] * k[ax] + (d.k_squared if j == ax else 0.0)) * c.coeffs
         assert np.abs(-d.k_squared * comp.coeffs - rhs).max() <= 1e-12 * scale
@@ -167,12 +161,11 @@ def test_velocity_identities(d, seed):
         assert lp_norm(inverse_transform(comp), 2) <= tn * (1 + 1e-13)
 
 
-@given(d=buoyant_grids())
+@given(d=grids())
 def test_velocity_multipliers_are_the_even_part_of_the_full_set(d):
     # reference: the full-layout set, symmetrized to be even in k (the part
     # a real inverse transform applies), cut to the half
-    for m, full in zip(darcy_multipliers(d.wavenumbers, d.buoyancy_axis, d.n),
-                       FullLayout(d).velocity_multipliers):
+    for m, full in zip(darcy_multipliers(d.wavenumbers, d.n), FullLayout(d).velocity_multipliers):
         assert np.array_equal(m, half(0.5 * (full + _reflect(full, range(d.dim)))))
 
 
@@ -241,7 +234,7 @@ def test_integrator_refuses_arrays_off_the_box(d):
         integ.advance(c, c, 0.01)
 
 
-@given(d=buoyant_grids(), alpha=alphas)
+@given(d=grids(), alpha=alphas)
 def test_box_multipliers_are_the_half_spectrum_ones(d, alpha):
     # the builders of spectral and velocity serve both layouts, so the box
     # holds the very bits of the half spectrum: its Nyquist branch is all
@@ -249,7 +242,7 @@ def test_box_multipliers_are_the_half_spectrum_ones(d, alpha):
     integ = integrator(d, hermitian(d, 1), 0.1, alpha)
     assert np.array_equal(integ.k_alpha, gather(k_power(d.k_squared, alpha), d))
     for inner, vel, _ in integ.blocks:
-        for m, full in zip(vel, darcy_multipliers(d.wavenumbers, d.buoyancy_axis, d.n)):
+        for m, full in zip(vel, darcy_multipliers(d.wavenumbers, d.n)):
             assert np.array_equal(m, gather(full, d)[inner])
     assert np.array_equal(integ.weights, d.parseval_weights[:integ.box_shape[-1]])
 

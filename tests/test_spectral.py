@@ -41,7 +41,6 @@ def smooth2(d2):
 class TestDomain:
     def test_defaults(self, d2):
         assert d2.dim == 2
-        assert d2.buoyancy_axis == 1  # last axis by convention
         assert d2.volume == pytest.approx((2 * math.pi) ** 2)
 
     @pytest.mark.parametrize("n", [(7, 8), (8, 9), (6, 8), (4,)])
@@ -71,12 +70,6 @@ class TestDomain:
         assert d2.spectral_shape == (32, 17)
         assert np.array_equal(d2.wavenumbers[1].ravel(), np.r_[0:16, -16])
         assert d2.k_squared.shape == (32, 17)
-
-    @pytest.mark.parametrize("n, axis", [((32, 32), 2), ((32, 32), 7), ((16, 16, 16), -4),
-                                         ((64,), 1)])
-    def test_rejects_out_of_range_buoyancy_axis(self, n, axis):
-        with pytest.raises(ValueError, match="buoyancy axis"):
-            Domain(n, axis)
 
 
 class TestTransforms:

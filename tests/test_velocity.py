@@ -49,7 +49,7 @@ class TestVelocity:
                 assert np.abs(comp.coeffs - ref)[slabs].max() <= 1e-13 * scale
 
     def test_multiplier_magnitudes_at_most_one(self, d3):
-        for m in darcy_multipliers(d3.wavenumbers, d3.buoyancy_axis, d3.n):
+        for m in darcy_multipliers(d3.wavenumbers, d3.n):
             assert np.abs(m).max() <= 1.0 + 1e-15
 
 

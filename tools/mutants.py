@@ -85,6 +85,9 @@ MUTANTS = (
     Mutant("Darcy multiplier sign on the buoyancy axis", "src/dpmflow/velocity.py",
            "m = kj * kN / safe - 1.0", "m = 1.0 - kj * kN / safe",
            ("tests/test_velocity.py",)),
+    Mutant("buoyancy on the first axis", "src/dpmflow/velocity.py",
+           "N = len(k) - 1", "N = 0",
+           ("tests/test_velocity.py",)),
     Mutant("Parseval weight 2 on the last axis' Nyquist mode", "src/dpmflow/spectral.py",
            "(k_last == 0) | (k_last == -(n_last // 2))", "(k_last == 0)",
            ("tests/test_identities.py", "tests/test_half_spectrum.py")),
