@@ -55,8 +55,9 @@ def _execute(cfg, checks, solve, columns, report, save, csv_name, snapshots=Fals
              allow_blowup=True):
     """Run one command's solver, judging and writing each record as it arrives.
 
-    The output keys are read first, and then a key that no read has taken
-    is refused.  checks are (label, check) pairs of check objects, and
+    The output keys are read first, output.csv and output.checkpoint each a
+    path inside output.dir, and then a key that no read has taken is
+    refused.  checks are (label, check) pairs of check objects, and
     columns(record) gives the names and cells of a record's CSV row.  At
     the first record, before the first step, each check's first() applies
     its input rules and judges it, and output.dir and the directories of
@@ -69,10 +70,19 @@ def _execute(cfg, checks, solve, columns, report, save, csv_name, snapshots=Fals
     final state to output.checkpoint.
     """
     outdir = cfg.get_str("output.dir", default="out")
-    csv_path = os.path.join(outdir, cfg.get_str("output.csv", default=csv_name))
-    checkpoint = cfg.get_str("output.checkpoint", default=None)
-    if checkpoint is not None:
-        checkpoint = os.path.join(outdir, checkpoint)
+
+    def inside(key, default):
+        """The path under outdir that key names relative to it, or None when unset."""
+        name = cfg.get_str(key, default=default)
+        if name is None:
+            return None
+        head = os.path.normpath(name).split(os.sep)[0]  # "." names output.dir itself
+        if os.path.isabs(name) or head in (os.curdir, os.pardir):
+            raise ConfigError(f"{key} = {name} is not a path inside output.dir")
+        return os.path.join(outdir, name)
+
+    csv_path = inside("output.csv", csv_name)
+    checkpoint = inside("output.checkpoint", None)
     cfg.refuse_unread()
     taken = itertools.count()
     ok = True

@@ -11,6 +11,7 @@ no command reads (a misspelt one, say) is refused instead of ignored.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +97,7 @@ class RunConfig:
         return self._get(key, default, int, "an integer")
 
     def get_bool(self, key, default=REQUIRED):
-        return self._get(key, default, _bool, "a boolean")
+        return self._get(key, default, _bool, "true or false")
 
     def get_float_list(self, key, default=""):
         return self._get(key, default, lambda v: _list(v, float), "a number list")
@@ -112,13 +113,14 @@ class RunConfig:
                               "(misspelt, or unused with these settings)")
 
 
-_BOOLS = {**dict.fromkeys(("true", "on", "yes", "1"), True),
-          **dict.fromkeys(("false", "off", "no", "0"), False)}
+_BOOLS = {"true": True, "false": False}
 
 
 def _bool(val):
+    if isinstance(val, bool):  # an accessor's default
+        return val
     try:
-        return _BOOLS[str(val).lower()]
+        return _BOOLS[val]
     except KeyError:
         raise ValueError(val) from None
 
@@ -157,16 +159,14 @@ def build_solver_params(cfg: RunConfig) -> SolverParams:
 def _mode_field(cfg, prefix, domain) -> PhysicalField:
     amplitude = cfg.get_float(f"{prefix}.amplitude", default=1.0)
     shape = cfg.get_str(f"{prefix}.function", default="sin", choices=("sin", "cos"))
-    kvec = cfg.get_int_list(f"{prefix}.wavevector", default=None)
-    if kvec is not None:
-        if len(kvec) != domain.dim:
-            raise ConfigError(f"{prefix}.wavevector: expected {domain.dim} entries")
-    else:
-        axis = cfg.get_int(f"{prefix}.axis", default=0)
-        if not 0 <= axis < domain.dim:
-            raise ConfigError(f"{prefix}.axis: out of range for dim {domain.dim}")
-        kvec = [0] * domain.dim
-        kvec[axis] = cfg.get_int(f"{prefix}.wavenumber", default=1)
+    kvec = cfg.get_int_list(f"{prefix}.wavevector", default="1" + ", 0" * (domain.dim - 1))
+    if len(kvec) != domain.dim:
+        raise ConfigError(f"{prefix}.wavevector: expected {domain.dim} entries")
+    # a mode outside the 2/3 box would be truncated to rounding noise
+    cuts = [m // 3 for m in domain.n]
+    if any(abs(k) > cut for k, cut in zip(kvec, cuts)):
+        raise ConfigError(f"{prefix}.wavevector: {kvec} lies outside the 2/3 box "
+                          f"|k_j| <= {cuts} of domain.n")
     phase = sum(k * x for k, x in zip(kvec, domain.grid))
     fn = np.sin if shape == "sin" else np.cos
     return _checked(prefix, PhysicalField, domain, np.ascontiguousarray(
@@ -217,7 +217,14 @@ def build_forcing(cfg: RunConfig, domain: Domain) -> SpectralField | None:
         fld = _mode_field(cfg, "forcing", domain)
     else:
         fld = PhysicalField(domain, _snapshot_input(cfg, "forcing.path", domain.n)[1].values)
-    return dealias(forward_transform(fld))
+    full = forward_transform(fld)
+    kept = dealias(full)
+    peak = np.abs(full.coeffs).max()
+    tail = np.abs(full.coeffs - kept.coeffs).max() / peak if peak else 0.0
+    if tail > 1e-10:
+        warnings.warn(f"forcing is marginally resolved: spectral tail {tail:.2e} "
+                      "of peak beyond the 2/3 cutoff", stacklevel=2)
+    return kept
 
 
 def build_regularization(cfg: RunConfig) -> Regularization:

@@ -215,7 +215,8 @@ def _box_runs(domain: Domain) -> list:
     scatter(gather(c)), the solver steps on the box and its pruned passes
     skip the gap between a leading axis' two runs (solver._Integrator), and
     the 1D stream-slope step cuts its spectrum at the box's last-axis
-    length.  So no product is truncated after the fact.
+    length.  So no product is truncated after the fact, and config refuses
+    a single mode outside the box.
     """
     cuts = [m // 3 for m in domain.n]
     runs = [[(slice(0, cut + 1),) * 2, (slice(m - cut, m), slice(cut + 1, None))]

@@ -26,7 +26,7 @@ solver.alpha = 1.5
 solver.dt = 0.002
 solver.t_end = {t_end}
 initial.kind = single_mode
-initial.axis = 0
+initial.wavevector = 1, 0
 initial.function = sin
 diagnostics.p_list = 1, 2, 4, inf
 diagnostics.sample_every = 0.1
@@ -304,7 +304,7 @@ output.dir = {outdir}
         text = DECAY_RUN.format(t_end=0.2, outdir=tmp_path / "o")
         text = text.replace("initial.kind = single_mode",
                             f"initial.kind = file\ninitial.path = {tmp_path / 'square.dpmf'}")
-        text = text.replace("initial.axis = 0\ninitial.function = sin\n", "")
+        text = text.replace("initial.wavevector = 1, 0\ninitial.function = sin\n", "")
         cfg = write_config(tmp_path / "sq.cfg", text + "diagnostics.decay_p = 4\n")
         with pytest.warns(UserWarning, match="marginally resolved"):
             assert main(["run", cfg]) == 0
@@ -360,7 +360,7 @@ output.dir = {tmp_path / 'o'}
                        PhysicalField(d, np.ascontiguousarray(np.broadcast_to(
                            0.5 * np.sin(phase), d.n))))
         mode = self.forced_run(tmp_path, "mode", "forcing.kind = single_mode\n"
-                               "forcing.axis = 1\nforcing.amplitude = 0.5\n")
+                               "forcing.wavevector = 0, 1\nforcing.amplitude = 0.5\n")
         from_file = self.forced_run(tmp_path, "file", "forcing.kind = file\n"
                                     f"forcing.path = {tmp_path / 'f.dpmf'}\n")
         assert main(["run", mode]) == 0
@@ -368,6 +368,17 @@ output.dir = {tmp_path / 'o'}
         csv_mode = (tmp_path / "mode" / "diagnostics.csv").read_bytes()
         assert csv_mode == (tmp_path / "file" / "diagnostics.csv").read_bytes()
         assert b"absorbing_ball_pass" in csv_mode
+
+    def test_forcing_file_beyond_the_box_warns(self, tmp_path):
+        # 5 sin(12 x1) on 32^2 lies outside the 2/3 box |k| <= 10, which
+        # dealiases it to rounding noise: the run goes on, unforced, and says so
+        d = Domain((32, 32))
+        write_snapshot(tmp_path / "f.dpmf", 0.0,
+                       PhysicalField(d, 5.0 * np.sin(12 * d.grid[0]) + np.zeros(d.n)))
+        cfg = self.forced_run(tmp_path, "o", "forcing.kind = file\n"
+                              f"forcing.path = {tmp_path / 'f.dpmf'}\n")
+        with pytest.warns(UserWarning, match="forcing is marginally resolved: spectral tail"):
+            assert main(["run", cfg]) == 0
 
     def test_forcing_file_on_another_grid_exits_4(self, tmp_path, capsys, no_step):
         d = Domain((16, 16))
@@ -803,7 +814,7 @@ output.dir = {outdir}
              "diagnostics.ball_p": "3"}, "L^3 norm"),
     ("run", {"diagnostics.p_list": "0.5, 2"}, "diagnostics.p_list"),
     ("run", {"diagnostics.checks": "magic"}, "unknown check"),
-    ("run", {"forcing.kind": "single_mode", "forcing.axis": "1"}, "unforced runs only"),
+    ("run", {"forcing.kind": "single_mode", "forcing.wavevector": "0, 1"}, "unforced runs only"),
     # retired keys: IF-RK4 with the 2/3 rule is the one behaviour, so no value is read
     ("run", {"solver.scheme": "ifrk4"}, "solver.scheme"),
     ("run", {"solver.dealias": "true"}, "solver.dealias"),
@@ -849,6 +860,28 @@ output.dir = {outdir}
     # the absorbing ball is proved for p >= 2 only
     ("run", {"forcing.kind": "single_mode", "diagnostics.checks": "absorbing_ball",
              "diagnostics.ball_p": "1"}, "ball_p = 1): absorbing ball needs a finite p >= 2"),
+    # a single mode is named by its wave vector only, each set where it
+    # used to act (None: the key is left unset)
+    ("run", {"initial.wavevector": None, "initial.axis": "1"}, "initial.axis"),
+    ("run", {"initial.wavevector": None, "initial.wavenumber": "2"}, "initial.wavenumber"),
+    ("run", {"diagnostics.checks": "absorbing_ball", "forcing.kind": "single_mode",
+             "forcing.axis": "1"}, "forcing.axis"),
+    ("run", {"diagnostics.checks": "absorbing_ball", "forcing.kind": "single_mode",
+             "forcing.wavenumber": "2"}, "forcing.wavenumber"),
+    # a switch is true or false
+    ("run", {"solver.adaptive": "yes"}, "solver.adaptive"),
+    # a mode outside the 2/3 box |k_j| <= 32 // 3 would be truncated to
+    # rounding noise, whether data or forcing
+    ("run", {"initial.wavevector": "12, 0"}, "initial.wavevector"),
+    ("run", {"diagnostics.checks": "absorbing_ball", "forcing.kind": "single_mode",
+             "forcing.wavevector": "12, 0", "forcing.amplitude": "5"}, "forcing.wavevector"),
+    # the output files stay inside output.dir, so sweep points cannot share
+    # them ({tmp_path} is the test's own directory, which holds output.dir)
+    ("run", {"output.csv": "{tmp_path}/d.csv"}, "output.csv"),
+    ("run", {"output.csv": "sub/../../d.csv"}, "output.csv"),
+    ("run", {"output.checkpoint": "{tmp_path}/final.dpmf"}, "output.checkpoint"),
+    ("run", {"output.checkpoint": "../final.dpmf"}, "output.checkpoint"),
+    ("run", {"output.csv": "sub/.."}, "output.csv"),  # output.dir itself
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else
@@ -856,7 +889,8 @@ def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
         t_end=0.2, outdir=tmp_path / "o")
     kept = [line for line in text.splitlines() if line.split(" =")[0] not in settings]
     cfg = write_config(tmp_path / "c.cfg", "\n".join(
-        kept + [f"{key} = {value}" for key, value in settings.items() if value is not None])
+        kept + [f"{key} = {value.format(tmp_path=tmp_path)}"
+                for key, value in settings.items() if value is not None])
         + "\n")
     assert main([command, cfg]) == 4
     assert named in capsys.readouterr().err

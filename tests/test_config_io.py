@@ -25,8 +25,7 @@ solver.alpha = 1.5
 solver.dt = 0.001
 solver.t_end = 1.0
 initial.kind = single_mode
-initial.axis = 0
-initial.wavenumber = 1
+initial.wavevector = 1, 0
 diagnostics.p_list = 2, inf
 """
 
@@ -138,7 +137,7 @@ class TestBuilders:
         domain = build_domain(cfg)
         assert build_forcing(cfg, domain) is None
         cfg2 = RunConfig.parse(GOOD + "forcing.kind = single_mode\n"
-                               "forcing.axis = 0\nforcing.amplitude = 0.5\n")
+                               "forcing.wavevector = 1, 0\nforcing.amplitude = 0.5\n")
         f = build_forcing(cfg2, domain)
         assert f is not None
         assert abs(f.mean) < 1e-15

@@ -195,6 +195,12 @@ MUTANTS = (
     Mutant("CFL safety 1.0", "src/dpmflow/solver.py",
            "CFL_SAFETY = 0.9", "CFL_SAFETY = 1.0",
            ("tests/test_solver.py::TestCfl",)),
+    Mutant("box rule one mode wider", "src/dpmflow/config.py",
+           "cuts = [m // 3 for m in domain.n]", "cuts = [m // 2 for m in domain.n]",
+           ("tests/test_cli.py::test_bad_input_exits_4",)),
+    Mutant("output path may leave output.dir", "src/dpmflow/cli.py",
+           "os.path.isabs(name) or head in (os.curdir, os.pardir)", "os.path.isabs(name)",
+           ("tests/test_cli.py::test_bad_input_exits_4",)),
     Mutant("BLAS thread default dropped", "src/dpmflow/__init__.py",
            'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")', "None",
            ("tests/test_cli.py::TestBlasThreads::test_numpy_loads_with_one_blas_thread",)),
