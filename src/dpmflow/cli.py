@@ -12,6 +12,7 @@ import contextlib
 import itertools
 import math
 import os
+import re
 import signal
 import sys
 import warnings
@@ -51,38 +52,61 @@ def _check_stride(key, length, dt_key, dt):
                           f"of {dt_key} = {dt}")
 
 
-def _execute(cfg, checks, solve, columns, report, save, csv_name, snapshots=False,
-             allow_blowup=True):
-    """Run one command's solver, judging and writing each record as it arrives.
+_SNAPSHOT_NAME = re.compile(r"snapshot_\d{5,}\.dpmf")  # the file names of output.snapshots
 
-    The output keys are read first, output.csv and output.checkpoint each a
-    path inside output.dir, and then a key that no read has taken is
-    refused.  checks are (label, check) pairs of check objects, and
-    columns(record) gives the names and cells of a record's CSV row.  At
-    the first record, before the first step, each check's first() applies
-    its input rules and judges it, and output.dir and the directories of
-    output.csv and output.checkpoint are made; each later record is judged
-    against the one before.  Each record's row then goes to
-    <output.csv>.partial (output.csv is csv_name by default), flushed,
-    and with snapshots, save(path, state) writes each sampled state.  After
-    solve(on_sample), report(result, ok, outdir) gives the command's verdict
-    and metrics, the .partial file becomes output.csv, and save writes the
-    final state to output.checkpoint.
+
+def _output_paths(cfg, csv_name, own, snapshots=False):
+    """output.dir and the paths under it of output.csv and output.checkpoint (None when unset).
+
+    Each is a relative path inside output.dir, and each file written there
+    comes from one output: neither path is, lies under or holds the other's
+    file or a file of own (each name the command itself writes, mapped to
+    what it holds), nor, with snapshots, a snapshot's.  A breach is a
+    ConfigError on the key.
     """
     outdir = cfg.get_str("output.dir", default="out")
+    owners = dict(own)  # the name of each file under outdir, normalized -> its output
 
     def inside(key, default):
         """The path under outdir that key names relative to it, or None when unset."""
         name = cfg.get_str(key, default=default)
         if name is None:
             return None
-        head = os.path.normpath(name).split(os.sep)[0]  # "." names output.dir itself
+        rel = os.path.normpath(name)
+        head = rel.split(os.sep)[0]  # "." names output.dir itself
         if os.path.isabs(name) or head in (os.curdir, os.pardir):
             raise ConfigError(f"{key} = {name} is not a path inside output.dir")
+        owner = next((owner for other, owner in owners.items()
+                      if os.path.commonpath([other, rel]) in (other, rel)), None)
+        if owner is None and snapshots and _SNAPSHOT_NAME.fullmatch(head):
+            owner = "output.snapshots"
+        if owner is not None:
+            raise ConfigError(f"{key} = {name} clashes with {owner}")
+        owners[rel] = key
         return os.path.join(outdir, name)
 
-    csv_path = inside("output.csv", csv_name)
-    checkpoint = inside("output.checkpoint", None)
+    return outdir, inside("output.csv", csv_name), inside("output.checkpoint", None)
+
+
+def _execute(cfg, checks, solve, columns, report, save, csv_name, snapshots=False,
+             allow_blowup=True, own=()):
+    """Run one command's solver, judging and writing each record as it arrives.
+
+    The output keys are read first (_output_paths, own the command's own
+    files), and then a key that no read has taken is refused.  checks are
+    (label, check) pairs of check objects, and columns(record) gives the
+    names and cells of a record's CSV row.  At the first record, before the
+    first step, each check's first() applies its input rules and judges
+    it, and output.dir and the directories of output.csv and
+    output.checkpoint are made; each later record is judged against the one
+    before.  Each record's row then goes to <output.csv>.partial
+    (output.csv is csv_name by default), flushed, and with snapshots,
+    save(path, state) writes each sampled state.  After solve(on_sample),
+    report(result, ok, outdir) gives the command's verdict and metrics, the
+    .partial file becomes output.csv, and save writes the final state to
+    output.checkpoint.
+    """
+    outdir, csv_path, checkpoint = _output_paths(cfg, csv_name, own, snapshots)
     cfg.refuse_unread()
     taken = itertools.count()
     ok = True
@@ -257,7 +281,7 @@ def cmd_blowup(cfg: RunConfig) -> tuple[int, dict]:
             w0, reg, dt, t_end, sample_every=sample_every, threshold=threshold,
             adaptive=adaptive, start_time=start_time, start_g=start_g, on_sample=on_sample),
         columns, report, lambda path, state: write_snapshot(path, state.t, state.w, g=state.g),
-        "trajectory.csv")
+        "trajectory.csv", own={"summary.csv": "the run's summary"})
 
 
 def _sweep_point(command, path, conn):
@@ -293,7 +317,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     outdir = cfg.get_str("output.dir", default="out")
     combos = list(itertools.product(*(opts for _, opts in axes)))
-    jobs = []
+    points, jobs = [], []
     for idx, combo in enumerate(combos):
         values = dict(base)
         label_parts = []
@@ -303,6 +327,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
         label = "__".join(label_parts).replace("/", "_").replace(" ", "")
         subdir = os.path.join(outdir, f"pt{idx:04d}__{label}")
         values["output.dir"] = subdir  # so that the point's config.txt reruns it alone
+        _output_paths(RunConfig(values), None, {"config.txt": "the point's config"})
+        points.append(values)
+    for values in points:  # each point is written once all are known to be sound
+        subdir = values["output.dir"]
         os.makedirs(subdir, exist_ok=True)
         path = os.path.join(subdir, "config.txt")
         with atomic_open(path, encoding="utf-8") as fh:

@@ -11,7 +11,6 @@ no command reads (a misspelt one, say) is refused instead of ignored.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,8 @@ import numpy as np
 from .blowup1d import REG_MODES, SIGN_CONVENTIONS, Regularization, _check_mean_zero
 from .snapshots import read_snapshot
 from .solver import SolverParams
-from .spectral import (Domain, PhysicalField, SpectralField, dealias,
-                       forward_transform, random_field)
+from .spectral import (Domain, PhysicalField, SpectralField, forward_transform,
+                       random_field, truncate)
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
 REQUIRED = object()  # the default of an accessor whose key must be set
@@ -208,7 +207,7 @@ def build_initial(cfg: RunConfig, domain: Domain):
 
 
 def build_forcing(cfg: RunConfig, domain: Domain) -> SpectralField | None:
-    """The dealiased forcing spectrum, or None for an unforced run."""
+    """The 2/3-truncated forcing spectrum (spectral.truncate), or None for an unforced run."""
     kind = cfg.get_str("forcing.kind", default="none",
                        choices=("none", "single_mode", "file"))
     if kind == "none":
@@ -217,14 +216,7 @@ def build_forcing(cfg: RunConfig, domain: Domain) -> SpectralField | None:
         fld = _mode_field(cfg, "forcing", domain)
     else:
         fld = PhysicalField(domain, _snapshot_input(cfg, "forcing.path", domain.n)[1].values)
-    full = forward_transform(fld)
-    kept = dealias(full)
-    peak = np.abs(full.coeffs).max()
-    tail = np.abs(full.coeffs - kept.coeffs).max() / peak if peak else 0.0
-    if tail > 1e-10:
-        warnings.warn(f"forcing is marginally resolved: spectral tail {tail:.2e} "
-                      "of peak beyond the 2/3 cutoff", stacklevel=2)
-    return kept
+    return truncate(forward_transform(fld), "forcing")
 
 
 def build_regularization(cfg: RunConfig) -> Regularization:

@@ -30,7 +30,7 @@ import numpy as np
 from .diagnostics import MaxPrincipleCheck, compute_record
 from .spectral import (Domain, PhysicalField, SpectralField, _box_blocks, _box_runs,
                        box_shape, forward_transform, gather, k_power, parseval_weights,
-                       pocketfft, scatter)
+                       pocketfft, scatter, truncate)
 from .velocity import darcy_multipliers
 
 # the safety factor of the advective step bound: _Integrator.cfl_dt says why
@@ -483,12 +483,13 @@ def run(t0_field: PhysicalField, params: SolverParams,
 
     The one way to step the DPM system; a single step is a run with
     t_end = start_time + dt.  forcing is the spectrum of the time-independent
-    source term, or None.  The state and the forcing are 2/3-truncated.
-    Samples, on_sample and the result follow IFRK4.march, with
-    SimulationState states and DiagnosticsRecord records; the first record
-    with linf that fails diagnostics.MaxPrincipleCheck warns.
-    Deterministic given its inputs.  The mean mode is pinned to its exact
-    linear-in-time law each step.
+    source term, or None.  The data and the forcing are 2/3-truncated here,
+    once each (spectral.truncate), and the integrator and the maximum
+    principle's check share that forcing.  Samples, on_sample and the result
+    follow IFRK4.march, with SimulationState states and DiagnosticsRecord
+    records; the first record with linf that fails
+    diagnostics.MaxPrincipleCheck warns.  Deterministic given its inputs.
+    The mean mode is pinned to its exact linear-in-time law each step.
     """
     clock = SampleClock(start_time, sample_every, params.t_end)
     domain = t0_field.domain
@@ -498,17 +499,9 @@ def run(t0_field: PhysicalField, params: SolverParams,
             "theory applies and finite-time blow-up has not been ruled out",
             stacklevel=2)
 
-    # the state is stepped on the 2/3 box, and records see it on the half;
-    # the data's spectral tail is what the box leaves out of them
-    full = forward_transform(t0_field).coeffs
-    c = gather(full, domain)
-    peak = np.abs(full).max()
-    tail = np.abs(full - scatter(c, domain)).max() / peak if peak else 0.0
-    del full  # not held through the run
-    if tail > 1e-10:
-        warnings.warn(
-            f"initial data is marginally resolved: spectral tail {tail:.2e} "
-            "of peak beyond the 2/3 cutoff", stacklevel=2)
+    # the state is stepped on the 2/3 box, and records see it on the half
+    c = gather(truncate(forward_transform(t0_field), "initial data").coeffs, domain)
+    forcing = None if forcing is None else truncate(forcing, "forcing")
     integ = _Integrator(domain, params, forcing)
     idx0 = (0,) * domain.dim
     mean0 = complex(c[idx0])
@@ -519,8 +512,7 @@ def run(t0_field: PhysicalField, params: SolverParams,
 
     principle = previous = None  # the maximum principle's check while it judges, the record before
     if math.inf in map(float, p_list):
-        principle = MaxPrincipleCheck(None if forcing is None else
-                                      SpectralField(domain, scatter(integ.f_hat, domain)))
+        principle = MaxPrincipleCheck(forcing)
 
     def record(coeffs, state):
         """The record of the state of the last nonlinear evaluation, whose vmax it takes."""

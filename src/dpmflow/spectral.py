@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,6 +66,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as pocketfft
 
 TWO_PI = 2.0 * math.pi
+TAIL_LEVEL = 1e-10  # of the peak: a larger coefficient that truncate drops warns
 
 
 # The closed forms of the multipliers, each written once (module docstring).
@@ -211,12 +213,12 @@ def _box_runs(domain: Domain) -> list:
     the modes with |k| <= n/3 are k = 0..m, m = n//3, and along a leading
     axis also k = -m..-1, at indices n-m..n-1 of the half spectrum; the box
     packs them in that (fftfreq) order.  Every other reader goes through
-    box_shape, gather and scatter: dealias and random_field truncate by
-    scatter(gather(c)), the solver steps on the box and its pruned passes
-    skip the gap between a leading axis' two runs (solver._Integrator), and
-    the 1D stream-slope step cuts its spectrum at the box's last-axis
-    length.  So no product is truncated after the fact, and config refuses
-    a single mode outside the box.
+    box_shape, gather and scatter: dealias, random_field and truncate (the
+    one cut of every input a run steps) truncate by them, the solver steps
+    on the box and its pruned passes skip the gap between a leading axis'
+    two runs (solver._Integrator), and the 1D stream-slope step cuts its
+    products at the box's last-axis length.  So no product is truncated
+    after the fact, and config refuses a single mode outside the box.
     """
     cuts = [m // 3 for m in domain.n]
     runs = [[(slice(0, cut + 1),) * 2, (slice(m - cut, m), slice(cut + 1, None))]
@@ -321,6 +323,22 @@ def dealias(u_hat: SpectralField) -> SpectralField:
     """
     d = u_hat.domain
     return SpectralField(d, scatter(gather(u_hat.coeffs, d), d))
+
+
+def truncate(u_hat: SpectralField, what: str) -> SpectralField:
+    """dealias(u_hat), warning the caller's caller when a coefficient it drops
+    exceeds TAIL_LEVEL of the peak, the sign of an under-resolved input (Boyd,
+    "Chebyshev and Fourier Spectral Methods", 2001, ch. 2).  u_hat itself when
+    it drops nothing, so that a run holds no copy of an input in the box."""
+    outside = np.abs(u_hat.coeffs)  # one real array: no complex copy for the check
+    peak = outside.max()
+    for half, _ in _box_blocks(u_hat.domain):
+        outside[half] = 0.0
+    tail = outside.max() / (peak or 1.0)
+    if tail > TAIL_LEVEL:
+        warnings.warn(f"{what} is marginally resolved: spectral tail {tail:.2e} "
+                      "of peak beyond the 2/3 cutoff", stacklevel=3)
+    return dealias(u_hat) if tail else u_hat
 
 
 def lp_norm(u: PhysicalField, p: float) -> float:

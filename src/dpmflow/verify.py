@@ -338,10 +338,8 @@ def _cases():
     return cases
 
 
-def run_verify(stream=None) -> int:
+def run_verify() -> int:
     """Run every identity; print one line per case; return the failure count."""
-    import sys
-    stream = stream or sys.stdout
     failures = 0
     cases = _cases()
     for name, fn in cases:
@@ -353,6 +351,6 @@ def run_verify(stream=None) -> int:
         if not ok:
             failures += 1
         suffix = f"  ({detail})" if detail and not ok else ""
-        stream.write(f"{tag}  {name}{suffix}\n")
-    stream.write(f"{len(cases) - failures}/{len(cases)} identities passed\n")
+        print(f"{tag}  {name}{suffix}")
+    print(f"{len(cases) - failures}/{len(cases)} identities passed")
     return failures

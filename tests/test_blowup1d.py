@@ -193,6 +193,15 @@ class TestTrajectories:
             assert rec.linf == pytest.approx(oracle_r(rec.t, p), rel=1e-7)
             assert rec.g == pytest.approx(oracle_beta(rec.t, p), abs=1e-7)
 
+    def test_data_with_a_tail_warns_and_names_the_caller(self):
+        # cos x and a mode beyond the 2/3 box (30 > 64 // 3) at 1e-6 of its size
+        d = Domain((64,))
+        x = d.grid[0]
+        w0 = PhysicalField(d, np.cos(x) + 1e-6 * np.cos(30 * x))
+        with pytest.warns(UserWarning, match="initial data is marginally resolved") as caught:
+            run_stream_slope(w0, Regularization(), dt=1e-3, t_end=0.01, sample_every=0.01)
+        assert caught[0].filename == __file__
+
     def test_mean_zero_is_conserved(self, d1):
         from dpmflow import random_field
         w0 = random_field(d1, seed=5, cutoff=8.0)

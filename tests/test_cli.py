@@ -882,10 +882,24 @@ output.dir = {outdir}
     ("run", {"output.checkpoint": "{tmp_path}/final.dpmf"}, "output.checkpoint"),
     ("run", {"output.checkpoint": "../final.dpmf"}, "output.checkpoint"),
     ("run", {"output.csv": "sub/.."}, "output.csv"),  # output.dir itself
+    # each file under output.dir comes from one output: the checkpoint would
+    # replace the CSV, the trajectory the 1D summary, a point's CSV the
+    # config.txt that reruns it, the checkpoint the second snapshot, and a
+    # CSV named as the checkpoint's directory could not be moved into place
+    ("run", {"output.csv": "d.csv", "output.checkpoint": "sub/../d.csv"},
+     "output.checkpoint = sub/../d.csv clashes with output.csv"),
+    ("blowup1d", {"output.csv": "summary.csv"},
+     "output.csv = summary.csv clashes with the run's summary"),
+    ("sweep", {"sweep.solver.nu": "0.05 | 0.1", "sweep.workers": "1", "output.csv": "config.txt"},
+     "output.csv = config.txt clashes with the point's config"),
+    ("run", {"output.snapshots": "true", "output.checkpoint": "snapshot_00001.dpmf"},
+     "output.checkpoint = snapshot_00001.dpmf clashes with output.snapshots"),
+    ("run", {"output.csv": "sub", "output.checkpoint": "sub/final.dpmf"},
+     "output.checkpoint = sub/final.dpmf clashes with output.csv"),
 ])
 def test_bad_input_exits_4(tmp_path, capsys, command, settings, named, no_step):
     # none of these may end in a traceback, nor in a run of something else
-    text = (DECAY_RUN if command == "run" else BLOWUP_CFG).format(
+    text = (BLOWUP_CFG if command == "blowup1d" else DECAY_RUN).format(
         t_end=0.2, outdir=tmp_path / "o")
     kept = [line for line in text.splitlines() if line.split(" =")[0] not in settings]
     cfg = write_config(tmp_path / "c.cfg", "\n".join(

@@ -392,6 +392,16 @@ class TestRun:
             run(data, params, sample_every=0.02, p_list=(2.0,))
         assert any("marginally resolved" in str(w.message) for w in caught) == warns
 
+    def test_forcing_with_a_tail_warns_and_names_the_caller(self, d2):
+        # a library forcing goes through the same truncation as the data:
+        # sin x1 and a mode beyond the 2/3 box (15 > 32 // 3) at 1e-6 of its size
+        x = d2.grid[0]
+        forcing = forward_transform(phys(d2, np.sin(x) + 1e-6 * np.sin(15 * x)))
+        params = SolverParams(nu=0.5, alpha=2.0, dt=0.01, t_end=0.02)
+        with pytest.warns(UserWarning, match="forcing is marginally resolved") as caught:
+            run(phys(d2, np.cos(x)), params, forcing, sample_every=0.02, p_list=(2.0,))
+        assert caught[0].filename == __file__
+
     def test_run_flags_blowup_and_keeps_last_finite_state(self, d2):
         t0 = random_field(d2, seed=0, l2_norm=50.0)
         params = SolverParams(nu=0.0, alpha=1.0, dt=50.0, t_end=5000.0)

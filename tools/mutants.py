@@ -181,8 +181,8 @@ MUTANTS = (
            "bound = _norm_from_record(record, math.inf) + (record.t - self.t0) * self.f_sup",
            ("tests/test_solver.py::TestMaxPrinciple"
             "::test_under_resolved_run_warns_at_its_first_breach",)),
-    Mutant("initial-tail warning at 1e-6 of the peak", "src/dpmflow/solver.py",
-           "if tail > 1e-10:", "if tail > 1e-6:",
+    Mutant("initial-tail warning at 1e-6 of the peak", "src/dpmflow/spectral.py",
+           "TAIL_LEVEL = 1e-10", "TAIL_LEVEL = 1e-6",
            ("tests/test_solver.py::TestRun::test_marginally_resolved_from_a_tail_of_1e_10",)),
     Mutant("absorbing-ball radius 1.2 p ||f||_p / nu", "src/dpmflow/diagnostics.py",
            "else p * lp_norm(inverse_transform(forcing), p) / nu",
@@ -200,6 +200,9 @@ MUTANTS = (
            ("tests/test_cli.py::test_bad_input_exits_4",)),
     Mutant("output path may leave output.dir", "src/dpmflow/cli.py",
            "os.path.isabs(name) or head in (os.curdir, os.pardir)", "os.path.isabs(name)",
+           ("tests/test_cli.py::test_bad_input_exits_4",)),
+    Mutant("outputs may share a file", "src/dpmflow/cli.py",
+           "if owner is not None:", "if False:",
            ("tests/test_cli.py::test_bad_input_exits_4",)),
     Mutant("BLAS thread default dropped", "src/dpmflow/__init__.py",
            'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")', "None",
