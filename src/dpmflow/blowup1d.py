@@ -16,6 +16,16 @@ form is a shifted tangent that blows up in finite time.  Those closed forms
 are exposed here as oracles alongside a brute-force ODE integrator, so the
 PDE runs, the amplitude ODE and the closed form check each other.
 
+The runner steps the slope as w = e^G v, with G the integral of g carried
+beside g: then dv/dt = e^(-G) (w^2 - f w_x - dg/dt), and the growth term
+g w, which drives the blow-up, is integrated exactly.  This is Lawson's
+integrating-factor transform (SIAM J. Numer. Anal. 4, 1967), which IFRK4
+applies to the linear symbol.  On cosine data v stays r0 cos(x) up to
+rounding, so the whole blow-up is carried by the pair (g, G).  G is folded
+into v once |G| passes GROWTH_FOLD (unit cosine data reach |w| = 1e8 at
+G = 18.4), so that a long regular run keeps e^G inside the float range.
+_StreamOps holds the packed state, and run_stream_slope the step rule.
+
 Two regularizations are available: a half-Laplacian power ("spectral") and
 a quasilinear diffusion with coefficient nu * (||w_x||^2 + g^2)
 ("quasilinear"), the latter globally well posed.  For the spectral term the
@@ -36,16 +46,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import fold, judged
-from .solver import IFRK4, RunResult, SampleClock
+from .solver import CFL_SAFETY, IFRK4, RunResult, SampleClock
 from .spectral import (TWO_PI, Domain, PhysicalField, SpectralField, box_shape,
                        forward_transform, hs_seminorm, k_power, pocketfft, truncate)
 
 REG_MODES = ("none", "spectral", "quasilinear")
 SIGN_CONVENTIONS = ("oracle", "dissipative")
 
-# G and 1/5 of the 1D step rule, and the oracle's g and t* tolerances: run_stream_slope says why
-STEP_GROWTH_START = 100.0
-STEP_GROWTH_EXPONENT = 0.2
+# the 0.15 of the 1D step rule, and the oracle's g and t* tolerances: run_stream_slope says why
+STEP_GROWTH_EXPONENT = 0.15
+# |G| past which _StreamOps.advance folds e^G into v (e^64 = 6.2e27)
+GROWTH_FOLD = 64.0
 ORACLE_RTOL = 1e-5
 TSTAR_RTOL = 0.01
 
@@ -133,13 +144,30 @@ def antiderivative(w: PhysicalField) -> PhysicalField:
     return PhysicalField(w.domain, f - f[ops.seam])
 
 
+def _exp(a):
+    """e^a as a float, inf where it passes the float range (math.exp raises there)."""
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return math.inf
+
+
 class _StreamOps(IFRK4):
     """The stream-slope instance of IFRK4 for one (domain, regularization).
 
-    The state is packed into one complex array, np.append(wh, g): the rfft
-    half spectrum of the slope (n//2 + 1 modes), then the accumulator g as
-    one extra mode whose linear symbol is 0, so that g passes through the
-    same stage combination.  Sums over modes carry Domain.parseval_weights.
+    The state is packed into one complex array, np.append(vh, (g, G)): the
+    rfft half spectrum (n//2 + 1 modes) of v = e^(-G) w, then the
+    accumulator g and its integral G, each one extra mode whose linear
+    symbol is 0, so that both pass through the same stage combination.  The
+    tendency of v is e^(-G) times that of w less the growth term g w, which
+    e^G carries exactly.  The scaling costs no call of its own: e^G rides
+    on the multiply that copies the state into w's spectrum row, and e^(-G)
+    on the factor of the forward transform.  start, state, record and
+    freeze convert at the edges (w_hat is e^G vh), and stream_rhs adds g w
+    back.  advance folds e^G into v once |G| passes GROWTH_FOLD, and e^G is
+    inf past the float range (_exp), so a step that overflows is flagged by
+    IFRK4.march's non-finite check, not raised.  Sums over modes carry
+    Domain.parseval_weights.
 
     At n = 256 an evaluation costs numpy's per-call overhead, not transform
     work, so nonlinear makes as few calls as it can without allocating: the
@@ -148,14 +176,14 @@ class _StreamOps(IFRK4):
     states in size), one irfft takes them to owned grid rows, and the
     product goes by rfft straight into the output.  The transforms call
     numpy's pocketfft kernels (spectral.pocketfft) with np.fft's factors,
-    which gives np.fft's bits without its argument handling, and the copy
-    and the sum use indexing and ndarray.dot in place of the Python-level
-    np.copyto and np.dot.  In mode none the symbol is zero: the step is
-    classic RK4 and multiplies by no propagator (IFRK4.propagators).
+    which gives np.fft's bits without its argument handling, and the sum
+    uses ndarray.dot in place of the Python-level np.dot.  In mode none the
+    symbol is zero: the step is classic RK4 and multiplies by no propagator
+    (IFRK4.propagators).
 
     In quasilinear mode the diffusion coefficient c0 frozen by freeze() is
     the linear symbol -c0 k^2, propagated exactly, and only the change
-    -(coeff - c0) k^2 wh of the coefficient over the step stays explicit.
+    -(coeff - c0) k^2 w of the coefficient over the step stays explicit.
     """
 
     def __init__(self, domain: Domain, reg: Regularization):
@@ -181,16 +209,17 @@ class _StreamOps(IFRK4):
         self._spec = np.empty((3, kd.size), dtype=np.complex128)
         self._grid = np.empty((3, n))
         self._rows = tuple(self._spec) + tuple(self._grid) + (np.empty(n),)
+        self._abs = np.empty((2, n))  # |w| and |f|, for their maxima
         # linear symbol handled by the integrating factor, then the zero
-        # symbol of g
-        lam = np.zeros(kd.size + 1)
+        # symbols of g and G
+        lam = np.zeros(kd.size + 2)
         if reg.mode == "spectral":
             sgn = 1.0 if reg.sign == "oracle" else -1.0
-            lam[:-1] = sgn * reg.nu * k_power(kd ** 2, reg.alpha)
+            lam[:-2] = sgn * reg.nu * k_power(kd ** 2, reg.alpha)
         super().__init__(lam)
         self.c0 = 0.0
         self._stages = np.empty((2, lam.size), dtype=np.complex128)
-        self.last_wmax = 0.0
+        self.last_wmax = self.last_fmax = 0.0
 
     def stages(self):
         return self._stages
@@ -200,66 +229,91 @@ class _StreamOps(IFRK4):
         wx_sq = float(np.vdot(wh, self.k2w * wh).real)
         return self.reg.nu * (wx_sq + g * g)
 
+    def w_hat(self, x):
+        """The half spectrum e^G v of the slope w of the packed state x."""
+        return _exp(x[-1].real) * x[:-2]
+
     def freeze(self, x):
         """Make the quasilinear coefficient at x the linear symbol of the next steps."""
-        c0 = self.quasilinear_coeff(x[:-1], x[-1].real)
+        c0 = self.quasilinear_coeff(self.w_hat(x), x[-2].real)
         if c0 != self.c0:
             self.c0 = c0
-            np.multiply(-c0, self.k2, out=self.lam[:-1])
+            np.multiply(-c0, self.k2, out=self.lam[:-2])
             self.set_symbol(self.lam)
 
     def nonlinear(self, x, out=None, _stage=False):
-        """Tendency (dwh, dg) of the packed state x, less the linear symbol.
+        """Tendency (dvh, dg, dG) of the packed state x, less the linear symbol.
 
         Written into out (which may be x) when given, else into a new array.
-        Sets last_wmax, the grid maximum of |w| at x, unless _stage: the
-        stages inside a step skip it, since nothing reads it.
+        Sets last_wmax and last_fmax, the grid maxima of |w| and |f| at x,
+        unless _stage: the stages inside a step skip them, since nothing
+        reads them.
         """
-        g = x[-1].real
+        g, big_g = x[-2].real, x[-1].real
+        shrink = _exp(-big_g)
         wh, fh, wxh, w, f, wx, prod = self._rows
-        wh[...] = x[:-1]  # a copy: out may be x
+        np.multiply(x[:-2], _exp(big_g), out=wh)  # w = e^G v, a copy: out may be x
         np.multiply(self.inv_ik, wh, out=fh)
         np.multiply(self.ik, wh, out=wxh)
         pocketfft.irfft(self._spec, 1.0, out=self._grid)
-        if not _stage:
-            self.last_wmax = float(max(w.max(), -w.min()))
         f -= f[self.seam]
+        if not _stage:
+            self.last_wmax, self.last_fmax = np.abs(
+                self._grid[:2], out=self._abs).max(axis=1).tolist()
         dg = (2.0 / self.n) * float(w.dot(w))  # (1/pi) ||w||_2^2, by grid Parseval
         np.multiply(w, w, out=prod)
         prod -= np.multiply(f, wx, out=f)
         if out is None:
             out = np.empty_like(x)
-        dwh = pocketfft.rfft_n_even(prod, 1.0 / self.n, out=out[:-1])
-        dwh[self.kcut:] = 0.0
-        # g w in the spectrum, exactly zero past the data's modes: on the grid
-        # it adds rounding there, which the amplifying spectral sign grows
-        dwh += np.multiply(g, wh, out=fh)
-        dwh[0] -= dg
+        dvh = pocketfft.rfft_n_even(prod, shrink / self.n, out=out[:-2])
+        dvh[self.kcut:] = 0.0
+        dvh[0] -= shrink * dg
         if self.reg.mode == "quasilinear":
-            dwh -= (self.quasilinear_coeff(wh, g) - self.c0) * self.k2 * wh
-        out[-1] = dg
+            dvh -= (shrink * (self.quasilinear_coeff(wh, g) - self.c0)) * self.k2 * wh
+        out[-2] = dg
+        out[-1] = g
         return out
 
     def advance(self, x, nl_a, dt, out=None):
-        """One IF-RK4 step of the packed state from x, reusing nl_a = nonlinear(x)."""
+        """One IF-RK4 step of the packed state from x, reusing nl_a = nonlinear(x).
+
+        Once |G| passes GROWTH_FOLD, e^G is folded into v and G restarts at
+        0, which leaves w as it is.  So e^G and e^(-G) stay far inside the
+        float range however long g stays away from 0: a regular run's g
+        rises to a positive limit, and its G grows like t.
+        """
         x_new = self.rk4(x, nl_a, dt, out)
         x_new[0] = 0.0  # mean-zero data stays mean zero
+        big_g = x_new[-1].real
+        if abs(big_g) > GROWTH_FOLD:
+            x_new[:-2] *= _exp(big_g)
+            x_new[-1] = 0.0
         return x_new
 
+    def cfl_dt(self):
+        """Advective step bound at the state of the last evaluation outside a step.
+
+        CFL_SAFETY (2 pi / n) / max|f|, the bound of the DPM runner
+        (solver._Integrator.cfl_dt) with the speed f of the transport term
+        -f w_x: on the 2/3 box h k max|f| <= CFL_SAFETY 2 pi (n//3) / n =
+        1.88, inside RK4's imaginary-axis limit 2 sqrt(2).
+        """
+        return CFL_SAFETY * (2.0 * math.pi / self.n) / max(self.last_fmax, 1e-8)
+
     def start(self, wh, g):
-        """The packed state a run starts at: the half spectrum wh, mean-free, then g."""
-        x = np.append(wh, g)
+        """The packed state a run starts at: the half spectrum wh, mean-free, g and G = 0."""
+        x = np.append(wh, (g, 0.0))
         x[0] = 0.0
         return x
 
     def state(self, t, x):
         """The StreamSlopeState of the packed state x at time t."""
         return StreamSlopeState(t, PhysicalField(self.domain, np.fft.irfft(
-            x[:-1], n=self.n, norm="forward")), float(x[-1].real))
+            self.w_hat(x), n=self.n, norm="forward")), float(x[-2].real))
 
     def record(self, x, state):
         """The StreamRecord of the packed state x, whose StreamSlopeState is state."""
-        wh = SpectralField(self.domain, x[:-1])
+        wh = SpectralField(self.domain, self.w_hat(x))
         w = state.w.values
         return StreamRecord(
             t=state.t, l2=hs_seminorm(wh, 0.0), linf=float(np.abs(w).max()),
@@ -280,10 +334,13 @@ def stream_rhs(state: StreamSlopeState, reg: Regularization):
     # quasilinear k^2 term amplifies transform rounding up to k = n/2, and
     # this keeps it at the level of the complex transform
     c = np.fft.fft(state.w.values, norm="forward")
-    x = np.append((0.5 * (c + np.conj(np.roll(c[::-1], 1))))[:ops.n // 2 + 1], state.g)
+    wh = (0.5 * (c + np.conj(np.roll(c[::-1], 1))))[:ops.n // 2 + 1]
+    x = ops.start(wh, state.g)  # G = 0, so v = w
     rhs = ops.nonlinear(x) + ops.lam * x  # fold the linear symbol back in
-    return (PhysicalField(d, np.fft.irfft(rhs[:-1], n=ops.n, norm="forward")),
-            float(rhs[-1].real))
+    # then the growth term g w that the packed state carries in G
+    return (PhysicalField(d, np.fft.irfft(rhs[:-2] + state.g * x[:-2], n=ops.n,
+                                          norm="forward")),
+            float(rhs[-2].real))
 
 
 def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
@@ -294,16 +351,27 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
     """Integrate the stream-slope system, watching for finite-time blow-up.
 
     With adaptive steps and x = (1 + |w|_inf)/(1 + |w0|_inf) at the state a
-    step starts from, the step is dt/x while x <= G and dt/x times
-    (x/G)^(1/5) beyond, continuous at x = G = STEP_GROWTH_START = 100.  In
-    tangent blow-up a relative error made at growth x reaches the threshold
-    about 1/x as amplified as one made at the start, and RK4's local error
-    is fifth order in h|w| (hence STEP_GROWTH_EXPONENT = 1/5), so past G the
-    growth adds about 5/G to the final relative error of g, while each late
-    decade of |w| costs a bounded number of steps in place of
-    ln(10)/(dt (1 + |w0|_inf)).  At amplitude 1.005 and dt = 6e-4, G = 1
-    misses the g tolerance ORACLE_RTOL = 1e-5 (1.9e-5); G = 100 takes
-    10,139 steps for 4.2e-6, the plain dt/x rule 17,190 for 3.6e-6.
+    step starts from, the step is dt x^(-0.85) (STEP_GROWTH_EXPONENT =
+    0.15), capped by the advective bound _StreamOps.cfl_dt.  In tangent
+    blow-up a relative error made at growth x reaches the threshold about
+    1/x as amplified as one made at the start, so h |w| may grow with x.
+    With the growth term exact (_StreamOps), the benchmark's config
+    (n = 256, dt = 6e-4, threshold 1e8, amplitudes 1, 1.00512 and 1.0099)
+    gives, by exponent, the steps at 1.00512 and the worst g error:
+
+        exponent   0         0.1      0.15     0.2      0.25
+        steps      17,190    9,250    7,453    6,326    5,630
+        g error    1.0e-6    1.3e-6   2.6e-6   4.4e-6   1.1e-5
+
+    0.15 is the largest exponent at or under 4.23e-6, the worst error of
+    the rule that stepped w itself (dt/x, times (x/100)^(1/5) past x = 100:
+    10,139 steps); the CLI's g tolerance is ORACLE_RTOL = 1e-5.  The cap
+    keeps h k_cut max|f| <= 1.88, inside RK4's 2 sqrt(2), and binds on fine
+    grids: at n = 1024 and amplitude 1.00512 the uncapped rule takes g 0.82
+    off the closed form, the capped one 2.4e-6 in 8,003 steps.  It never
+    shortens a step below dt/x, which holds h (1 + |w|_inf) at its start
+    value dt (1 + |w0|_inf): that product is the caller's, as the step is
+    on fixed steps, and data too large for it overflow rather than crawl.
     With adaptive=False every step is dt.
     In quasilinear mode each step first freezes the diffusion coefficient
     into the integrating factor (_StreamOps.freeze), so the diffusion sets
@@ -311,8 +379,8 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
     the first state whose |w|_inf exceeds the threshold, or at a non-finite
     coefficient, and sets t_star_estimate from the last decade of growth:
     1/|w|_inf of each state is fitted against its t, and the zero crossing
-    is returned: at amplitude 1 and dt = 1e-3 its error is 9.4e-2 at
-    threshold 10, 8.0e-4 at 30 and 2.1e-8 at 1e3, inside TSTAR_RTOL = 1%.
+    is returned: at amplitude 1, dt = 1e-3 and n = 64 its error is 1.0e-1
+    at threshold 10, 8.5e-4 at 30 and 2.1e-8 at 1e3, inside TSTAR_RTOL = 1%.
     Blow-up is an expected outcome in many configurations, not a failure.
     w0 is 2/3-truncated by spectral.truncate, which warns at a tail it drops.
     Samples, on_sample and the result follow IFRK4.march, with
@@ -332,7 +400,7 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
     nl = np.empty_like(x)
 
     def evaluate(x):
-        """The nonlinear term at x, into nl; it sets ops.last_wmax."""
+        """The nonlinear term at x, into nl; it sets ops.last_wmax and last_fmax."""
         if reg.mode == "quasilinear":
             ops.freeze(x)
         return ops.nonlinear(x, out=nl)
@@ -348,12 +416,10 @@ def run_stream_slope(w0: PhysicalField, reg: Regularization, dt: float,
     def step_size():
         if not adaptive:
             return dt
-        wmax = ops.last_wmax  # at the state the step starts from
-        growth = (1.0 + wmax) / (1.0 + m0_inf)
-        h = dt * (1.0 + m0_inf) / (1.0 + wmax)  # dt / growth, as the dt/x rule rounds it
-        if growth <= STEP_GROWTH_START:
-            return h
-        return h * (growth / STEP_GROWTH_START) ** STEP_GROWTH_EXPONENT
+        # the growth of |w|_inf at the state the step starts from
+        growth = (1.0 + ops.last_wmax) / (1.0 + m0_inf)
+        h = dt * growth ** (STEP_GROWTH_EXPONENT - 1.0)
+        return min(h, max(dt / growth, ops.cfl_dt()))  # capped, but not below dt/x
 
     result = ops.march(x, evaluate(x), clock, step_size, after_step, ops.record, on_sample)
     if result.blew_up:

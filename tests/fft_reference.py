@@ -5,6 +5,8 @@ references here work on every mode of the full layout, with arrays of
 their own built the plain way, and compare on the half.
 """
 
+import math
+
 import numpy as np
 
 from dpmflow.spectral import _reflect
@@ -64,3 +66,50 @@ def real_velocity(d, values):
     t_hat = np.fft.fftn(values, norm="forward")
     return [np.fft.rfftn(np.fft.ifftn(m * t_hat, norm="forward").real, norm="forward")
             for m in FullLayout(d).velocity_multipliers]
+
+
+def stream_rhs(vh, g, big_g, nu_ql, c0=0.0):
+    """Tendency (dvh, dg, dG) of the 1D stream slope w = e^G v, and the grid w and f.
+
+    On the full fft layout of vh, less the symbol -c0 k^2 (and any spectral
+    one): e^(-G) (w^2 - f w_x - dg/dt - (coeff - c0) k^2 w), with the
+    quasilinear coefficient coeff when nu_ql is not None, then dg/dt =
+    ||w||^2 / pi and dG/dt = g.
+    """
+    n = vh.size
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    kd = np.where(k == -n // 2, 0.0, k)
+    wh = math.exp(big_g) * vh
+    w = np.fft.ifft(wh, norm="forward").real
+    fh = np.zeros_like(wh)
+    fh[kd != 0] = wh[kd != 0] / (1j * kd[kd != 0])
+    f = np.fft.ifft(fh, norm="forward").real
+    f -= f[n // 2]
+    wx = np.fft.ifft(1j * kd * wh, norm="forward").real
+    dg = 2.0 * float(np.sum(np.abs(wh) ** 2))
+    dwh = np.fft.fft(w * w - f * wx, norm="forward") * (np.abs(k) <= n / 3.0)
+    dwh[0] -= dg
+    if nu_ql is not None:
+        coeff = nu_ql * (2.0 * math.pi * float(np.sum(k ** 2 * np.abs(wh) ** 2)) + g * g)
+        dwh = dwh - (coeff - c0) * k ** 2 * wh
+    return math.exp(-big_g) * dwh, dg, g, w, f
+
+
+def stream_advance(wh, g, dt, nu_ql, lam, c0=0.0):
+    """One IF-RK4 step of the 1D stream slope from (wh, g), in plain expressions.
+
+    The state is (v, g, G) from v = wh and G = 0, with the symbol lam on v;
+    returns the slope's spectrum e^G v and g after the step.
+    """
+    e_half, e_full = np.exp(lam * (0.5 * dt)), np.exp(lam * dt)
+    av, ag, aG, _, _ = stream_rhs(wh, g, 0.0, nu_ql, c0)
+    bv, bg, bG, _, _ = stream_rhs(e_half * (wh + (0.5 * dt) * av), g + 0.5 * dt * ag,
+                                  0.5 * dt * aG, nu_ql, c0)
+    cv, cg, cG, _, _ = stream_rhs(e_half * wh + (0.5 * dt) * bv, g + 0.5 * dt * bg,
+                                  0.5 * dt * bG, nu_ql, c0)
+    dv, dg, dG, _, _ = stream_rhs(e_full * wh + dt * (e_half * cv), g + dt * cg, dt * cG,
+                                  nu_ql, c0)
+    v_new = e_full * wh + (dt / 6.0) * (e_full * av + 2.0 * e_half * (bv + cv) + dv)
+    v_new[0] = 0.0
+    big_g = (dt / 6.0) * (aG + 2.0 * (bG + cG) + dG)
+    return math.exp(big_g) * v_new, g + (dt / 6.0) * (ag + 2.0 * (bg + cg) + dg)

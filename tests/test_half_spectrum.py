@@ -30,7 +30,7 @@ from dpmflow.blowup1d import Regularization, _StreamOps
 from dpmflow.solver import _Integrator
 from dpmflow.spectral import _reflect, gather, k_power, scatter
 from dpmflow.velocity import darcy_multipliers
-from fft_reference import FullLayout, half, hermitian
+from fft_reference import FullLayout, half, hermitian, stream_advance, stream_rhs
 
 RTOL = 1e-12
 
@@ -308,27 +308,6 @@ def test_refine_matches_fftn(d, seed, factor, nyquist):
     assert_close(got, ref)
 
 
-def ref_stream_rhs(ops, wh, g, nu_ql, c0=0.0):
-    """Reference 1D stream-slope RHS on the full fft layout, less the symbol -c0 k^2."""
-    n = ops.n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    kd = np.where(k == -n // 2, 0.0, k)
-    w = np.fft.ifft(wh, norm="forward").real
-    fh = np.zeros_like(wh)
-    fh[kd != 0] = wh[kd != 0] / (1j * kd[kd != 0])
-    f = np.fft.ifft(fh, norm="forward").real
-    f -= f[n // 2]
-    wx = np.fft.ifft(1j * kd * wh, norm="forward").real
-    dg = 2.0 * float(np.sum(np.abs(wh) ** 2))
-    prod = np.fft.fft(w * w - f * wx, norm="forward") * (np.abs(k) <= n / 3.0)
-    dwh = prod + g * wh
-    dwh[0] -= dg
-    if nu_ql is not None:
-        coeff = nu_ql * (2.0 * math.pi * float(np.sum(k ** 2 * np.abs(wh) ** 2)) + g * g)
-        dwh = dwh - (coeff - c0) * k ** 2 * wh
-    return dwh, dg, w
-
-
 @given(d=grids(dims=(1,)), seed=seeds, g=st.floats(-2.0, 2.0),
        nu_ql=st.none() | st.floats(0.0, 0.5))
 def test_stream_slope_rhs_matches_fft(d, seed, g, nu_ql):
@@ -336,27 +315,25 @@ def test_stream_slope_rhs_matches_fft(d, seed, g, nu_ql):
     ops = _StreamOps(d, reg)
     wh = hermitian(d, seed)
     wh[0] = 0.0
-    x = np.append(half(wh), g)
-    got = ops.nonlinear(x)
-    ref = ref_stream_rhs(ops, wh, g, nu_ql)
-    assert_close(got[:-1], half(ref[0]))
-    assert abs(got[-1] - ref[1]) <= RTOL * max(abs(ref[1]), 1.0)
-    # the sup norm of the slope on the grid, which the runner steers by
-    assert_close(ops.last_wmax, np.abs(ref[2]).max(), scale=max(np.abs(ref[2]).max(), 1.0))
+    x = ops.start(half(wh), g)
+    got = ops.nonlinear(x)  # the tendencies of v = e^(-G) w, g and G, at G = 0
+    dvh, dg, dG, w, f = stream_rhs(wh, g, 0.0, nu_ql)
+    assert_close(got[:-2], half(dvh))
+    assert abs(got[-2] - dg) <= RTOL * max(abs(dg), 1.0)
+    assert got[-1] == dG
+    # the sup norms of the slope and its antiderivative on the grid, which
+    # the runner steers by
+    assert_close(ops.last_wmax, np.abs(w).max(), scale=max(np.abs(w).max(), 1.0))
+    assert_close(ops.last_fmax, np.abs(f).max(), scale=max(np.abs(f).max(), 1.0))
     # written over its own input, the same numbers
     assert np.array_equal(ops.nonlinear(x.copy(), out=x), got)
 
 
-def ref_stream_advance(ops, wh, g, dt, nu_ql, lam, c0=0.0):
-    """Reference 1D IF-RK4 step of (wh, g) on the full fft layout, plain expressions."""
-    e_half, e_full = np.exp(lam * (0.5 * dt)), np.exp(lam * dt)
-    aw, ag, _ = ref_stream_rhs(ops, wh, g, nu_ql, c0)
-    bw, bg, _ = ref_stream_rhs(ops, e_half * (wh + (0.5 * dt) * aw), g + 0.5 * dt * ag, nu_ql, c0)
-    cw, cg, _ = ref_stream_rhs(ops, e_half * wh + (0.5 * dt) * bw, g + 0.5 * dt * bg, nu_ql, c0)
-    dw, dg, _ = ref_stream_rhs(ops, e_full * wh + dt * (e_half * cw), g + dt * cg, nu_ql, c0)
-    wh_new = e_full * wh + (dt / 6.0) * (e_full * aw + 2.0 * e_half * (bw + cw) + dw)
-    wh_new[0] = 0.0
-    return wh_new, g + (dt / 6.0) * (ag + 2.0 * (bg + cg) + dg)
+def assert_stepped_to(ops, x, ref_w, ref_g):
+    """The packed state x holds the slope spectrum ref_w (full layout) and ref_g."""
+    state = ops.state(0.0, x)
+    assert_close(np.fft.rfft(state.w.values, norm="forward"), half(ref_w))
+    assert abs(state.g - ref_g) <= RTOL * max(abs(ref_g), 1.0)
 
 
 @pytest.mark.parametrize("mode", ["none", "spectral", "quasilinear"])
@@ -368,17 +345,22 @@ def test_stream_slope_advance_matches_fft(d, seed, g, dt, mode, nu, alpha, sign)
     ops = _StreamOps(d, reg)
     wh = hermitian(d, seed)
     wh[0] = 0.0
-    x = np.append(half(wh), g)
-    got = ops.advance(x, ops.nonlinear(x), dt)
-    lam = np.zeros(d.n)
+    x = ops.start(half(wh), g)
+    lam, c0 = np.zeros(d.n), 0.0
     if mode == "spectral":
         kabs = np.abs(FullLayout(d).deriv_wavenumbers[0])
         lam = (1.0 if sign == "oracle" else -1.0) * nu * np.where(
             kabs > 0, np.maximum(kabs, 1.0) ** alpha, 0.0)
-    ref_w, ref_g = ref_stream_advance(ops, wh, g, dt, nu if mode == "quasilinear" else None,
-                                      lam)
-    assert_close(got[:-1], half(ref_w))
-    assert abs(got[-1] - ref_g) <= RTOL * max(abs(ref_g), 1.0)
+    if mode == "quasilinear":
+        # frozen at the data, as the runner steps: an explicit k^2 term at
+        # nu = 0.5 takes g to 1e19 within a step, and e^G past the floats
+        k = FullLayout(d).wavenumbers[0]
+        c0 = nu * (2.0 * math.pi * float(np.sum(k ** 2 * np.abs(wh) ** 2)) + g * g)
+        lam = -c0 * k ** 2
+        ops.freeze(x)
+    got = ops.advance(x, ops.nonlinear(x), dt)
+    assert_stepped_to(ops, got, *stream_advance(wh, g, dt, nu if mode == "quasilinear" else None,
+                                                lam, c0))
 
 
 @given(d=grids(dims=(1,)), seed=seeds, g=st.floats(-2.0, 2.0), dt=st.floats(1e-3, 0.05),
@@ -391,12 +373,10 @@ def test_stream_slope_frozen_coefficient_advance_matches_fft(d, seed, g, dt, nu)
     other = hermitian(d, seed + 1)
     other[0] = 0.0
     c0 = nu * (2.0 * math.pi * float(np.sum(k ** 2 * np.abs(other) ** 2)) + 0.25 * g * g)
-    ops.freeze(np.append(half(other), 0.5 * g))
+    ops.freeze(ops.start(half(other), 0.5 * g))
     assert abs(ops.c0 - c0) <= RTOL * c0
     wh = hermitian(d, seed)
     wh[0] = 0.0
-    x = np.append(half(wh), g)
+    x = ops.start(half(wh), g)
     got = ops.advance(x, ops.nonlinear(x), dt)
-    ref_w, ref_g = ref_stream_advance(ops, wh, g, dt, nu, -c0 * k ** 2, c0)
-    assert_close(got[:-1], half(ref_w))
-    assert abs(got[-1] - ref_g) <= RTOL * max(abs(ref_g), 1.0)
+    assert_stepped_to(ops, got, *stream_advance(wh, g, dt, nu, -c0 * k ** 2, c0))

@@ -107,8 +107,7 @@ class TestStep:
         else:
             ops = _StreamOps(Domain((256,)), Regularization())
             rng = np.random.default_rng(7)
-            x = rng.standard_normal(130) + 1j * rng.standard_normal(130)
-            x[0] = 0.0
+            x = ops.start(rng.standard_normal(129) + 1j * rng.standard_normal(129), 0.5)
         nl = ops.nonlinear(x)
         assert ops.propagators(0.01)[0] is None
         fast = ops.advance(x, nl, 0.01)

@@ -54,7 +54,7 @@ MUTANTS = (
             "::test_zero_symbol_step_is_the_step_with_unit_propagators",
             "tests/test_blowup1d.py::TestTrajectories::test_ifrk4_converges_at_fourth_order")),
     Mutant("1D forward kernel without its 1/n", "src/dpmflow/blowup1d.py",
-           "pocketfft.rfft_n_even(prod, 1.0 / self.n,", "pocketfft.rfft_n_even(prod, 1.0,",
+           "pocketfft.rfft_n_even(prod, shrink / self.n,", "pocketfft.rfft_n_even(prod, shrink,",
            ("tests/test_identities.py", "tests/test_blowup1d.py::TestStreamRhs")),
     Mutant("DPM forward kernel without its 1/n", "src/dpmflow/solver.py",
            "pocketfft.rfft_n_even(phys[1:], 1.0 / d.n[-1],",
@@ -100,14 +100,27 @@ MUTANTS = (
     Mutant("1D seam pin dropped from the tendency", "src/dpmflow/blowup1d.py",
            "f -= f[self.seam]", "f -= 0.0",
            ("tests/test_blowup1d.py::TestStreamRhs",)),
-    Mutant("1D step growth anchored at the start", "src/dpmflow/blowup1d.py",
-           "STEP_GROWTH_START = 100.0", "STEP_GROWTH_START = 1.0",
+    Mutant("1D tendency without its e^(-G)", "src/dpmflow/blowup1d.py",
+           "shrink = _exp(-big_g)", "shrink = 1.0",
+           ("tests/test_half_spectrum.py::test_stream_slope_advance_matches_fft",)),
+    Mutant("1D growth factor G held fixed", "src/dpmflow/blowup1d.py",
+           "out[-1] = g", "out[-1] = 0.0",
+           ("tests/test_blowup1d.py::TestTrajectories::test_inviscid_ansatz_matches_tangent",
+            "tests/test_half_spectrum.py::test_stream_slope_advance_matches_fft")),
+    Mutant("1D growth factor raises past the float range", "src/dpmflow/blowup1d.py",
+           "return math.inf", "raise",
+           ("tests/test_cli.py::TestBlowupCommand::test_nan_t_star_estimate_exits_2",)),
+    Mutant("1D step without the advective cap", "src/dpmflow/blowup1d.py",
+           "return min(h, max(dt / growth, ops.cfl_dt()))", "return h",
+           ("tests/test_blowup1d.py::TestTrajectories::test_steps_keep_to_the_advective_bound",)),
+    Mutant("1D step growth x^(1/5)", "src/dpmflow/blowup1d.py",
+           "STEP_GROWTH_EXPONENT = 0.15", "STEP_GROWTH_EXPONENT = 0.2",
            ("tests/test_blowup1d.py::TestTrajectories"
             "::test_late_steps_grow_within_the_oracle_tolerance",)),
-    Mutant("1D step growth never starts", "src/dpmflow/blowup1d.py",
-           "return h * (growth / STEP_GROWTH_START) ** STEP_GROWTH_EXPONENT", "return h",
+    Mutant("1D growth factor never folded into v", "src/dpmflow/blowup1d.py",
+           "if abs(big_g) > GROWTH_FOLD:", "if False:",
            ("tests/test_blowup1d.py::TestTrajectories"
-            "::test_late_steps_grow_within_the_oracle_tolerance",)),
+            "::test_long_regular_runs_keep_the_growth_factor_in_range",)),
     Mutant("1D sup norm read before re-evaluating", "src/dpmflow/blowup1d.py",
            "tendency = evaluate(x)\n        wmax = ops.last_wmax",
            "wmax = ops.last_wmax\n        tendency = evaluate(x)",
